@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,6 @@ import numpy as np
 from . import __version__
 from .analytic import (
     DesignRequest,
-    LeakageReport,
     design_frequency,
     leakage_at_peak,
     populations_from_action,
@@ -46,11 +44,13 @@ from .hydrogen import (
     z_matrix_element,
 )
 from .integrator import (
+    MAX_STEPS,
     IntegrationConfig,
     IntegrationError,
     integrate,
     natural_period,
     populated_window,
+    step_count,
     step_halving_error,
 )
 from .pulses import OptimizerConfig, ShapingObjective, run_optimizer
@@ -84,23 +84,12 @@ def _write_trajectory_csv(path: Path, traj: Trajectory, analytic_pulse: PulseSpe
     if analytic_pulse is not None:
         header += ",P1_analytic,P2_analytic"
     lines = [header]
-    p1 = traj.p1
-    p2 = traj.p2
-    for i, t in enumerate(traj.times):
-        row = [
-            _fmt(t),
-            _fmt(p1[i]),
-            _fmt(p2[i]),
-            _fmt(traj.a1[i].real),
-            _fmt(traj.a1[i].imag),
-            _fmt(traj.a2[i].real),
-            _fmt(traj.a2[i].imag),
-        ]
+    columns = (traj.times, traj.p1, traj.p2, traj.a1.real, traj.a1.imag, traj.a2.real, traj.a2.imag)
+    for row in zip(*columns):
+        fields = [_fmt(x) for x in row]
         if analytic_pulse is not None:
-            ap1, ap2 = populations_from_action(analytic_pulse, float(t))
-            row.append(_fmt(ap1))
-            row.append(_fmt(ap2))
-        lines.append(",".join(row))
+            fields += map(_fmt, populations_from_action(analytic_pulse, float(row[0])))
+        lines.append(",".join(fields))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -146,62 +135,63 @@ def _resolve_pulse(args: argparse.Namespace, parser: argparse.ArgumentParser,
 
 def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     omega21 = _energy_in_au(args.omega21, args.ev) if args.omega21 is not None else lamb_shift()
-    if omega21 < 0.0:
-        parser.error("--omega21 must be >= 0")
-    atom = TwoLevelAtom(omega21=omega21, dipole_projection=dipole_2s2p())
     out_path = Path(args.out)
+    # Every spec and grid is built, and so validated, before any integration.
+    try:
+        atom = TwoLevelAtom(omega21=omega21, dipole_projection=dipole_2s2p())
+        if args.sweep is not None:
+            jobs = _sweep_jobs(args, parser, omega21, out_path)
+        else:
+            pulse = _resolve_pulse(args, parser, omega21)
+            cfg = _grid_config(args, pulse)
+            if args.error_estimate and 2 * step_count(pulse, cfg) > MAX_STEPS:
+                raise ValueError(f"--error-estimate doubles the grid past {MAX_STEPS} steps")
+            jobs = [(out_path, pulse, cfg)]
+    except ValueError as exc:
+        parser.error(str(exc))
 
+    # Every integration finishes before the first file is written.
+    trajs = [integrate(atom, pulse, cfg) for _, pulse, cfg in jobs]
+    for (path, job_pulse, _), traj in zip(jobs, trajs):
+        _write_trajectory_csv(path, traj, job_pulse if args.analytic else None)
+    manifest = _write_manifest(out_path, args, [str(path) for path, _, _ in jobs])
     if args.sweep is not None:
-        try:
-            ratios = [float(r) for r in args.sweep.split(",") if r.strip()]
-        except ValueError:
-            parser.error("--sweep expects a comma-separated list of ratios")
-        if not ratios or omega21 <= 0.0:
-            parser.error("--sweep needs at least one ratio and a positive omega21")
-        jobs = []
-        for ratio in ratios:
-            omega = ratio * omega21
-            pulse = Cosine(chi=0.5 * math.pi * omega, omega=omega)
-            cfg = _grid_config(args, pulse, parser)
-            jobs.append((ratio, pulse, cfg))
-        # Integrations run concurrently; a single writer emits all files after
-        # every worker has finished.
-        with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:
-            trajs = list(pool.map(lambda job: integrate(atom, job[1], job[2]), jobs))
-        outputs = []
-        for (ratio, pulse, _), traj in zip(jobs, trajs):
-            path = out_path.with_name(f"{out_path.stem}_ratio{ratio:g}{out_path.suffix}")
-            _write_trajectory_csv(path, traj, pulse if args.analytic else None)
-            outputs.append(str(path))
-        manifest = _write_manifest(out_path, args, outputs)
-        print(f"wrote {len(outputs)} trajectories and {manifest}")
+        print(f"wrote {len(jobs)} trajectories and {manifest}")
         return 0
-
-    pulse = _resolve_pulse(args, parser, omega21)
-    cfg = _grid_config(args, pulse, parser)
-    traj = integrate(atom, pulse, cfg)
-    _write_trajectory_csv(out_path, traj, pulse if args.analytic else None)
-    manifest = _write_manifest(out_path, args, [str(out_path)])
     if args.error_estimate:
         estimate = step_halving_error(atom, pulse, cfg)
         print(f"step-halving error estimate = {_fmt(estimate)}")
-    print(f"wrote {out_path} ({len(traj)} rows) and {manifest}")
+    print(f"wrote {out_path} ({len(trajs[0])} rows) and {manifest}")
     return 0
 
 
-def _grid_config(args: argparse.Namespace, pulse: PulseSpec,
-                 parser: argparse.ArgumentParser) -> IntegrationConfig:
-    t_start = args.start
-    t_end = t_start + args.periods * natural_period(pulse)
+def _sweep_jobs(args: argparse.Namespace, parser: argparse.ArgumentParser,
+                omega21: float, out_path: Path) -> list[tuple[Path, PulseSpec, IntegrationConfig]]:
+    """One (output path, transfer cosine, grid) job per --sweep ratio."""
     try:
-        return IntegrationConfig(
-            t_start=t_start,
-            t_end=t_end,
-            step=args.step,
-            steps_per_period=args.steps_per_period,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+        ratios = [float(r) for r in args.sweep.split(",") if r.strip()]
+    except ValueError:
+        parser.error("--sweep expects a comma-separated list of ratios")
+    if not ratios or omega21 <= 0.0:
+        parser.error("--sweep needs at least one ratio and a positive omega21")
+    jobs = []
+    for ratio in ratios:
+        path = out_path.with_name(f"{out_path.stem}_ratio{ratio:g}{out_path.suffix}")
+        if any(path == other for other, _, _ in jobs):
+            parser.error(f"--sweep ratios {args.sweep!r} give the output {path} twice")
+        omega = ratio * omega21
+        pulse = Cosine(chi=0.5 * math.pi * omega, omega=omega)
+        jobs.append((path, pulse, _grid_config(args, pulse)))
+    return jobs
+
+
+def _grid_config(args: argparse.Namespace, pulse: PulseSpec) -> IntegrationConfig:
+    """The --start/--periods/--step grid; ValueError if invalid or over MAX_STEPS."""
+    t_end = args.start + args.periods * natural_period(pulse)
+    config = IntegrationConfig(args.start, t_end, step=args.step,
+                               steps_per_period=args.steps_per_period)
+    step_count(pulse, config)
+    return config
 
 
 # --- design ------------------------------------------------------------------
@@ -209,9 +199,13 @@ def _grid_config(args: argparse.Namespace, pulse: PulseSpec,
 def cmd_design(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     try:
         request = DesignRequest(t_s=args.ts, p_cr=args.pcr)
+        omega = design_frequency(request)
+        pulse = Cosine(chi=0.5 * math.pi * omega, omega=omega)
+        period = natural_period(pulse)
+        cfg = IntegrationConfig(0.0, period, steps_per_period=args.steps_per_period)
+        step_count(pulse, cfg)
     except ValueError as exc:
         parser.error(str(exc))
-    omega = design_frequency(request)
     regime = field_for_transfer(omega)
     report = validity_report(omega)
     print(f"omega      = {_fmt(omega)} a.u. ({_fmt(hartree_to_ev(omega))} eV)")
@@ -222,20 +216,9 @@ def cmd_design(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     print(f"verdict: {report.verdict}")
     if args.verify:
         atom = hydrogen_atom()
-        pulse = Cosine(chi=0.5 * math.pi * omega, omega=omega)
-        period = natural_period(pulse)
-        cfg = IntegrationConfig(0.0, period, steps_per_period=args.steps_per_period)
         traj = integrate(atom, pulse, cfg)
-        t_peak = 0.25 * period
-        i_peak = int(np.argmin(np.abs(traj.times - t_peak)))
-        measured_leak = float(1.0 - traj.p2[i_peak])
-        leak_report = LeakageReport(
-            omega=omega,
-            omega21=atom.omega21,
-            predicted_leakage=leakage_at_peak(atom.omega21, omega),
-            measured_leakage=min(max(measured_leak, 0.0), 1.0),
-            peak_time=t_peak,
-        )
+        i_peak = int(np.argmin(np.abs(traj.times - 0.25 * period)))
+        measured_leak = min(max(float(1.0 - traj.p2[i_peak]), 0.0), 1.0)
         try:
             measured_ts = populated_window(traj, request.p_cr)
         except ValueError as exc:
@@ -243,8 +226,8 @@ def cmd_design(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             return 0
         print(f"measured T_s = {_fmt(measured_ts)} a.u. "
               f"({_fmt(measured_ts / request.t_s)} of requested)")
-        print(f"measured peak leakage = {_fmt(leak_report.measured_leakage)} "
-              f"(series bound {_fmt(leak_report.predicted_leakage)})")
+        print(f"measured peak leakage = {_fmt(measured_leak)} "
+              f"(series bound {_fmt(leakage_at_peak(atom.omega21, omega))})")
     return 0
 
 
@@ -267,9 +250,9 @@ def cmd_optimize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             seed=args.seed,
             n_harmonics=args.n_harmonics,
         )
+        result = run_optimizer(objective, config)
     except ValueError as exc:
         parser.error(str(exc))
-    result = run_optimizer(objective, config)
 
     prefix = Path(args.out)
     pulse_path = prefix.with_name(prefix.name + "_pulse.json")

@@ -19,10 +19,8 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
-    "NORM_TOL",
     "TwoLevelAtom",
     "Cosine",
     "HarmonicSum",
@@ -40,10 +38,9 @@ __all__ = [
     "pulse_from_json",
 ]
 
-#: Norm tolerance for analytically constructed amplitude pairs.
-NORM_TOL = 1e-9
-
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+#: math.erf applied element-wise; keeps scipy out of the runtime dependencies.
+_erf = np.frompyfunc(math.erf, 1, 1)
 
 
 def _check_finite(name: str, value: float) -> float:
@@ -77,12 +74,54 @@ class TwoLevelAtom:
         _check_finite("dipole_projection", self.dipole_projection)
 
 
+# --- pulse families -----------------------------------------------------------
+#
+# Every family provides value(t), action(t), derivative(t, order), the scales
+# period, frequency_scale and action_scale, scaled(s) and to_dict().
+
+def _check_order(order: int) -> int:
+    order = int(order)
+    if order < 0:
+        raise ValueError(f"derivative order must be >= 0, got {order}")
+    return order
+
+
+class _OddHarmonics:
+    """V21(t) = -sum_k chi_k cos(k omega t) over ``omega`` and ``coefficients``."""
+
+    def value(self, t):
+        return -sum(c * np.cos(k * self.omega * t) for k, c in self.coefficients)
+
+    def derivative(self, t: float, order: int) -> float:
+        order = _check_order(order)
+        w = self.omega
+        return -sum(c * (k * w) ** order * math.cos(k * w * t + 0.5 * math.pi * order)
+                    for k, c in self.coefficients)
+
+    def action(self, t):
+        return -sum(c / (k * self.omega) * np.sin(k * self.omega * t)
+                    for k, c in self.coefficients)
+
+    @property
+    def period(self) -> float:
+        return 2.0 * math.pi / self.omega
+
+    @property
+    def frequency_scale(self) -> float:
+        return self.omega
+
+    @property
+    def action_scale(self) -> float:
+        return sum(abs(c) / (k * self.omega) for k, c in self.coefficients)
+
+
 @dataclass(frozen=True)
-class Cosine:
+class Cosine(_OddHarmonics):
     """Monochromatic drive V21(t) = -chi * cos(omega * t).
 
     ``chi`` is the Rabi frequency (field amplitude times dipole projection),
-    ``omega`` the field angular frequency; both in Hartree.
+    ``omega`` the field angular frequency; both in Hartree.  It is the
+    one-term harmonic sum with coefficients ((1, chi),).
     """
 
     chi: float
@@ -94,9 +133,19 @@ class Cosine:
         if omega <= 0.0:
             raise ValueError(f"omega must be > 0, got {omega}")
 
+    @property
+    def coefficients(self) -> tuple[tuple[int, float], ...]:
+        return ((1, self.chi),)
+
+    def scaled(self, s: float) -> Cosine:
+        return Cosine(chi=self.chi * s, omega=self.omega)
+
+    def to_dict(self) -> dict:
+        return {"type": "cosine", "chi": self.chi, "omega": self.omega}
+
 
 @dataclass(frozen=True)
-class HarmonicSum:
+class HarmonicSum(_OddHarmonics):
     """Sum of odd harmonics of a base frequency.
 
     V21(t) = -sum_k chi_k * cos(k * omega * t) over the listed (k, chi_k)
@@ -123,6 +172,27 @@ class HarmonicSum:
             raise ValueError("duplicate harmonic index")
         object.__setattr__(self, "coefficients", coeffs)
 
+    def scaled(self, s: float) -> HarmonicSum:
+        return HarmonicSum(self.omega, tuple((k, c * s) for k, c in self.coefficients))
+
+    def to_dict(self) -> dict:
+        coefficients = [[k, c] for k, c in self.coefficients]
+        return {"type": "harmonic_sum", "omega": self.omega, "coefficients": coefficients}
+
+
+def _hermite_e(n: int, x: float) -> float:
+    """Probabilists' Hermite polynomial He_n(x) by the three-term recurrence."""
+    if n == 0:
+        return 1.0
+    prev, cur = 1.0, x
+    for m in range(1, n):
+        prev, cur = cur, x * cur - m * prev
+    return cur
+
+
+def _gauss_cdf(x):
+    return 0.5 * (1.0 + np.asarray(_erf(x / math.sqrt(2.0)), dtype=float))
+
 
 @dataclass(frozen=True)
 class GaussianApprox:
@@ -130,7 +200,8 @@ class GaussianApprox:
 
     V21(t) = area * N(t; center, width) with N the Gaussian density, so the
     full-line integral of V21 is exactly ``area``.  ``width`` is the Gaussian
-    standard deviation.
+    standard deviation and serves as the pulse's ``period``.  Derivatives
+    carry Hermite-polynomial prefactors.
     """
 
     area: float
@@ -144,63 +215,51 @@ class GaussianApprox:
         if width <= 0.0:
             raise ValueError(f"width must be > 0, got {width}")
 
+    def value(self, t):
+        x = (t - self.center) / self.width
+        return self.area * np.exp(-0.5 * x * x) / (self.width * _SQRT_2PI)
+
+    def derivative(self, t: float, order: int) -> float:
+        order = _check_order(order)
+        x = (t - self.center) / self.width
+        gauss = math.exp(-0.5 * x * x) / _SQRT_2PI
+        sign = -1.0 if order % 2 else 1.0
+        return self.area * sign * _hermite_e(order, x) * gauss / self.width ** (order + 1)
+
+    def action(self, t):
+        lo = _gauss_cdf((0.0 - self.center) / self.width)
+        return self.area * (_gauss_cdf((t - self.center) / self.width) - lo)
+
+    @property
+    def period(self) -> float:
+        return self.width
+
+    @property
+    def frequency_scale(self) -> float:
+        return 1.0 / self.width
+
+    @property
+    def action_scale(self) -> float:
+        return abs(self.area)
+
+    def scaled(self, s: float) -> GaussianApprox:
+        return GaussianApprox(area=self.area * s, center=self.center, width=self.width)
+
+    def to_dict(self) -> dict:
+        return {"type": "gaussian", "area": self.area, "center": self.center, "width": self.width}
+
 
 PulseSpec = Union[Cosine, HarmonicSum, GaussianApprox]
 
 
 def pulse_value(pulse: PulseSpec, t):
     """Coupling matrix element V21 at time ``t`` (scalar or array)."""
-    if isinstance(pulse, Cosine):
-        return -pulse.chi * np.cos(pulse.omega * t)
-    if isinstance(pulse, HarmonicSum):
-        total = 0.0
-        for k, c in pulse.coefficients:
-            total = total - c * np.cos(k * pulse.omega * t)
-        return total
-    if isinstance(pulse, GaussianApprox):
-        x = (t - pulse.center) / pulse.width
-        return pulse.area * np.exp(-0.5 * x * x) / (pulse.width * _SQRT_2PI)
-    raise TypeError(f"not a PulseSpec: {pulse!r}")
-
-
-def _hermite_e(n: int, x: float) -> float:
-    """Probabilists' Hermite polynomial He_n(x) by the three-term recurrence."""
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, x
-    for m in range(1, n):
-        prev, cur = cur, x * cur - m * prev
-    return cur
+    return pulse.value(t)
 
 
 def pulse_derivative(pulse: PulseSpec, t: float, order: int) -> float:
-    """``order``-th time derivative of V21 at ``t``; order 0 is V21 itself.
-
-    Closed forms exist for every pulse family: phase-shifted cosines for the
-    harmonic pulses and Hermite-polynomial prefactors for the Gaussian.
-    """
-    order = int(order)
-    if order < 0:
-        raise ValueError(f"derivative order must be >= 0, got {order}")
-    if isinstance(pulse, Cosine):
-        w = pulse.omega
-        return -pulse.chi * w**order * math.cos(w * t + 0.5 * math.pi * order)
-    if isinstance(pulse, HarmonicSum):
-        w = pulse.omega
-        total = 0.0
-        for k, c in pulse.coefficients:
-            total -= c * (k * w) ** order * math.cos(k * w * t + 0.5 * math.pi * order)
-        return total
-    if isinstance(pulse, GaussianApprox):
-        x = (t - pulse.center) / pulse.width
-        gauss = math.exp(-0.5 * x * x) / _SQRT_2PI
-        sign = -1.0 if order % 2 else 1.0
-        return pulse.area * sign * _hermite_e(order, x) * gauss / pulse.width ** (order + 1)
-    raise TypeError(f"not a PulseSpec: {pulse!r}")
-
-
-def _gauss_cdf(x):
-    return 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    """``order``-th time derivative of V21 at ``t``; order 0 is V21 itself."""
+    return pulse.derivative(t, order)
 
 
 def action(pulse: PulseSpec, t):
@@ -210,17 +269,7 @@ def action(pulse: PulseSpec, t):
     degenerate limit: P2 = sin^2 A.  Complete transfer needs |A| to reach an
     odd multiple of pi/2.
     """
-    if isinstance(pulse, Cosine):
-        return -(pulse.chi / pulse.omega) * np.sin(pulse.omega * t)
-    if isinstance(pulse, HarmonicSum):
-        total = 0.0
-        for k, c in pulse.coefficients:
-            total = total - (c / (k * pulse.omega)) * np.sin(k * pulse.omega * t)
-        return total
-    if isinstance(pulse, GaussianApprox):
-        lo = _gauss_cdf((0.0 - pulse.center) / pulse.width)
-        return pulse.area * (_gauss_cdf((t - pulse.center) / pulse.width) - lo)
-    raise TypeError(f"not a PulseSpec: {pulse!r}")
+    return pulse.action(t)
 
 
 @dataclass(frozen=True)
@@ -300,22 +349,7 @@ class Trajectory:
 
 def pulse_to_dict(pulse: PulseSpec) -> dict:
     """Serialize a pulse to its tagged-dict wire form."""
-    if isinstance(pulse, Cosine):
-        return {"type": "cosine", "chi": pulse.chi, "omega": pulse.omega}
-    if isinstance(pulse, HarmonicSum):
-        return {
-            "type": "harmonic_sum",
-            "omega": pulse.omega,
-            "coefficients": [[k, c] for k, c in pulse.coefficients],
-        }
-    if isinstance(pulse, GaussianApprox):
-        return {
-            "type": "gaussian",
-            "area": pulse.area,
-            "center": pulse.center,
-            "width": pulse.width,
-        }
-    raise TypeError(f"not a PulseSpec: {pulse!r}")
+    return pulse.to_dict()
 
 
 def pulse_from_dict(data: dict) -> PulseSpec:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Cosine, GaussianApprox, HarmonicSum, PulseSpec, TwoLevelAtom, action
+from .core import HarmonicSum, PulseSpec, TwoLevelAtom, action
 from .analytic import MAX_DERIVATIVE_ORDER, nth_derivative_p2
-from .integrator import IntegrationConfig, integrate, populated_window
+from .integrator import IntegrationConfig, IntegrationError, integrate, populated_window
 
 __all__ = [
     "ShapingObjective",
@@ -92,15 +92,6 @@ class OptimizationResult:
     config: OptimizerConfig
 
 
-def _action_scale(pulse: PulseSpec) -> float:
-    """Amplitude scale of the action integral, for zero-action detection."""
-    if isinstance(pulse, Cosine):
-        return abs(pulse.chi) / pulse.omega
-    if isinstance(pulse, HarmonicSum):
-        return sum(abs(c) / (k * pulse.omega) for k, c in pulse.coefficients)
-    return abs(pulse.area)
-
-
 def normalize_for_transfer(pulse: PulseSpec, t_peak: float) -> PulseSpec:
     """Rescale the pulse so |action| at ``t_peak`` equals exactly pi/2.
 
@@ -111,25 +102,9 @@ def normalize_for_transfer(pulse: PulseSpec, t_peak: float) -> PulseSpec:
     action amplitude), which no scaling can fix.
     """
     a = abs(float(action(pulse, t_peak)))
-    if not math.isfinite(a) or a <= 1e-12 * _action_scale(pulse):
+    if not math.isfinite(a) or a <= 1e-12 * pulse.action_scale:
         raise ValueError(f"pulse has zero action at t_peak={t_peak}; cannot normalize")
-    s = HALF_PI / a
-    if isinstance(pulse, Cosine):
-        return Cosine(chi=pulse.chi * s, omega=pulse.omega)
-    if isinstance(pulse, HarmonicSum):
-        return HarmonicSum(
-            omega=pulse.omega,
-            coefficients=tuple((k, c * s) for k, c in pulse.coefficients),
-        )
-    if isinstance(pulse, GaussianApprox):
-        return GaussianApprox(area=pulse.area * s, center=pulse.center, width=pulse.width)
-    raise TypeError(f"not a PulseSpec: {pulse!r}")
-
-
-def _frequency_scale(pulse: PulseSpec) -> float:
-    if isinstance(pulse, (Cosine, HarmonicSum)):
-        return pulse.omega
-    return 1.0 / pulse.width
+    return pulse.scaled(HALF_PI / a)
 
 
 def flatness_order(pulse: PulseSpec, t_peak: float, n_max: int = 8) -> int:
@@ -142,7 +117,7 @@ def flatness_order(pulse: PulseSpec, t_peak: float, n_max: int = 8) -> int:
     """
     if not 1 <= n_max <= MAX_DERIVATIVE_ORDER:
         raise ValueError(f"n_max must lie in 1..{MAX_DERIVATIVE_ORDER}, got {n_max}")
-    scale = _frequency_scale(pulse)
+    scale = pulse.frequency_scale
     for n in range(1, n_max + 1):
         if abs(nth_derivative_p2(pulse, t_peak, n)) > FLATNESS_TOL * scale**n:
             return n
@@ -170,7 +145,7 @@ def _evaluate(
     grid: IntegrationConfig,
     t_peak: float,
 ) -> tuple[float, PulseSpec | None, float]:
-    """Fitness of one genome: measured populated window, 0.0 when unusable."""
+    """Fitness of one genome: its populated window, 0.0 if it cannot be normalized or overflows."""
     try:
         pulse = normalize_for_transfer(
             HarmonicSum(
@@ -181,7 +156,10 @@ def _evaluate(
         )
     except ValueError:
         return 0.0, None, math.inf
-    traj = integrate(objective.atom, pulse, grid)
+    try:
+        traj = integrate(objective.atom, pulse, grid)
+    except IntegrationError:
+        return 0.0, None, math.inf
     try:
         width = populated_window(traj, objective.p_cr)
     except ValueError:

@@ -95,6 +95,31 @@ class TestSimulate:
         manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
         assert len(manifest["outputs"]) == 2
 
+    def test_colliding_sweep_outputs_are_usage_error(self, tmp_path):
+        result = run_cli(
+            ["simulate", "--sweep", "2.0000001,2.0000002", "--out", "s.csv"], tmp_path
+        )
+        assert result.returncode == 2
+        assert "twice" in result.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--ratio", "nan"],
+            ["--sweep", "1,nan"],
+            ["--ratio", "10", "--step", "1e-320"],
+            ["--ratio", "10", "--periods", "1e12"],
+        ],
+        ids=["ratio-nan", "sweep-nan", "tiny-step", "huge-periods"],
+    )
+    def test_invalid_grid_or_pulse_is_usage_error(self, tmp_path, args):
+        result = run_cli(["simulate", *args, "--out", "x.csv"], tmp_path)
+        assert result.returncode == 2
+        assert "error:" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_pulse_is_usage_error(self, tmp_path):
         result = run_cli(["simulate", "--out", "x.csv"], tmp_path)
         assert result.returncode == 2
@@ -152,6 +177,14 @@ class TestDesign:
         assert run_cli(["design", "--ts", "-5", "--pcr", "1e-4"], tmp_path).returncode == 2
         assert run_cli(["design", "--ts", "50", "--pcr", "2"], tmp_path).returncode == 2
 
+    def test_bad_verify_grid_exits_two_before_output(self, tmp_path):
+        result = run_cli(
+            ["design", "--ts", "50", "--pcr", "1e-4", "--verify", "--steps-per-period", "50"],
+            tmp_path,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+
 
 class TestOptimize:
     def test_single_harmonic_emits_normalized_cosine(self, tmp_path):
@@ -196,6 +229,35 @@ class TestOptimize:
         t_rich = json.loads((tmp_path / "rich_pulse.json").read_text())["achieved_T_s"]
         assert t_rich >= t_base - 1e-12
 
+    @pytest.mark.parametrize(
+        "pcr, seed",
+        [("3.285269400020924e-05", "707434077"), ("4.389954813217139e-05", "905577790")],
+    )
+    def test_overflowing_candidate_does_not_end_search(self, tmp_path, pcr, seed):
+        # Each run meets a candidate whose action nearly cancels at the peak;
+        # normalized, it overflows RK4 and must score as unusable.
+        result = run_cli(
+            ["optimize", "--omega21", "0", "--n-harmonics", "3", "--generations", "40",
+             "--pcr", pcr, "--seed", seed, "--out", "ga"],
+            tmp_path,
+        )
+        assert result.returncode == 0, result.stderr
+        summary = json.loads((tmp_path / "ga_pulse.json").read_text())
+        history = summary["fitness_history"]
+        assert all(b >= a for a, b in zip(history, history[1:]))
+        pulse = summary["best_pulse"]
+        t_peak = math.pi / (2 * summary["objective"]["omega"])
+        action = -sum(
+            c / (k * pulse["omega"]) * math.sin(k * pulse["omega"] * t_peak)
+            for k, c in pulse["coefficients"]
+        )
+        assert abs(action) == pytest.approx(math.pi / 2, rel=1e-12)
+
+    def test_oversized_grid_is_usage_error(self, tmp_path):
+        result = run_cli(["optimize", "--pcr", "1e-3", "--horizon", "1e5"], tmp_path)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+
     def test_history_is_monotone(self, tmp_path):
         run_cli(
             ["optimize", "--pcr", "1e-4", "--omega21", "0", "--n-harmonics", "2",
@@ -206,6 +268,19 @@ class TestOptimize:
         values = [float(r["best_T_s"]) for r in rows]
         assert len(values) == 4
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+class TestImport:
+    def test_cli_import_loads_no_scipy(self):
+        code = (
+            "import sys, twolevel.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
 
 class TestInfo:

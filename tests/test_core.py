@@ -26,15 +26,6 @@ from twolevel.core import (
 from _oracles import action_by_quadrature, central_derivative
 
 
-def action_scale(pulse) -> float:
-    """Amplitude scale of the action integral, for relative comparisons."""
-    if isinstance(pulse, Cosine):
-        return abs(pulse.chi) / pulse.omega
-    if isinstance(pulse, HarmonicSum):
-        return sum(abs(c) / (k * pulse.omega) for k, c in pulse.coefficients)
-    return abs(pulse.area)
-
-
 class TestPulseValue:
     def test_cosine_at_zero(self):
         assert pulse_value(Cosine(chi=1.0, omega=1.0), 0.0) == -1.0
@@ -89,7 +80,7 @@ class TestAction:
     )
     def test_action_matches_quadrature(self, pulse):
         period = 2 * math.pi / pulse.omega if not isinstance(pulse, GaussianApprox) else 2.0
-        scale = action_scale(pulse)
+        scale = pulse.action_scale
         for t in np.linspace(0.13, 10 * period, 9):
             expected = action_by_quadrature(pulse, float(t))
             assert abs(action(pulse, float(t)) - expected) <= 1e-9 * max(abs(expected), scale)
@@ -104,7 +95,7 @@ class TestAction:
         pulse = Cosine(chi=chi, omega=omega)
         t = periods * 2 * math.pi / omega
         expected = action_by_quadrature(pulse, t)
-        scale = max(action_scale(pulse), 1e-6)
+        scale = max(pulse.action_scale, 1e-6)
         assert abs(action(pulse, t) - expected) <= 1e-9 * max(abs(expected), scale)
 
 
@@ -133,6 +124,47 @@ class TestPulseDerivative:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             pulse_derivative(Cosine(chi=1.0, omega=1.0), 0.0, -1)
+
+
+class TestPulseProtocol:
+    def test_cosine_is_one_term_harmonic_sum(self):
+        cos = Cosine(chi=0.7, omega=2.0)
+        hs = HarmonicSum(omega=2.0, coefficients=((1, 0.7),))
+        t = np.linspace(-5.0, 15.0, 101)
+        assert cos.coefficients == hs.coefficients
+        np.testing.assert_array_equal(action(cos, t), action(hs, t))
+        for order in range(5):
+            assert pulse_derivative(cos, 1.3, order) == pulse_derivative(hs, 1.3, order)
+        assert cos.period == hs.period == math.pi
+        assert cos.frequency_scale == hs.frequency_scale == 2.0
+        assert cos.action_scale == hs.action_scale == 0.35
+
+    @pytest.mark.parametrize(
+        "pulse",
+        [
+            Cosine(chi=-1.2, omega=0.9),
+            HarmonicSum(omega=0.8, coefficients=((1, 0.6), (3, 0.25))),
+            GaussianApprox(area=1.3, center=2.0, width=0.6),
+        ],
+    )
+    def test_scaled_multiplies_value_and_action(self, pulse):
+        scaled = pulse.scaled(-2.5)
+        assert type(scaled) is type(pulse)
+        assert scaled.period == pulse.period
+        assert scaled.action_scale == pytest.approx(2.5 * pulse.action_scale, rel=1e-15)
+        for t in (0.0, 0.7, 3.1):
+            assert scaled.value(t) == pytest.approx(-2.5 * pulse.value(t), rel=1e-14)
+            assert scaled.action(t) == pytest.approx(-2.5 * pulse.action(t), rel=1e-14)
+
+    def test_gaussian_action_array_matches_scalar(self):
+        g = GaussianApprox(area=1.4, center=3.0, width=0.7)
+        t = np.linspace(-2.0, 8.0, 41)
+        got = action(g, t)
+        assert got.dtype == float and got.shape == t.shape
+        np.testing.assert_array_equal(got, [action(g, float(x)) for x in t])
+
+    def test_gaussian_frequency_scale(self):
+        assert GaussianApprox(area=1.0, center=0.0, width=0.25).frequency_scale == 4.0
 
 
 class TestProbabilities:

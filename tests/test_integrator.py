@@ -16,12 +16,14 @@ from twolevel.core import (
     TwoLevelAtom,
 )
 from twolevel.integrator import (
+    MAX_STEPS,
     IntegrationConfig,
     IntegrationError,
     integrate,
     max_population_deviation,
     natural_period,
     populated_window,
+    step_count,
     step_halving_error,
 )
 
@@ -48,6 +50,21 @@ class TestConfig:
     def test_natural_period(self):
         assert natural_period(Cosine(chi=1.0, omega=2.0)) == pytest.approx(math.pi)
         assert natural_period(GaussianApprox(area=1.0, center=0.0, width=0.3)) == 0.3
+
+    def test_step_count(self):
+        pulse = Cosine(chi=1.0, omega=2.0)
+        cfg = IntegrationConfig(0.0, 3 * math.pi, steps_per_period=250)
+        assert step_count(pulse, cfg) == 750
+        assert step_count(pulse, IntegrationConfig(0.0, 1.0, step=0.3)) == 3
+
+    @pytest.mark.parametrize("step", [1e-320, 1.0 / (MAX_STEPS + 10)])
+    def test_oversized_grid_rejected_before_allocation(self, step):
+        cfg = IntegrationConfig(0.0, 1.0, step=step)
+        pulse = Cosine(chi=1.0, omega=1.0)
+        with pytest.raises(ValueError, match="steps"):
+            step_count(pulse, cfg)
+        with pytest.raises(ValueError, match="steps"):
+            integrate(DEGENERATE, pulse, cfg)
 
 
 class TestIntegrate:
