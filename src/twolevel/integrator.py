@@ -5,12 +5,14 @@ The equations integrated are
     i da1/dt = V21(t) a2
     i da2/dt = omega21 a2 + V21(t) a1
 
-with V21 evaluated from the pulse.  The state advances as four real
-components (Re a1, Im a1, Re a2, Im a2) with the classic fourth-order
-Runge-Kutta stepper on a fixed grid; fixed steps keep output grids exactly
-reproducible.  No renormalization is ever applied during integration: norm
-drift is a diagnostic of integrator error, and correcting it would only mask
-that error.
+with V21 evaluated from the pulse.  They are linear, da/dt = -iH(t)a, so one
+classic fourth-order Runge-Kutta step on a fixed grid is exactly a 2x2
+complex matrix, a_{k+1} = P_k a_k, built from V21 at the step's start,
+midpoint and end.  :func:`integrate` builds the step matrices with numpy and
+applies them as a blocked prefix product, a fixed number of steps at a time;
+fixed steps keep output grids exactly reproducible.  No renormalization is
+ever applied during integration: norm drift is a diagnostic of integrator
+error, and correcting it would only mask that error.
 """
 from __future__ import annotations
 
@@ -35,8 +37,11 @@ __all__ = [
 ]
 
 
-#: Largest grid :func:`integrate` accepts; it peaks near 320 bytes per step.
+#: Largest grid :func:`integrate` accepts; it peaks near 60 bytes per step.
 MAX_STEPS = 10**7
+
+#: Steps propagated together; bounds the kernel's workspace to a few MB.
+_CHUNK = 4096
 
 
 class IntegrationError(RuntimeError):
@@ -82,105 +87,107 @@ def natural_period(pulse: PulseSpec) -> float:
 
 
 def step_count(pulse: PulseSpec, config: IntegrationConfig) -> int:
-    """Number of equal steps on the grid; ValueError if it exceeds MAX_STEPS."""
+    """Number of equal steps on the grid.
+
+    ValueError if the step exceeds the span or the grid exceeds MAX_STEPS.
+    """
     step = config.step
     if step is None:
         step = natural_period(pulse) / config.steps_per_period
-    n = (config.t_end - config.t_start) / step
+    span = config.t_end - config.t_start
+    if step > span:
+        raise ValueError(f"the step {step:.6g} exceeds the span {span:.6g}")
+    n = span / step
     if not n <= MAX_STEPS:
         raise ValueError(f"the grid needs {n:.3g} steps, more than the limit of {MAX_STEPS}")
-    return max(1, round(n))
+    return round(n)
 
 
 def integrate(atom: TwoLevelAtom, pulse: PulseSpec, config: IntegrationConfig) -> Trajectory:
     """Propagate the amplitudes across the configured grid.
 
     Returns a trajectory whose first state is exactly the supplied initial
-    condition.  Raises :class:`IntegrationError` with the offending time if
-    the state overflows or turns NaN.
+    condition.  Raises :class:`IntegrationError` with the grid time of the
+    first non-finite state if the state overflows or turns NaN.
     """
     n = step_count(pulse, config)
-    span = config.t_end - config.t_start
-    h = span / n
-    # Pulse values at the grid points and midpoints, evaluated in one shot.
-    half_times = config.t_start + 0.5 * h * np.arange(2 * n + 1)
-    v = np.asarray(pulse_value(pulse, half_times), dtype=float)
-    if not np.all(np.isfinite(v)):
-        bad = int(np.flatnonzero(~np.isfinite(v))[0])
-        raise IntegrationError(
-            f"pulse is not finite at t={half_times[bad]}", time=float(half_times[bad])
+    h = (config.t_end - config.t_start) / n
+    # Overflow is reported as IntegrationError below, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Pulse values at the grid points and midpoints, evaluated in one shot.
+        v = np.asarray(
+            pulse_value(pulse, config.t_start + 0.5 * h * np.arange(2 * n + 1)), dtype=float
         )
-    v = v.tolist()
-
-    w = atom.omega21
-    a1 = complex(config.initial.a1)
-    a2 = complex(config.initial.a2)
-    x1, y1 = a1.real, a1.imag
-    x2, y2 = a2.real, a2.imag
-    out_x1 = [x1]
-    out_y1 = [y1]
-    out_x2 = [x2]
-    out_y2 = [y2]
-
-    h2 = 0.5 * h
-    h6 = h / 6.0
-    isfinite = math.isfinite
-    for i in range(n):
-        va = v[2 * i]
-        vb = v[2 * i + 1]
-        vc = v[2 * i + 2]
-        # k1 at (t, x)
-        ax1 = va * y2
-        ay1 = -va * x2
-        ax2 = w * y2 + va * y1
-        ay2 = -w * x2 - va * x1
-        # k2 at (t + h/2, x + h/2 k1)
-        tx1 = x1 + h2 * ax1
-        ty1 = y1 + h2 * ay1
-        tx2 = x2 + h2 * ax2
-        ty2 = y2 + h2 * ay2
-        bx1 = vb * ty2
-        by1 = -vb * tx2
-        bx2 = w * ty2 + vb * ty1
-        by2 = -w * tx2 - vb * tx1
-        # k3 at (t + h/2, x + h/2 k2)
-        tx1 = x1 + h2 * bx1
-        ty1 = y1 + h2 * by1
-        tx2 = x2 + h2 * bx2
-        ty2 = y2 + h2 * by2
-        cx1 = vb * ty2
-        cy1 = -vb * tx2
-        cx2 = w * ty2 + vb * ty1
-        cy2 = -w * tx2 - vb * tx1
-        # k4 at (t + h, x + h k3)
-        tx1 = x1 + h * cx1
-        ty1 = y1 + h * cy1
-        tx2 = x2 + h * cx2
-        ty2 = y2 + h * cy2
-        dx1 = vc * ty2
-        dy1 = -vc * tx2
-        dx2 = w * ty2 + vc * ty1
-        dy2 = -w * tx2 - vc * tx1
-
-        x1 += h6 * (ax1 + 2.0 * (bx1 + cx1) + dx1)
-        y1 += h6 * (ay1 + 2.0 * (by1 + cy1) + dy1)
-        x2 += h6 * (ax2 + 2.0 * (bx2 + cx2) + dx2)
-        y2 += h6 * (ay2 + 2.0 * (by2 + cy2) + dy2)
-        if not (isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)):
-            t_bad = config.t_start + (i + 1) * h
-            raise IntegrationError(f"non-finite amplitudes at t={t_bad}", time=t_bad)
-        out_x1.append(x1)
-        out_y1.append(y1)
-        out_x2.append(x2)
-        out_y2.append(y2)
-
+        if not np.all(np.isfinite(v)):
+            t_bad = config.t_start + 0.5 * h * int(np.argmin(np.isfinite(v)))
+            raise IntegrationError(f"pulse is not finite at t={t_bad}", time=t_bad)
+        states = np.empty((2, n + 1), dtype=complex)
+        states[:, 0] = config.initial.a1, config.initial.a2
+        for lo in range(0, n, _CHUNK):
+            hi = min(lo + _CHUNK, n)
+            chunk = _propagate(_step_matrices(v[2 * lo:2 * hi + 1], atom.omega21, h),
+                               states[:, lo].tolist())
+            finite = np.isfinite(chunk).all(axis=0)
+            if not finite.all():
+                t_bad = config.t_start + (lo + 1 + int(np.argmin(finite))) * h
+                raise IntegrationError(f"non-finite amplitudes at t={t_bad}", time=t_bad)
+            states[:, lo + 1:hi + 1] = chunk
+    del v  # 16 bytes per step, no longer needed
     times = config.t_start + h * np.arange(n + 1)
     times[-1] = config.t_end
-    return Trajectory(
-        times=times,
-        a1=np.asarray(out_x1) + 1j * np.asarray(out_y1),
-        a2=np.asarray(out_x2) + 1j * np.asarray(out_y2),
-    )
+    return Trajectory(times=times, a1=states[0], a2=states[1])
+
+
+def _step_matrices(v: np.ndarray, w: float, h: float) -> np.ndarray:
+    """RK4 step matrices ``p`` with ``a(t_k + h) = p[:, :, k] @ a(t_k)``.
+
+    ``v`` holds V21 at the grid points and midpoints of the steps, 2n + 1
+    values.  RK4 is linear in the state, so one pass of its stages over both
+    columns of the identity at once gives the matrices.  ``rate`` is H a,
+    with the -i of da/dt = -iHa folded into the stage coefficients.
+    """
+    va, vb, vc = v[:-1:2], v[1::2], v[2::2]
+    x = np.zeros((2, 2, va.size), dtype=complex)
+    x[0, 0] = x[1, 1] = 1.0
+
+    def rate(vt, y):
+        k = vt * y[::-1]  # (V a2, V a1)
+        k[1] += w * y[1]
+        return k
+
+    k1 = rate(va, x)
+    k2 = rate(vb, x + (-0.5j * h) * k1)
+    k3 = rate(vb, x + (-0.5j * h) * k2)
+    k4 = rate(vc, x + (-1j * h) * k3)
+    return x + (-1j * h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def _propagate(p: np.ndarray, x: list[complex]) -> np.ndarray:
+    """States after each step, ``a_{k+1} = p[:, :, k] @ a_k`` from ``a_0 = x``.
+
+    A prefix product in blocks of b ~ sqrt(n/16) steps (Blelloch, "Prefix
+    sums and their applications", 1990): the running products within every
+    block, looping over the b offsets with all blocks at once; then the
+    block-start states, carried through the block totals in Python complex
+    arithmetic; then every state in one broadcast multiply.  Returns (2, n).
+    """
+    n = p.shape[2]
+    b = math.ceil(math.sqrt(n / 16))
+    m = -(-n // b)
+    q = np.empty((2, 2, m * b), dtype=complex)
+    q[:, :, :n] = p
+    q[:, :, n:] = np.eye(2)[:, :, None]  # identity steps pad the last block
+    q = q.reshape(2, 2, m, b)
+    for j in range(1, b):
+        q[..., j] = q[:, :1, :, j] * q[:1, :, :, j - 1] + q[:, 1:, :, j] * q[1:, :, :, j - 1]
+    x1, x2 = x
+    s1, s2 = [], []
+    for t11, t12, t21, t22 in zip(*q[..., -1].reshape(4, m).tolist()):
+        s1.append(x1)
+        s2.append(x2)
+        x1, x2 = t11 * x1 + t12 * x2, t21 * x1 + t22 * x2
+    y = q[:, 0] * np.array(s1)[:, None] + q[:, 1] * np.array(s2)[:, None]
+    return y.reshape(2, m * b)[:, :n]
 
 
 def step_halving_error(atom: TwoLevelAtom, pulse: PulseSpec, config: IntegrationConfig) -> float:

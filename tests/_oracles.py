@@ -1,9 +1,11 @@
 """Independent numerical oracles used by the test suite.
 
 These deliberately avoid the code paths they check: the action oracle is
-adaptive quadrature of the pulse value, and the derivative oracle is a
+adaptive quadrature of the pulse value, the derivative oracle is a
 high-order central difference whose weights are solved from the Taylor
-conditions rather than taken from any closed form under test.
+conditions rather than taken from any closed form under test, and the RK4
+oracle advances the four real amplitude components one step at a time in
+plain Python, where the integrator under test multiplies step matrices.
 """
 import math
 import warnings
@@ -11,7 +13,8 @@ import warnings
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from twolevel.core import GaussianApprox, pulse_value
+from twolevel.core import GaussianApprox, Trajectory, pulse_value
+from twolevel.integrator import IntegrationError, step_count
 
 
 def action_by_quadrature(pulse, t: float) -> float:
@@ -80,3 +83,82 @@ def central_derivative(f, x: float, n: int, h: float, n_points: int | None = Non
     w = central_difference_weights(n, n_points)
     values = np.array([f(x + j * h) for j in range(-m, m + 1)])
     return float(np.dot(w, values) / h**n)
+
+
+def rk4_reference(atom, pulse, config) -> Trajectory:
+    """Classic RK4 on (Re a1, Im a1, Re a2, Im a2), one scalar step at a time.
+
+    Same grid, initial state and IntegrationError contract as
+    :func:`twolevel.integrator.integrate`; only the arithmetic differs.
+    """
+    n = step_count(pulse, config)
+    h = (config.t_end - config.t_start) / n
+    half_times = config.t_start + 0.5 * h * np.arange(2 * n + 1)
+    v = np.asarray(pulse_value(pulse, half_times), dtype=float)
+    if not np.all(np.isfinite(v)):
+        bad = int(np.flatnonzero(~np.isfinite(v))[0])
+        raise IntegrationError(
+            f"pulse is not finite at t={half_times[bad]}", time=float(half_times[bad])
+        )
+    v = v.tolist()
+
+    w = atom.omega21
+    a1 = complex(config.initial.a1)
+    a2 = complex(config.initial.a2)
+    x1, y1 = a1.real, a1.imag
+    x2, y2 = a2.real, a2.imag
+    out_a1 = [a1]
+    out_a2 = [a2]
+
+    h2 = 0.5 * h
+    h6 = h / 6.0
+    for i in range(n):
+        va = v[2 * i]
+        vb = v[2 * i + 1]
+        vc = v[2 * i + 2]
+        # k1 at (t, x)
+        ax1 = va * y2
+        ay1 = -va * x2
+        ax2 = w * y2 + va * y1
+        ay2 = -w * x2 - va * x1
+        # k2 at (t + h/2, x + h/2 k1)
+        tx1 = x1 + h2 * ax1
+        ty1 = y1 + h2 * ay1
+        tx2 = x2 + h2 * ax2
+        ty2 = y2 + h2 * ay2
+        bx1 = vb * ty2
+        by1 = -vb * tx2
+        bx2 = w * ty2 + vb * ty1
+        by2 = -w * tx2 - vb * tx1
+        # k3 at (t + h/2, x + h/2 k2)
+        tx1 = x1 + h2 * bx1
+        ty1 = y1 + h2 * by1
+        tx2 = x2 + h2 * bx2
+        ty2 = y2 + h2 * by2
+        cx1 = vb * ty2
+        cy1 = -vb * tx2
+        cx2 = w * ty2 + vb * ty1
+        cy2 = -w * tx2 - vb * tx1
+        # k4 at (t + h, x + h k3)
+        tx1 = x1 + h * cx1
+        ty1 = y1 + h * cy1
+        tx2 = x2 + h * cx2
+        ty2 = y2 + h * cy2
+        dx1 = vc * ty2
+        dy1 = -vc * tx2
+        dx2 = w * ty2 + vc * ty1
+        dy2 = -w * tx2 - vc * tx1
+
+        x1 += h6 * (ax1 + 2.0 * (bx1 + cx1) + dx1)
+        y1 += h6 * (ay1 + 2.0 * (by1 + cy1) + dy1)
+        x2 += h6 * (ax2 + 2.0 * (bx2 + cx2) + dx2)
+        y2 += h6 * (ay2 + 2.0 * (by2 + cy2) + dy2)
+        if not all(map(math.isfinite, (x1, y1, x2, y2))):
+            t_bad = config.t_start + (i + 1) * h
+            raise IntegrationError(f"non-finite amplitudes at t={t_bad}", time=t_bad)
+        out_a1.append(complex(x1, y1))
+        out_a2.append(complex(x2, y2))
+
+    times = config.t_start + h * np.arange(n + 1)
+    times[-1] = config.t_end
+    return Trajectory(times=times, a1=out_a1, a2=out_a2)

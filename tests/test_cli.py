@@ -110,8 +110,9 @@ class TestSimulate:
             ["--sweep", "1,nan"],
             ["--ratio", "10", "--step", "1e-320"],
             ["--ratio", "10", "--periods", "1e12"],
+            ["--ratio", "10", "--step", "1e9"],
         ],
-        ids=["ratio-nan", "sweep-nan", "tiny-step", "huge-periods"],
+        ids=["ratio-nan", "sweep-nan", "tiny-step", "huge-periods", "step-over-span"],
     )
     def test_invalid_grid_or_pulse_is_usage_error(self, tmp_path, args):
         result = run_cli(["simulate", *args, "--out", "x.csv"], tmp_path)

@@ -1,8 +1,12 @@
 """RK4 propagation against analytic oracles, plus the comparison utilities."""
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from twolevel.analytic import (
     DesignRequest,
@@ -13,6 +17,7 @@ from twolevel.core import (
     AmplitudeState,
     Cosine,
     GaussianApprox,
+    HarmonicSum,
     TwoLevelAtom,
 )
 from twolevel.integrator import (
@@ -26,6 +31,9 @@ from twolevel.integrator import (
     step_count,
     step_halving_error,
 )
+from twolevel.pulses import normalize_for_transfer
+
+from _oracles import rk4_reference
 
 DEGENERATE = TwoLevelAtom(omega21=0.0, dipole_projection=-3.0)
 
@@ -56,6 +64,13 @@ class TestConfig:
         cfg = IntegrationConfig(0.0, 3 * math.pi, steps_per_period=250)
         assert step_count(pulse, cfg) == 750
         assert step_count(pulse, IntegrationConfig(0.0, 1.0, step=0.3)) == 3
+        assert step_count(pulse, IntegrationConfig(0.0, 1.0, step=1.0)) == 1
+
+    @pytest.mark.parametrize("step", [1.0 + 1e-12, 1e9])
+    def test_step_over_span_rejected(self, step):
+        cfg = IntegrationConfig(0.0, 1.0, step=step)
+        with pytest.raises(ValueError, match="exceeds the span"):
+            step_count(Cosine(chi=1.0, omega=1.0), cfg)
 
     @pytest.mark.parametrize("step", [1e-320, 1.0 / (MAX_STEPS + 10)])
     def test_oversized_grid_rejected_before_allocation(self, step):
@@ -145,9 +160,31 @@ class TestIntegrate:
 
     def test_nonfinite_state_signaled_with_time(self):
         cfg = IntegrationConfig(0.0, 2 * math.pi)
-        with pytest.raises(IntegrationError) as excinfo:
-            integrate(DEGENERATE, Cosine(chi=1e308, omega=1.0), cfg)
-        assert excinfo.value.time >= 0.0
+        h = 2 * math.pi / step_count(Cosine(chi=1e308, omega=1.0), cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError) as excinfo:
+                integrate(DEGENERATE, Cosine(chi=1e308, omega=1.0), cfg)
+        assert excinfo.value.time == cfg.t_start + h
+
+    def test_overflow_in_later_chunk_reports_its_grid_time(self):
+        # A kick of area 1e6 overflows RK4 near t = 5.7, inside the second
+        # 4096-step chunk (steps 4097..8192) of this 10^4-step grid.
+        h = 1e-3
+        cfg = IntegrationConfig(0.0, 10.0, step=h)
+        pulse = GaussianApprox(area=1e6, center=6.0, width=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError) as excinfo:
+                integrate(DEGENERATE, pulse, cfg)
+        k = round(excinfo.value.time / h)
+        assert excinfo.value.time == k * h
+        assert 4097 <= k <= 8192
+        # The loop oracle overflows in an intermediate sum one step earlier
+        # at most; both name the same kick.
+        with pytest.raises(IntegrationError) as oracle:
+            rk4_reference(DEGENERATE, pulse, cfg)
+        assert 0 <= k - round(oracle.value.time / h) <= 1
 
     def test_explicit_step_overrides_period_grid(self):
         cfg = IntegrationConfig(0.0, 1.0, step=0.25)
@@ -168,6 +205,91 @@ class TestIntegrate:
         # For a fourth-order stepper the halved-step difference recovers
         # 15/16 of the coarse-grid error.
         assert 0.5 * true_err <= estimate <= 1.2 * true_err
+
+
+def max_amplitude_difference(a, b) -> float:
+    return max(float(np.max(np.abs(a.a1 - b.a1))), float(np.max(np.abs(a.a2 - b.a2))))
+
+
+class TestKernelMatchesScalarLoop:
+    """The step-matrix kernel against the one-step-at-a-time RK4 oracle.
+
+    Step counts straddle the block padding (16, 17) and the 4096-step chunk
+    edges; RK4 arithmetic in another order agrees to rounding.
+    """
+
+    H = 2 * math.pi / 1000
+
+    @pytest.mark.parametrize("omega21", [0.0, 0.01, 0.7])
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 15, 16, 17, 4095, 4096, 4097, 8193, 25000]
+    )
+    def test_cosine(self, n, omega21):
+        atom = TwoLevelAtom(omega21=omega21, dipole_projection=-3.0)
+        cfg = IntegrationConfig(0.0, n * self.H, step=self.H)
+        pulse = normalized_cosine(1.0)
+        assert step_count(pulse, cfg) == n
+        traj = integrate(atom, pulse, cfg)
+        ref = rk4_reference(atom, pulse, cfg)
+        assert np.array_equal(traj.times, ref.times)
+        assert max_amplitude_difference(traj, ref) <= 1e-12
+
+    def test_non_default_initial_state(self):
+        atom = TwoLevelAtom(omega21=0.7, dipole_projection=-3.0)
+        initial = AmplitudeState(0.6 + 0.0j, 0.8j)
+        cfg = IntegrationConfig(0.0, 4097 * self.H, initial=initial, step=self.H)
+        traj = integrate(atom, normalized_cosine(1.0), cfg)
+        assert traj.state(0) == initial
+        assert max_amplitude_difference(
+            traj, rk4_reference(atom, normalized_cosine(1.0), cfg)
+        ) <= 1e-12
+
+    def test_gaussian_pulse(self):
+        pulse = GaussianApprox(area=math.pi / 2, center=5.0, width=0.3)
+        cfg = IntegrationConfig(0.0, 10.0, step=1e-3)
+        atom = TwoLevelAtom(omega21=0.01, dipole_projection=-3.0)
+        traj = integrate(atom, pulse, cfg)
+        assert max_amplitude_difference(traj, rk4_reference(atom, pulse, cfg)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coefficients=st.dictionaries(
+        st.sampled_from([1, 3, 5, 7]), st.floats(-1.0, 1.0), min_size=1, max_size=4
+    )
+)
+def test_random_harmonic_sum_follows_closed_form(coefficients):
+    """At omega21 = 0, P2 = sin^2 A(t) for any transfer-normalized pulse."""
+    omega = 1.0
+    try:
+        pulse = normalize_for_transfer(
+            HarmonicSum(omega, tuple(coefficients.items())), math.pi / (2 * omega)
+        )
+    except ValueError:
+        assume(False)
+    cfg = IntegrationConfig(0.0, 2 * math.pi / omega, steps_per_period=1000)
+    h = 2 * math.pi / omega / 1000
+    grid = np.linspace(0.0, 2 * math.pi / omega, 2001)
+    # The plain cosine sits at max|V| h = pi^2/1000, about 0.01.
+    assume(float(np.max(np.abs(pulse.value(grid)))) * h <= 0.02)
+    traj = integrate(DEGENERATE, pulse, cfg)
+    closed_form = np.sin(pulse.action(traj.times)) ** 2
+    assert float(np.max(np.abs(traj.p2 - closed_form))) <= 1e-8
+
+
+def test_kernel_memory_is_bounded_per_step():
+    """Peak traced allocation of a 2*10^5-step run stays at or below 120 B/step."""
+    n = 200_000
+    cfg = IntegrationConfig(0.0, n * 2 * math.pi / 1000, steps_per_period=1000)
+    pulse = normalized_cosine(1.0)
+    tracemalloc.start()
+    try:
+        traj = integrate(DEGENERATE, pulse, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == n + 1
+    assert peak / n <= 120
 
 
 class TestMaxPopulationDeviation:
