@@ -56,6 +56,7 @@ from .integrator import (
 from .pulses import OptimizerConfig, ShapingObjective, run_optimizer
 
 TRAJECTORY_HEADER = "t,P1,P2,re_a1,im_a1,re_a2,im_a2"
+_CSV_CHUNK_ROWS = 4096
 
 
 def _fmt(x: float) -> str:
@@ -80,17 +81,23 @@ def _write_manifest(out_path: Path, args: argparse.Namespace, outputs: list[str]
 
 
 def _write_trajectory_csv(path: Path, traj: Trajectory, analytic_pulse: PulseSpec | None) -> None:
+    """Write the trajectory with one array call for the analytic columns.
+
+    Rows are formatted and written in chunks of ``_CSV_CHUNK_ROWS``, so the
+    text held at once stays fixed whatever the length of the trajectory.
+    ``'%.17g' % x`` gives the same string as ``format(x, '.17g')``.
+    """
     header = TRAJECTORY_HEADER
+    columns = [traj.times, traj.p1, traj.p2, traj.a1.real, traj.a1.imag, traj.a2.real, traj.a2.imag]
     if analytic_pulse is not None:
         header += ",P1_analytic,P2_analytic"
-    lines = [header]
-    columns = (traj.times, traj.p1, traj.p2, traj.a1.real, traj.a1.imag, traj.a2.real, traj.a2.imag)
-    for row in zip(*columns):
-        fields = [_fmt(x) for x in row]
-        if analytic_pulse is not None:
-            fields += map(_fmt, populations_from_action(analytic_pulse, float(row[0])))
-        lines.append(",".join(fields))
-    path.write_text("\n".join(lines) + "\n")
+        columns += populations_from_action(analytic_pulse, traj.times)
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
+    with path.open("w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(traj), _CSV_CHUNK_ROWS):
+            chunk = [column[start:start + _CSV_CHUNK_ROWS].tolist() for column in columns]
+            fh.writelines([row_format % row for row in zip(*chunk)])
 
 
 def _energy_in_au(value: float, use_ev: bool) -> float:
@@ -159,7 +166,7 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         print(f"wrote {len(jobs)} trajectories and {manifest}")
         return 0
     if args.error_estimate:
-        estimate = step_halving_error(atom, pulse, cfg)
+        estimate = step_halving_error(atom, pulse, cfg, coarse=trajs[0])
         print(f"step-halving error estimate = {_fmt(estimate)}")
     print(f"wrote {out_path} ({len(trajs[0])} rows) and {manifest}")
     return 0

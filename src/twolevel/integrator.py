@@ -190,17 +190,22 @@ def _propagate(p: np.ndarray, x: list[complex]) -> np.ndarray:
     return y.reshape(2, m * b)[:, :n]
 
 
-def step_halving_error(atom: TwoLevelAtom, pulse: PulseSpec, config: IntegrationConfig) -> float:
+def step_halving_error(atom: TwoLevelAtom, pulse: PulseSpec, config: IntegrationConfig,
+                       *, coarse: Trajectory | None = None) -> float:
     """Grid-error report: max amplitude change when the step is halved.
 
     Integrates on the configured grid and once more at half the step, and
     returns the largest amplitude difference on the shared grid points.  For
     a fourth-order stepper this is within a few percent of the coarse grid's
     true error.  Purely a report; nothing is refined behind the caller's
-    back.
+    back.  A caller that already holds ``integrate(atom, pulse, config)``
+    passes it as ``coarse`` and only the halved grid is integrated.
     """
     n = step_count(pulse, config)
-    coarse = integrate(atom, pulse, config)
+    if coarse is None:
+        coarse = integrate(atom, pulse, config)
+    elif len(coarse) != n + 1:
+        raise ValueError(f"coarse trajectory has {len(coarse)} points, the grid {n + 1}")
     span = config.t_end - config.t_start
     fine_cfg = IntegrationConfig(
         t_start=config.t_start,

@@ -3,9 +3,11 @@
 These deliberately avoid the code paths they check: the action oracle is
 adaptive quadrature of the pulse value, the derivative oracle is a
 high-order central difference whose weights are solved from the Taylor
-conditions rather than taken from any closed form under test, and the RK4
+conditions rather than taken from any closed form under test, the RK4
 oracle advances the four real amplitude components one step at a time in
-plain Python, where the integrator under test multiplies step matrices.
+plain Python, where the integrator under test multiplies step matrices, and
+the CSV oracle formats one row at a time with one scalar analytic call per
+row, where the writer under test works on whole columns in chunks.
 """
 import math
 import warnings
@@ -13,6 +15,7 @@ import warnings
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
+from twolevel.analytic import populations_from_action
 from twolevel.core import GaussianApprox, Trajectory, pulse_value
 from twolevel.integrator import IntegrationError, step_count
 
@@ -162,3 +165,24 @@ def rk4_reference(atom, pulse, config) -> Trajectory:
     times = config.t_start + h * np.arange(n + 1)
     times[-1] = config.t_end
     return Trajectory(times=times, a1=out_a1, a2=out_a2)
+
+
+def csv_reference(path, traj, analytic_pulse) -> None:
+    """Trajectory CSV written row by row with ``format(x, '.17g')``.
+
+    Same header, columns and trailing newline as
+    :func:`twolevel.cli._write_trajectory_csv`; the analytic columns come
+    from one scalar ``populations_from_action`` call per row.
+    """
+    header = "t,P1,P2,re_a1,im_a1,re_a2,im_a2"
+    if analytic_pulse is not None:
+        header += ",P1_analytic,P2_analytic"
+    lines = [header]
+    columns = (traj.times, traj.p1, traj.p2, traj.a1.real, traj.a1.imag, traj.a2.real, traj.a2.imag)
+    for row in zip(*columns):
+        fields = [format(float(x), ".17g") for x in row]
+        if analytic_pulse is not None:
+            fields += [format(x, ".17g")
+                       for x in populations_from_action(analytic_pulse, float(row[0]))]
+        lines.append(",".join(fields))
+    path.write_text("\n".join(lines) + "\n")

@@ -7,6 +7,9 @@ import sys
 
 import pytest
 
+import twolevel.cli
+import twolevel.integrator
+
 CLI = [sys.executable, "-m", "twolevel.cli"]
 
 
@@ -142,6 +145,22 @@ class TestSimulate:
             l for l in result.stdout.splitlines() if l.startswith("step-halving")
         )
         assert float(line.split("=")[1]) < 1e-8
+
+    def test_error_estimate_integrates_each_grid_once(self, tmp_path, monkeypatch):
+        steps = []
+
+        def counting(integrate):
+            def wrapper(atom, pulse, config):
+                traj = integrate(atom, pulse, config)
+                steps.append(len(traj) - 1)
+                return traj
+            return wrapper
+
+        for module in (twolevel.cli, twolevel.integrator):
+            monkeypatch.setattr(module, "integrate", counting(module.integrate))
+        args = ["simulate", "--ratio", "100", "--error-estimate", "--out", str(tmp_path / "e.csv")]
+        assert twolevel.cli.main(args) == 0
+        assert steps == [1000, 2000]
 
 
 class TestDesign:

@@ -206,6 +206,17 @@ class TestIntegrate:
         # 15/16 of the coarse-grid error.
         assert 0.5 * true_err <= estimate <= 1.2 * true_err
 
+    def test_step_halving_error_reuses_a_given_coarse_trajectory(self):
+        pulse = normalized_cosine(1.0)
+        cfg = IntegrationConfig(0.0, 2 * math.pi, steps_per_period=1000)
+        coarse = integrate(DEGENERATE, pulse, cfg)
+        assert step_halving_error(DEGENERATE, pulse, cfg, coarse=coarse) == step_halving_error(
+            DEGENERATE, pulse, cfg
+        )
+        other = integrate(DEGENERATE, pulse, IntegrationConfig(0.0, 2 * math.pi, step=0.01))
+        with pytest.raises(ValueError, match="coarse trajectory"):
+            step_halving_error(DEGENERATE, pulse, cfg, coarse=other)
+
 
 def max_amplitude_difference(a, b) -> float:
     return max(float(np.max(np.abs(a.a1 - b.a1))), float(np.max(np.abs(a.a2 - b.a2))))
