@@ -5,6 +5,12 @@ Every command that writes files also writes a JSON manifest next to them
 numeric output uses 17 significant digits, so re-running the echoed command
 reproduces the files byte for byte.  Exit codes: 0 success, 2 argument
 problems, 3 integration failure.
+
+The specs check their own input and command code raises ``ValueError`` for
+the rest; specs, grids and output paths are all checked before the first
+integration, and nothing raises ``ValueError`` after the first file write.
+:func:`main` alone maps a ``ValueError`` to a usage error (exit 2) and an
+``IntegrationError`` to exit 3.
 """
 from __future__ import annotations
 
@@ -63,8 +69,7 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_manifest(out_path: Path, args: argparse.Namespace, outputs: list[str]) -> Path:
-    manifest_path = out_path.with_suffix(".manifest.json")
+def _write_manifest(manifest_path: Path, args: argparse.Namespace, outputs: list[str]) -> Path:
     params = {
         k: v for k, v in sorted(vars(args).items())
         if k != "func" and not k.startswith("_")
@@ -100,6 +105,23 @@ def _write_trajectory_csv(path: Path, traj: Trajectory, analytic_pulse: PulseSpe
             fh.writelines([row_format % row for row in zip(*chunk)])
 
 
+def _out_path(out: str) -> Path:
+    """The --out path; ValueError if it names no file, as ``.`` does."""
+    path = Path(out)
+    if not path.name:
+        raise ValueError(f"--out {out!r} names no file")
+    return path
+
+
+def _check_outputs(paths: list[Path]) -> None:
+    """ValueError unless every output can be created as a file."""
+    for path in paths:
+        if path.is_dir():
+            raise ValueError(f"--out: {path} is an existing directory")
+        if not path.parent.is_dir():
+            raise ValueError(f"--out: the directory {path.parent} of {path} does not exist")
+
+
 def _energy_in_au(value: float, use_ev: bool) -> float:
     return ev_to_hartree(value) if use_ev else value
 
@@ -114,17 +136,15 @@ def _wavelength_in_m(value: float, args: argparse.Namespace) -> float:
 
 # --- simulate ----------------------------------------------------------------
 
-def _resolve_pulse(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                   omega21: float) -> PulseSpec:
+def _resolve_pulse(args: argparse.Namespace, omega21: float) -> PulseSpec:
     if args.pulse_json is not None:
         try:
-            data = json.loads(Path(args.pulse_json).read_text())
-            return pulse_from_dict(data)
+            return pulse_from_dict(json.loads(Path(args.pulse_json).read_text()))
         except (OSError, ValueError) as exc:
-            parser.error(f"cannot load pulse JSON: {exc}")
+            raise ValueError(f"cannot load pulse JSON: {exc}") from None
     if args.chi is not None or args.omega is not None:
         if args.chi is None or args.omega is None:
-            parser.error("--chi and --omega must be given together")
+            raise ValueError("--chi and --omega must be given together")
         return Cosine(
             chi=_energy_in_au(args.chi, args.ev),
             omega=_energy_in_au(args.omega, args.ev),
@@ -132,36 +152,35 @@ def _resolve_pulse(args: argparse.Namespace, parser: argparse.ArgumentParser,
     if args.ratio is not None:
         omega = args.ratio * omega21
         if omega <= 0.0:
-            parser.error("--ratio needs a positive omega21")
+            raise ValueError("--ratio needs a positive omega21")
         return Cosine(chi=0.5 * math.pi * omega, omega=omega)
     if args.wavelength is not None:
         omega = wavelength_to_omega(_wavelength_in_m(args.wavelength, args))
         return Cosine(chi=0.5 * math.pi * omega, omega=omega)
-    parser.error("give a pulse: --pulse-json, --chi/--omega, --ratio, or --wavelength")
+    raise ValueError("give a pulse: --pulse-json, --chi/--omega, --ratio, or --wavelength")
 
 
-def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_simulate(args: argparse.Namespace) -> int:
     omega21 = _energy_in_au(args.omega21, args.ev) if args.omega21 is not None else lamb_shift()
-    out_path = Path(args.out)
-    # Every spec and grid is built, and so validated, before any integration.
-    try:
-        atom = TwoLevelAtom(omega21=omega21, dipole_projection=dipole_2s2p())
-        if args.sweep is not None:
-            jobs = _sweep_jobs(args, parser, omega21, out_path)
-        else:
-            pulse = _resolve_pulse(args, parser, omega21)
-            cfg = _grid_config(args, pulse)
-            if args.error_estimate and 2 * step_count(pulse, cfg) > MAX_STEPS:
-                raise ValueError(f"--error-estimate doubles the grid past {MAX_STEPS} steps")
-            jobs = [(out_path, pulse, cfg)]
-    except ValueError as exc:
-        parser.error(str(exc))
+    out_path = _out_path(args.out)
+    # Every spec, grid and output path is checked before any integration.
+    atom = TwoLevelAtom(omega21=omega21, dipole_projection=dipole_2s2p())
+    if args.sweep is not None:
+        jobs = _sweep_jobs(args, omega21, out_path)
+    else:
+        pulse = _resolve_pulse(args, omega21)
+        cfg = _grid_config(args, pulse)
+        if args.error_estimate and 2 * step_count(pulse, cfg) > MAX_STEPS:
+            raise ValueError(f"--error-estimate doubles the grid past {MAX_STEPS} steps")
+        jobs = [(out_path, pulse, cfg)]
+    manifest_path = out_path.with_suffix(".manifest.json")
+    _check_outputs([path for path, _, _ in jobs] + [manifest_path])
 
     # Every integration finishes before the first file is written.
     trajs = [integrate(atom, pulse, cfg) for _, pulse, cfg in jobs]
     for (path, job_pulse, _), traj in zip(jobs, trajs):
         _write_trajectory_csv(path, traj, job_pulse if args.analytic else None)
-    manifest = _write_manifest(out_path, args, [str(path) for path, _, _ in jobs])
+    manifest = _write_manifest(manifest_path, args, [str(path) for path, _, _ in jobs])
     if args.sweep is not None:
         print(f"wrote {len(jobs)} trajectories and {manifest}")
         return 0
@@ -172,20 +191,20 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     return 0
 
 
-def _sweep_jobs(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                omega21: float, out_path: Path) -> list[tuple[Path, PulseSpec, IntegrationConfig]]:
+def _sweep_jobs(args: argparse.Namespace, omega21: float,
+                out_path: Path) -> list[tuple[Path, PulseSpec, IntegrationConfig]]:
     """One (output path, transfer cosine, grid) job per --sweep ratio."""
     try:
         ratios = [float(r) for r in args.sweep.split(",") if r.strip()]
     except ValueError:
-        parser.error("--sweep expects a comma-separated list of ratios")
+        raise ValueError("--sweep expects a comma-separated list of ratios") from None
     if not ratios or omega21 <= 0.0:
-        parser.error("--sweep needs at least one ratio and a positive omega21")
+        raise ValueError("--sweep needs at least one ratio and a positive omega21")
     jobs = []
     for ratio in ratios:
         path = out_path.with_name(f"{out_path.stem}_ratio{ratio:g}{out_path.suffix}")
         if any(path == other for other, _, _ in jobs):
-            parser.error(f"--sweep ratios {args.sweep!r} give the output {path} twice")
+            raise ValueError(f"--sweep ratios {args.sweep!r} give the output {path} twice")
         omega = ratio * omega21
         pulse = Cosine(chi=0.5 * math.pi * omega, omega=omega)
         jobs.append((path, pulse, _grid_config(args, pulse)))
@@ -203,16 +222,13 @@ def _grid_config(args: argparse.Namespace, pulse: PulseSpec) -> IntegrationConfi
 
 # --- design ------------------------------------------------------------------
 
-def cmd_design(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    try:
-        request = DesignRequest(t_s=args.ts, p_cr=args.pcr)
-        omega = design_frequency(request)
-        pulse = Cosine(chi=0.5 * math.pi * omega, omega=omega)
-        period = natural_period(pulse)
-        cfg = IntegrationConfig(0.0, period, steps_per_period=args.steps_per_period)
-        step_count(pulse, cfg)
-    except ValueError as exc:
-        parser.error(str(exc))
+def cmd_design(args: argparse.Namespace) -> int:
+    request = DesignRequest(t_s=args.ts, p_cr=args.pcr)
+    omega = design_frequency(request)
+    pulse = Cosine(chi=0.5 * math.pi * omega, omega=omega)
+    period = natural_period(pulse)
+    cfg = IntegrationConfig(0.0, period, steps_per_period=args.steps_per_period)
+    step_count(pulse, cfg)
     regime = field_for_transfer(omega)
     report = validity_report(omega)
     print(f"omega      = {_fmt(omega)} a.u. ({_fmt(hartree_to_ev(omega))} eV)")
@@ -240,30 +256,29 @@ def cmd_design(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 # --- optimize ----------------------------------------------------------------
 
-def cmd_optimize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_optimize(args: argparse.Namespace) -> int:
     omega = _energy_in_au(args.omega, args.ev)
     omega21 = _energy_in_au(args.omega21, args.ev) if args.omega21 is not None else lamb_shift()
-    try:
-        objective = ShapingObjective(
-            p_cr=args.pcr,
-            omega=omega,
-            atom=TwoLevelAtom(omega21=omega21, dipole_projection=dipole_2s2p()),
-            horizon=args.horizon,
-        )
-        config = OptimizerConfig(
-            population_size=args.population,
-            generations=args.generations,
-            mutation_scale=args.mutation_scale,
-            seed=args.seed,
-            n_harmonics=args.n_harmonics,
-        )
-        result = run_optimizer(objective, config)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-    prefix = Path(args.out)
+    objective = ShapingObjective(
+        p_cr=args.pcr,
+        omega=omega,
+        atom=TwoLevelAtom(omega21=omega21, dipole_projection=dipole_2s2p()),
+        horizon=args.horizon,
+    )
+    config = OptimizerConfig(
+        population_size=args.population,
+        generations=args.generations,
+        mutation_scale=args.mutation_scale,
+        seed=args.seed,
+        n_harmonics=args.n_harmonics,
+    )
+    prefix = _out_path(args.out)
     pulse_path = prefix.with_name(prefix.name + "_pulse.json")
     history_path = prefix.with_name(prefix.name + "_history.csv")
+    manifest_path = prefix.with_suffix(".manifest.json")
+    _check_outputs([pulse_path, history_path, manifest_path])
+
+    result = run_optimizer(objective, config)
     summary = {
         "best_pulse": pulse_to_dict(result.best_pulse),
         "achieved_T_s": result.best_window,
@@ -286,8 +301,7 @@ def cmd_optimize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     history_lines = ["generation,best_T_s"]
     history_lines += [f"{i},{_fmt(v)}" for i, v in enumerate(result.history)]
     history_path.write_text("\n".join(history_lines) + "\n")
-    manifest = _write_manifest(prefix.with_suffix(".json"), args,
-                               [str(pulse_path), str(history_path)])
+    manifest = _write_manifest(manifest_path, args, [str(pulse_path), str(history_path)])
     print(f"best T_s = {_fmt(result.best_window)} a.u.")
     print(f"wrote {pulse_path}, {history_path} and {manifest}")
     return 0
@@ -295,7 +309,7 @@ def cmd_optimize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 # --- info --------------------------------------------------------------------
 
-def cmd_info(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_info(args: argparse.Namespace) -> int:
     shift = lamb_shift()
     gap = next_level_gap()
     dipole = dipole_2s2p()
@@ -382,7 +396,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(effective_argv)
     args._argv = effective_argv
     try:
-        return args.func(args, parser)
+        return args.func(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     except IntegrationError as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return 3

@@ -44,10 +44,25 @@ _erf = np.frompyfunc(math.erf, 1, 1)
 
 
 def _check_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
+    """``float(value)``; ValueError if it is no number or not finite."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be a finite number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {number!r}")
+    return number
+
+
+def _check_index(k) -> int:
+    """A harmonic index as an int; ValueError unless it is a positive odd integer."""
+    number = _check_finite("harmonic index", k)
+    if isinstance(k, bool) or not number.is_integer():
+        raise ValueError(f"harmonic index must be an integer, got {k!r}")
+    k = int(k) if isinstance(k, int) else int(number)
+    if k < 1 or k % 2 == 0:
+        raise ValueError(f"harmonic index must be a positive odd integer, got {k}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -78,6 +93,13 @@ class TwoLevelAtom:
 #
 # Every family provides value(t), action(t), derivative(t, order), the scales
 # period, frequency_scale and action_scale, scaled(s) and to_dict().
+
+def _check_omega(omega: float) -> float:
+    omega = _check_finite("omega", omega)
+    if omega <= 0.0:
+        raise ValueError(f"omega must be > 0, got {omega}")
+    return omega
+
 
 def _check_order(order: int) -> int:
     order = int(order)
@@ -128,10 +150,8 @@ class Cosine(_OddHarmonics):
     omega: float
 
     def __post_init__(self) -> None:
-        _check_finite("chi", self.chi)
-        omega = _check_finite("omega", self.omega)
-        if omega <= 0.0:
-            raise ValueError(f"omega must be > 0, got {omega}")
+        object.__setattr__(self, "chi", _check_finite("chi", self.chi))
+        object.__setattr__(self, "omega", _check_omega(self.omega))
 
     @property
     def coefficients(self) -> tuple[tuple[int, float], ...]:
@@ -158,19 +178,16 @@ class HarmonicSum(_OddHarmonics):
     coefficients: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
-        omega = _check_finite("omega", self.omega)
-        if omega <= 0.0:
-            raise ValueError(f"omega must be > 0, got {omega}")
-        coeffs = tuple((int(k), float(c)) for k, c in self.coefficients)
+        object.__setattr__(self, "omega", _check_omega(self.omega))
+        coeffs = []
+        for k, c in self.coefficients:
+            k = _check_index(k)
+            coeffs.append((k, _check_finite(f"coefficient for k={k}", c)))
         if not coeffs:
             raise ValueError("HarmonicSum needs at least one (k, chi_k) pair")
-        for k, c in coeffs:
-            if k < 1 or k % 2 == 0:
-                raise ValueError(f"harmonic index must be a positive odd integer, got {k}")
-            _check_finite(f"coefficient for k={k}", c)
         if len({k for k, _ in coeffs}) != len(coeffs):
             raise ValueError("duplicate harmonic index")
-        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "coefficients", tuple(coeffs))
 
     def scaled(self, s: float) -> HarmonicSum:
         return HarmonicSum(self.omega, tuple((k, c * s) for k, c in self.coefficients))
@@ -209,11 +226,12 @@ class GaussianApprox:
     width: float
 
     def __post_init__(self) -> None:
-        _check_finite("area", self.area)
-        _check_finite("center", self.center)
+        object.__setattr__(self, "area", _check_finite("area", self.area))
+        object.__setattr__(self, "center", _check_finite("center", self.center))
         width = _check_finite("width", self.width)
         if width <= 0.0:
             raise ValueError(f"width must be > 0, got {width}")
+        object.__setattr__(self, "width", width)
 
     def value(self, t):
         x = (t - self.center) / self.width
@@ -360,16 +378,11 @@ def pulse_from_dict(data: dict) -> PulseSpec:
         raise ValueError("pulse dict must carry a 'type' tag") from None
     try:
         if tag == "cosine":
-            return Cosine(chi=float(data["chi"]), omega=float(data["omega"]))
+            return Cosine(chi=data["chi"], omega=data["omega"])
         if tag == "harmonic_sum":
-            coeffs = tuple((int(k), float(c)) for k, c in data["coefficients"])
-            return HarmonicSum(omega=float(data["omega"]), coefficients=coeffs)
+            return HarmonicSum(omega=data["omega"], coefficients=data["coefficients"])
         if tag == "gaussian":
-            return GaussianApprox(
-                area=float(data["area"]),
-                center=float(data["center"]),
-                width=float(data["width"]),
-            )
+            return GaussianApprox(area=data["area"], center=data["center"], width=data["width"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed {tag!r} pulse dict: {exc}") from None
     raise ValueError(f"unknown pulse type {tag!r}")

@@ -22,6 +22,8 @@ from .analytic import MAX_DERIVATIVE_ORDER, nth_derivative_p2
 from .integrator import IntegrationConfig, IntegrationError, integrate, populated_window
 
 __all__ = [
+    "MAX_POPULATION",
+    "MAX_GENERATIONS",
     "ShapingObjective",
     "OptimizerConfig",
     "OptimizationResult",
@@ -36,6 +38,10 @@ HALF_PI = 0.5 * math.pi
 
 #: Derivative magnitudes below 1e-9 * scale^n count as vanished.
 FLATNESS_TOL = 1e-9
+
+#: Largest GA population and generation count :class:`OptimizerConfig` accepts.
+MAX_POPULATION = 10_000
+MAX_GENERATIONS = 10_000
 
 
 @dataclass(frozen=True)
@@ -73,10 +79,17 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.population_size < 4:
             raise ValueError(f"population_size must be >= 4, got {self.population_size}")
+        if self.population_size > MAX_POPULATION:
+            raise ValueError(
+                f"population_size must be <= {MAX_POPULATION}, got {self.population_size}")
         if self.generations < 1:
             raise ValueError(f"generations must be >= 1, got {self.generations}")
+        if self.generations > MAX_GENERATIONS:
+            raise ValueError(f"generations must be <= {MAX_GENERATIONS}, got {self.generations}")
         if not self.mutation_scale > 0.0:
             raise ValueError(f"mutation_scale must be > 0, got {self.mutation_scale}")
+        if not math.isfinite(self.mutation_scale):
+            raise ValueError(f"mutation_scale must be finite, got {self.mutation_scale}")
         if not 1 <= self.n_harmonics <= 8:
             raise ValueError(f"n_harmonics must lie in 1..8, got {self.n_harmonics}")
 

@@ -9,14 +9,38 @@ import pytest
 
 import twolevel.cli
 import twolevel.integrator
+import twolevel.pulses
+from twolevel.pulses import MAX_GENERATIONS, MAX_POPULATION
 
 CLI = [sys.executable, "-m", "twolevel.cli"]
+
+#: Pulse files that must be usage errors: an infinite harmonic index, an
+#: integer chi too large for a float, and indices that are not integers.
+MALFORMED_PULSES = {
+    "index-inf": '{"type": "harmonic_sum", "omega": 1, "coefficients": [[1e400, 1]]}',
+    "chi-overflow": '{"type": "cosine", "chi": 1' + "0" * 400 + ', "omega": 1}',
+    "index-fraction": '{"type": "harmonic_sum", "omega": 1, "coefficients": [[1.5, 1.57]]}',
+    "index-bool": '{"type": "harmonic_sum", "omega": 1, "coefficients": [[true, 1.57]]}',
+}
 
 
 def run_cli(args, cwd):
     return subprocess.run(
         CLI + args, cwd=cwd, capture_output=True, text=True, timeout=300
     )
+
+
+def exit_code_without_integration(args, cwd, monkeypatch):
+    """Exit code of an in-process run in which any integration fails the test."""
+    def no_integration(*_):
+        raise AssertionError("integrated before rejecting the arguments")
+
+    for module in (twolevel.cli, twolevel.pulses):
+        monkeypatch.setattr(module, "integrate", no_integration)
+    monkeypatch.chdir(cwd)
+    with pytest.raises(SystemExit) as exc_info:
+        twolevel.cli.main(args)
+    return exc_info.value.code
 
 
 def read_csv(path):
@@ -114,15 +138,41 @@ class TestSimulate:
             ["--ratio", "10", "--step", "1e-320"],
             ["--ratio", "10", "--periods", "1e12"],
             ["--ratio", "10", "--step", "1e9"],
+            *(["--pulse-json", f"{name}.json"] for name in MALFORMED_PULSES),
         ],
-        ids=["ratio-nan", "sweep-nan", "tiny-step", "huge-periods", "step-over-span"],
+        ids=["ratio-nan", "sweep-nan", "tiny-step", "huge-periods", "step-over-span",
+             *(f"pulse-{name}" for name in MALFORMED_PULSES)],
     )
     def test_invalid_grid_or_pulse_is_usage_error(self, tmp_path, args):
+        for name, text in MALFORMED_PULSES.items():
+            (tmp_path / f"{name}.json").write_text(text)
+        inputs = sorted(tmp_path.iterdir())
         result = run_cli(["simulate", *args, "--out", "x.csv"], tmp_path)
         assert result.returncode == 2
         assert "error:" in result.stderr
         assert "Traceback" not in result.stderr
-        assert list(tmp_path.iterdir()) == []
+        assert sorted(tmp_path.iterdir()) == inputs
+
+    @pytest.mark.parametrize(
+        "args, out",
+        [
+            (["--ratio", "10"], "nodir/x.csv"),
+            (["--ratio", "10"], "d"),
+            (["--ratio", "10"], "."),
+            (["--sweep", "10,100"], "nodir/x.csv"),
+            (["--sweep", "10,100"], "."),
+        ],
+        ids=["missing-dir", "existing-dir", "dot", "sweep-missing-dir", "sweep-dot"],
+    )
+    def test_unwritable_out_is_usage_error_before_integration(self, tmp_path, monkeypatch,
+                                                              capsys, args, out):
+        (tmp_path / "d").mkdir()
+        code = exit_code_without_integration(["simulate", *args, "--out", out],
+                                             tmp_path, monkeypatch)
+        assert code == 2
+        assert "error: --out" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+        assert list((tmp_path / "d").iterdir()) == []
 
     def test_missing_pulse_is_usage_error(self, tmp_path):
         result = run_cli(["simulate", "--out", "x.csv"], tmp_path)
@@ -272,6 +322,34 @@ class TestOptimize:
             for k, c in pulse["coefficients"]
         )
         assert abs(action) == pytest.approx(math.pi / 2, rel=1e-12)
+
+    @pytest.mark.parametrize("out", ["nodir/x", "."])
+    def test_unwritable_out_is_usage_error_before_search(self, tmp_path, monkeypatch,
+                                                         capsys, out):
+        args = ["optimize", "--pcr", "1e-3", "--population", "4", "--generations", "1",
+                "--out", out]
+        assert exit_code_without_integration(args, tmp_path, monkeypatch) == 2
+        assert "error: --out" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--population", str(MAX_POPULATION + 1), "--generations", "1"],
+             f"population_size must be <= {MAX_POPULATION}"),
+            (["--generations", str(MAX_GENERATIONS + 1)],
+             f"generations must be <= {MAX_GENERATIONS}"),
+            (["--mutation-scale", "inf"], "mutation_scale must be finite"),
+        ],
+        ids=["population-cap", "generations-cap", "mutation-inf"],
+    )
+    def test_unbounded_or_nonfinite_ga_setting_is_usage_error(self, tmp_path, monkeypatch,
+                                                              capsys, args, message):
+        code = exit_code_without_integration(["optimize", "--pcr", "1e-3", *args],
+                                             tmp_path, monkeypatch)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_oversized_grid_is_usage_error(self, tmp_path):
         result = run_cli(["optimize", "--pcr", "1e-3", "--horizon", "1e5"], tmp_path)

@@ -236,6 +236,12 @@ class TestTrajectory:
             traj.times[0] = -1.0
 
 
+#: JSON values a pulse field may hold, with the overflowing and non-integral
+#: numbers that once escaped as OverflowError or were truncated.
+JSON_SCALARS = (st.sampled_from([math.inf, -math.inf, math.nan, 10**400, 1.5, 3, "1"])
+                | st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3))
+
+
 class TestWireFormat:
     @pytest.mark.parametrize(
         "pulse",
@@ -268,3 +274,57 @@ class TestWireFormat:
     def test_missing_tag_rejected(self):
         with pytest.raises(ValueError):
             pulse_from_dict({"chi": 1.0, "omega": 1.0})
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"type": "harmonic_sum", "omega": 1, "coefficients": [[1e400, 1]]},
+             "harmonic index must be finite"),
+            ({"type": "cosine", "chi": 10**400, "omega": 1}, "chi must be a finite number"),
+            ({"type": "harmonic_sum", "omega": 1, "coefficients": [[1.5, 1.57]]},
+             "harmonic index must be an integer"),
+            ({"type": "harmonic_sum", "omega": 1, "coefficients": [[True, 1.57]]},
+             "harmonic index must be an integer"),
+            ({"type": "gaussian", "area": None, "center": 0, "width": 1},
+             "area must be a finite number"),
+            ({"type": "harmonic_sum", "omega": 1, "coefficients": 5}, "malformed"),
+        ],
+        ids=["index-inf", "chi-overflow", "index-fraction", "index-bool", "area-null",
+             "coefficients-scalar"],
+    )
+    def test_malformed_field_is_value_error(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            pulse_from_dict(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.one_of(
+            st.fixed_dictionaries(
+                {"type": st.just("cosine"), "chi": JSON_SCALARS, "omega": JSON_SCALARS}),
+            st.fixed_dictionaries({
+                "type": st.just("harmonic_sum"),
+                "omega": JSON_SCALARS,
+                "coefficients": st.lists(st.lists(JSON_SCALARS, min_size=2, max_size=2),
+                                         max_size=3)
+                | st.lists(st.lists(JSON_SCALARS, max_size=3) | JSON_SCALARS, max_size=3),
+            }),
+            st.fixed_dictionaries({"type": st.just("gaussian"), "area": JSON_SCALARS,
+                                   "center": JSON_SCALARS, "width": JSON_SCALARS}),
+        )
+    )
+    def test_fuzzed_fields_raise_only_value_error(self, data):
+        try:
+            pulse = pulse_from_dict(data)
+        except ValueError:
+            return
+        assert pulse_from_dict(pulse_to_dict(pulse)) == pulse
+
+    def test_constructors_coerce_every_field(self):
+        pulse = HarmonicSum(omega="1.5", coefficients=[[3.0, 1], [np.int64(5), "2"]])
+        assert pulse == HarmonicSum(omega=1.5, coefficients=((3, 1.0), (5, 2.0)))
+        assert type(pulse.omega) is float
+        assert all(type(k) is int and type(c) is float for k, c in pulse.coefficients)
+        cosine = Cosine(chi=np.float32(2), omega=1)
+        assert (type(cosine.chi), type(cosine.omega)) == (float, float)
+        gaussian = GaussianApprox(area=1, center=np.int64(0), width="2")
+        assert (type(gaussian.area), type(gaussian.center), type(gaussian.width)) == (float,) * 3

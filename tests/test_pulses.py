@@ -6,6 +6,8 @@ import pytest
 from twolevel.core import Cosine, GaussianApprox, HarmonicSum, TwoLevelAtom, action
 from twolevel.integrator import IntegrationConfig, integrate, populated_window
 from twolevel.pulses import (
+    MAX_GENERATIONS,
+    MAX_POPULATION,
     OptimizerConfig,
     ShapingObjective,
     flatness_order,
@@ -109,6 +111,19 @@ class TestOptimizerConfigValidation:
     def test_rejects_zero_generations(self):
         with pytest.raises(ValueError):
             OptimizerConfig(generations=0)
+
+    @pytest.mark.parametrize(
+        "field, cap", [("population_size", MAX_POPULATION), ("generations", MAX_GENERATIONS)]
+    )
+    def test_size_caps(self, field, cap):
+        assert getattr(OptimizerConfig(**{field: cap}), field) == cap
+        with pytest.raises(ValueError, match=f"<= {cap}"):
+            OptimizerConfig(**{field: cap + 1})
+
+    @pytest.mark.parametrize("scale", [math.inf, math.nan, 0.0, -0.1])
+    def test_rejects_nonfinite_or_nonpositive_mutation_scale(self, scale):
+        with pytest.raises(ValueError, match="mutation_scale"):
+            OptimizerConfig(mutation_scale=scale)
 
     def test_rejects_bad_harmonic_count(self):
         with pytest.raises(ValueError):
