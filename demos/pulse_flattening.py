@@ -51,10 +51,10 @@ config = OptimizerConfig(
 )
 result = run_optimizer(objective, config)
 print(f"{'GA over 3 harmonics':<24} "
-      f"{flatness_order(result.best_pulse, t_peak):>14} {result.best_window:>12.4f}")
+      f"{flatness_order(result.best_pulse, t_peak):>14} {result.measured_window:>12.4f}")
 
 print()
-print("GA progress (best window per generation):")
+print("GA progress (best closed-form window per generation):")
 print("  " + " ".join(f"{w:.3f}" for w in result.history))
 print()
 print("best coefficients (harmonic k, chi_k):")

@@ -9,6 +9,11 @@ field period.  The quartic expansion of the probability peak, the frequency
 design rule derived from it, the truncated-series leakage bounds for finite
 omega21, and the exact higher derivatives of P2 used for pulse flattening all
 live here as pure functions.
+
+For finite omega21, :func:`first_order_populations` adds the first-order
+interaction-picture term on a time grid.  It reduces to sin^2 A at
+omega21 = 0, and the optimizer ranks its candidates on it while omega/omega21
+is large.
 """
 from __future__ import annotations
 
@@ -23,6 +28,7 @@ from .core import AmplitudeState, PulseSpec, action, pulse_derivative
 __all__ = [
     "DesignRequest",
     "LeakageReport",
+    "ModelPopulations",
     "degenerate_amplitudes",
     "transfer_populations",
     "quartic_peak_approx",
@@ -30,6 +36,7 @@ __all__ = [
     "leakage_estimate",
     "leakage_at_peak",
     "populations_from_action",
+    "first_order_populations",
     "nth_derivative_p2",
     "delta_pulse_populations",
     "detuning_sensitivity",
@@ -163,6 +170,53 @@ def populations_from_action(pulse: PulseSpec, t):
     if np.ndim(t) == 0:
         return float(p1), float(p2)
     return p1, p2
+
+
+@dataclass(frozen=True)
+class ModelPopulations:
+    """Model populations (P1, P2) sampled on the grid ``times``.
+
+    Carries the ``times`` and ``p2`` that
+    :func:`twolevel.integrator.populated_window` reads, as a trajectory does.
+    """
+
+    times: np.ndarray
+    p1: np.ndarray
+    p2: np.ndarray
+
+
+def first_order_populations(pulse: PulseSpec, omega21: float, t) -> ModelPopulations:
+    """Populations to first order in the splitting, on the grid ``t``.
+
+    In the frame of the degenerate propagator exp(-i A sigma_x) the splitting
+    term reads (omega21/2)(1 - cos 2A sigma_z - sin 2A sigma_y).  One
+    first-order step from the lower level at t = 0 gives
+
+        P1 = cos^2 A + (omega21^2/4) [(t - C) cos A - S sin A]^2
+
+    with C = integral of cos 2A and S = integral of sin 2A from 0 to t, and
+    P2 = 1 - P1.  At omega21 = 0 this is exactly (cos^2 A, sin^2 A); at a
+    peak of P2 the leakage is (omega21^2/4) S^2.  For the transfer cosine
+    S(t_peak) = (pi/2) H_0(pi) / omega (Struve function, Abramowitz & Stegun
+    12.1.7), a peak leakage of 0.16540 (omega21/omega)^2.
+
+    ``t`` is an increasing 1-d grid that starts at 0; C and S are cumulative
+    trapezoid sums over it.
+    """
+    times = np.asarray(t, dtype=float)
+    if times.ndim != 1 or times.size < 2 or times[0] != 0.0:
+        raise ValueError("t must be a 1-d grid of at least two points starting at 0")
+    a = np.asarray(action(pulse, times), dtype=float)
+    cos_a, sin_a = np.cos(a), np.sin(a)
+    half_dt = 0.5 * np.diff(times)
+    c = np.zeros_like(times)
+    s = np.zeros_like(times)
+    cos_2a = cos_a * cos_a - sin_a * sin_a
+    sin_2a = 2.0 * sin_a * cos_a
+    np.cumsum(half_dt * (cos_2a[1:] + cos_2a[:-1]), out=c[1:])
+    np.cumsum(half_dt * (sin_2a[1:] + sin_2a[:-1]), out=s[1:])
+    leak = (0.25 * omega21 * omega21) * ((times - c) * cos_a - s * sin_a) ** 2
+    return ModelPopulations(times=times, p1=cos_a * cos_a + leak, p2=sin_a * sin_a - leak)
 
 
 @lru_cache(maxsize=None)

@@ -166,6 +166,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # Every spec, grid and output path is checked before any integration.
     atom = TwoLevelAtom(omega21=omega21, dipole_projection=dipole_2s2p())
     if args.sweep is not None:
+        if args.error_estimate:
+            raise ValueError("--error-estimate applies to a single run, not to --sweep")
         jobs = _sweep_jobs(args, omega21, out_path)
     else:
         pulse = _resolve_pulse(args, omega21)
@@ -282,6 +284,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     summary = {
         "best_pulse": pulse_to_dict(result.best_pulse),
         "achieved_T_s": result.best_window,
+        "measured_T_s": result.measured_window,
         "fitness_history": list(result.history),
         "seed": config.seed,
         "config": {
@@ -303,6 +306,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     history_path.write_text("\n".join(history_lines) + "\n")
     manifest = _write_manifest(manifest_path, args, [str(pulse_path), str(history_path)])
     print(f"best T_s = {_fmt(result.best_window)} a.u.")
+    print(f"measured T_s (RK4) = {_fmt(result.measured_window)} a.u.")
     print(f"wrote {pulse_path}, {history_path} and {manifest}")
     return 0
 
@@ -353,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--analytic", action="store_true",
                      help="append degenerate-limit reference populations")
     sim.add_argument("--error-estimate", action="store_true",
-                     help="report the step-halving grid-error estimate")
+                     help="report the step-halving grid-error estimate (not with --sweep)")
     sim.add_argument("--sweep", default=None,
                      help="comma-separated omega/omega21 ratios; one CSV per ratio")
     sim.add_argument("--ev", action="store_true", help="energy inputs are in eV")

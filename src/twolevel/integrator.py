@@ -30,6 +30,7 @@ __all__ = [
     "MAX_STEPS",
     "natural_period",
     "step_count",
+    "grid_times",
     "integrate",
     "step_halving_error",
     "max_population_deviation",
@@ -103,6 +104,15 @@ def step_count(pulse: PulseSpec, config: IntegrationConfig) -> int:
     return round(n)
 
 
+def grid_times(pulse: PulseSpec, config: IntegrationConfig) -> np.ndarray:
+    """The ``step_count + 1`` grid times of :func:`integrate`, ending exactly at t_end."""
+    n = step_count(pulse, config)
+    h = (config.t_end - config.t_start) / n
+    times = config.t_start + h * np.arange(n + 1)
+    times[-1] = config.t_end
+    return times
+
+
 def integrate(atom: TwoLevelAtom, pulse: PulseSpec, config: IntegrationConfig) -> Trajectory:
     """Propagate the amplitudes across the configured grid.
 
@@ -133,9 +143,7 @@ def integrate(atom: TwoLevelAtom, pulse: PulseSpec, config: IntegrationConfig) -
                 raise IntegrationError(f"non-finite amplitudes at t={t_bad}", time=t_bad)
             states[:, lo + 1:hi + 1] = chunk
     del v  # 16 bytes per step, no longer needed
-    times = config.t_start + h * np.arange(n + 1)
-    times[-1] = config.t_end
-    return Trajectory(times=times, a1=states[0], a2=states[1])
+    return Trajectory(times=grid_times(pulse, config), a1=states[0], a2=states[1])
 
 
 def _step_matrices(v: np.ndarray, w: float, h: float) -> np.ndarray:
@@ -244,12 +252,15 @@ def max_population_deviation(
     return float(np.max(np.abs(p2 - ref_p2)))
 
 
-def populated_window(traj: Trajectory, p_cr: float) -> float:
+def populated_window(traj, p_cr: float) -> float:
     """Full width of the longest contiguous window where 1 - P2 <= p_cr.
 
-    Window edges are linearly interpolated between the grid points that
-    bracket each threshold crossing.  Raises ValueError when no grid point
-    reaches P2 >= 1 - p_cr.
+    ``traj`` is any object with equal-length ``times`` and finite ``p2``
+    arrays: a :class:`Trajectory` or a model such as
+    :class:`twolevel.analytic.ModelPopulations`.  Window edges are linearly
+    interpolated between the grid points that bracket each threshold
+    crossing; a run that touches an end of the grid ends there.  Raises
+    ValueError when no grid point reaches P2 >= 1 - p_cr.
     """
     if not 0.0 < p_cr <= 1.0:
         raise ValueError(f"p_cr must lie in (0, 1], got {p_cr}")
@@ -257,24 +268,18 @@ def populated_window(traj: Trajectory, p_cr: float) -> float:
     p2 = traj.p2
     threshold = 1.0 - p_cr
     mask = p2 >= threshold
-    if not mask.any():
+    # One crossing between k and k + 1 wherever the mask changes.  For a
+    # falling crossing the numerator and denominator are the rising form
+    # negated, which leaves the quotient exact.
+    k = np.flatnonzero(mask[1:] != mask[:-1])
+    edges = times[k] + (threshold - p2[k]) / (p2[k + 1] - p2[k]) * (times[k + 1] - times[k])
+    if mask[0]:
+        edges = np.concatenate((times[:1], edges))
+    if mask[-1]:
+        edges = np.concatenate((edges, times[-1:]))
+    if edges.size == 0:
         raise ValueError(
             f"peak never reaches threshold: max P2 = {float(p2.max())} < {threshold}"
         )
-    idx = np.flatnonzero(mask)
-    runs = np.split(idx, np.flatnonzero(np.diff(idx) != 1) + 1)
-    best = 0.0
-    for run in runs:
-        i, j = int(run[0]), int(run[-1])
-        if i == 0:
-            left = times[0]
-        else:
-            frac = (threshold - p2[i - 1]) / (p2[i] - p2[i - 1])
-            left = times[i - 1] + frac * (times[i] - times[i - 1])
-        if j == len(times) - 1:
-            right = times[-1]
-        else:
-            frac = (p2[j] - threshold) / (p2[j] - p2[j + 1])
-            right = times[j] + frac * (times[j + 1] - times[j])
-        best = max(best, float(right - left))
-    return best
+    # Edges alternate: run start, run end.
+    return float(np.max(edges[1::2] - edges[::2]))

@@ -6,30 +6,47 @@ time derivative of the coupling vanishes there, so the only knobs that matter
 for the flatness of the populated state are the odd coupling derivatives.
 Nulling them one by one raises the order of the first non-vanishing
 derivative of P2 above four and widens the flat top at a fixed leakage
-budget.  A small real-coded genetic algorithm searches the coefficient space
-directly against the measured window width; the search is deterministic for a
+budget.  A small real-coded genetic algorithm searches the coefficient space.
+Where the level splitting is weak it ranks candidates by the window of the
+first-order closed-form populations and integrates only the winner with RK4;
+otherwise it ranks every candidate on RK4.  The search is deterministic for a
 fixed seed.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HarmonicSum, PulseSpec, TwoLevelAtom, action
-from .analytic import MAX_DERIVATIVE_ORDER, nth_derivative_p2
-from .integrator import IntegrationConfig, IntegrationError, integrate, populated_window
+from .core import HarmonicSum, PulseSpec, Trajectory, TwoLevelAtom, action
+from .analytic import (
+    MAX_DERIVATIVE_ORDER,
+    ModelPopulations,
+    first_order_populations,
+    nth_derivative_p2,
+)
+from .integrator import (
+    IntegrationConfig,
+    IntegrationError,
+    grid_times,
+    integrate,
+    populated_window,
+)
 
 __all__ = [
     "MAX_POPULATION",
     "MAX_GENERATIONS",
+    "MODEL_RANKING_MIN_RATIO",
+    "MODEL_RANKING_MIN_BUDGET",
     "ShapingObjective",
     "OptimizerConfig",
     "OptimizationResult",
     "normalize_for_transfer",
     "flatness_order",
     "second_derivative_nulled_pulse",
+    "ranks_on_model",
     "run_optimizer",
     "optimize_pulse",
 ]
@@ -42,6 +59,19 @@ FLATNESS_TOL = 1e-9
 #: Largest GA population and generation count :class:`OptimizerConfig` accepts.
 MAX_POPULATION = 10_000
 MAX_GENERATIONS = 10_000
+
+#: The GA ranks candidates on the first-order model only where it ranks like
+#: RK4.  With eps = omega21 * horizon / omega, that is where 1/eps is at least
+#: MODEL_RANKING_MIN_RATIO and p_cr at least MODEL_RANKING_MIN_BUDGET * eps^2,
+#: about 60 times the cosine's first-order peak leakage 0.165 eps^2.  Below
+#: that budget the GA cancels the first-order leakage and the terms the model
+#: omits decide the ranking: at 1/eps = 30, p_cr = 1e-4 and at 1/eps = 100,
+#: p_cr = 1e-5 its winners measured up to 43% narrower on RK4.  Inside these
+#: bounds, in 210 seeded runs, the model window of the winner was within
+#: 1.3e-4 relative of its RK4 window.  Elsewhere every candidate is ranked
+#: on RK4.
+MODEL_RANKING_MIN_RATIO = 100.0
+MODEL_RANKING_MIN_BUDGET = 10.0
 
 
 @dataclass(frozen=True)
@@ -96,10 +126,19 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Best pulse found, its measured window, and the per-generation record."""
+    """Best pulse found, its windows, and the per-generation record.
+
+    ``best_window`` and ``history`` are in the ranking measure: the window of
+    :func:`twolevel.analytic.first_order_populations` where the splitting is
+    weak against the drive and the budget (see :func:`ranks_on_model`), else
+    the RK4 window.
+    ``measured_window`` is the winner's window on an RK4 trajectory of the
+    same grid, equal to ``best_window`` when the ranking was on RK4.
+    """
 
     best_pulse: PulseSpec
     best_window: float
+    measured_window: float
     history: tuple[float, ...]
     objective: ShapingObjective
     config: OptimizerConfig
@@ -151,14 +190,53 @@ def second_derivative_nulled_pulse(omega: float) -> HarmonicSum:
     return normalize_for_transfer(raw, HALF_PI / omega)
 
 
+def ranks_on_model(objective: ShapingObjective) -> bool:
+    """Whether :func:`run_optimizer` ranks on the first-order model, not on RK4.
+
+    True where eps = omega21 * horizon / omega is at most
+    1 / MODEL_RANKING_MIN_RATIO and p_cr at least MODEL_RANKING_MIN_BUDGET * eps^2.
+    """
+    eps = objective.atom.omega21 * objective.horizon / objective.omega
+    return (MODEL_RANKING_MIN_RATIO * eps <= 1.0
+            and MODEL_RANKING_MIN_BUDGET * eps * eps <= objective.p_cr)
+
+
+def _rk4_populations(atom: TwoLevelAtom, pulse: PulseSpec,
+                     grid: IntegrationConfig) -> Trajectory | None:
+    """RK4 trajectory of the pulse, None if it overflows."""
+    try:
+        return integrate(atom, pulse, grid)
+    except IntegrationError:
+        return None
+
+
+def _model_populations(omega21: float, pulse: PulseSpec,
+                       grid: IntegrationConfig) -> ModelPopulations | None:
+    """First-order populations on the RK4 grid, None if they are not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        model = first_order_populations(pulse, omega21, grid_times(pulse, grid))
+    return model if np.isfinite(model.p2).all() else None
+
+
+def _window(curve: Trajectory | ModelPopulations, p_cr: float) -> float:
+    """Populated window of the curve, 0.0 if P2 never reaches 1 - p_cr."""
+    try:
+        return populated_window(curve, p_cr)
+    except ValueError:
+        return 0.0
+
+
 def _evaluate(
     genome: np.ndarray,
     harmonics: tuple[int, ...],
     objective: ShapingObjective,
-    grid: IntegrationConfig,
     t_peak: float,
+    populations: Callable[[PulseSpec], Trajectory | ModelPopulations | None],
 ) -> tuple[float, PulseSpec | None, float]:
-    """Fitness of one genome: its populated window, 0.0 if it cannot be normalized or overflows."""
+    """Fitness of one genome: the populated window of ``populations(pulse)``.
+
+    0.0 if it cannot be normalized or its populations are None.
+    """
     try:
         pulse = normalize_for_transfer(
             HarmonicSum(
@@ -169,14 +247,10 @@ def _evaluate(
         )
     except ValueError:
         return 0.0, None, math.inf
-    try:
-        traj = integrate(objective.atom, pulse, grid)
-    except IntegrationError:
+    curve = populations(pulse)
+    if curve is None:
         return 0.0, None, math.inf
-    try:
-        width = populated_window(traj, objective.p_cr)
-    except ValueError:
-        width = 0.0
+    width = _window(curve, objective.p_cr)
     norm = math.sqrt(sum(c * c for _, c in pulse.coefficients))
     return width, pulse, norm
 
@@ -193,23 +267,33 @@ def run_optimizer(objective: ShapingObjective, config: OptimizerConfig) -> Optim
 
     Every candidate is transfer-normalized before evaluation, so the search
     moves only through shapes that reach complete transfer in the degenerate
-    limit; fitness is the populated-window width measured on an integrated
-    trajectory.  Tournament selection (size 2), blend crossover and Gaussian
-    mutation; the single elite survivor makes the best fitness monotone
-    non-decreasing across generations.  All random draws come from one
-    sequentially consumed generator, so a fixed seed reproduces the run
-    bit for bit.
+    limit.  Fitness is the populated-window width on the RK4 grid.  Where
+    :func:`ranks_on_model` holds it is the window of the first-order
+    populations, and only the final winner is integrated with RK4, to
+    measure its window; elsewhere every candidate is integrated.
+    Tournament selection (size 2), blend crossover and Gaussian mutation;
+    the single elite survivor makes the best fitness monotone non-decreasing
+    across generations.  All random draws come from one sequentially
+    consumed generator, so a fixed seed reproduces the run bit for bit.
 
-    Raises ValueError when no candidate ever reaches P2 >= 1 - p_cr.
+    Raises ValueError when no candidate ever reaches P2 >= 1 - p_cr, in the
+    ranking measure or on the winner's RK4 trajectory.
     """
     rng = np.random.default_rng(config.seed)
     harmonics = tuple(2 * i + 1 for i in range(config.n_harmonics))
     t_peak = HALF_PI / objective.omega
     period = 2.0 * math.pi / objective.omega
     grid = IntegrationConfig(t_start=0.0, t_end=objective.horizon * period)
+    omega21 = objective.atom.omega21
+    ranked_on_model = ranks_on_model(objective)
+
+    def populations(pulse: PulseSpec) -> Trajectory | ModelPopulations | None:
+        if ranked_on_model:
+            return _model_populations(omega21, pulse, grid)
+        return _rk4_populations(objective.atom, pulse, grid)
 
     def evaluate(genome: np.ndarray) -> tuple[float, PulseSpec | None, float]:
-        return _evaluate(genome, harmonics, objective, grid, t_peak)
+        return _evaluate(genome, harmonics, objective, t_peak, populations)
 
     n_genes = config.n_harmonics
     cosine_seed = np.zeros(n_genes)
@@ -245,7 +329,11 @@ def run_optimizer(objective: ShapingObjective, config: OptimizerConfig) -> Optim
         history.append(scores[best_index()][0])
 
     winner = scores[best_index()]
-    if winner[1] is None or winner[0] <= 0.0:
+    measured = winner[0]
+    if ranked_on_model and measured > 0.0:
+        trajectory = _rk4_populations(objective.atom, winner[1], grid)
+        measured = 0.0 if trajectory is None else _window(trajectory, objective.p_cr)
+    if measured <= 0.0:
         raise ValueError(
             f"no candidate reached P2 >= {1.0 - objective.p_cr}; "
             "widen the search or relax p_cr"
@@ -253,6 +341,7 @@ def run_optimizer(objective: ShapingObjective, config: OptimizerConfig) -> Optim
     return OptimizationResult(
         best_pulse=winner[1],
         best_window=winner[0],
+        measured_window=measured,
         history=tuple(history),
         objective=objective,
         config=config,
@@ -262,4 +351,4 @@ def run_optimizer(objective: ShapingObjective, config: OptimizerConfig) -> Optim
 def optimize_pulse(objective: ShapingObjective, config: OptimizerConfig) -> tuple[PulseSpec, float]:
     """Best transfer-normalized pulse and its measured window width."""
     result = run_optimizer(objective, config)
-    return result.best_pulse, result.best_window
+    return result.best_pulse, result.measured_window

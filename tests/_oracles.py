@@ -5,8 +5,10 @@ adaptive quadrature of the pulse value, the derivative oracle is a
 high-order central difference whose weights are solved from the Taylor
 conditions rather than taken from any closed form under test, the RK4
 oracle advances the four real amplitude components one step at a time in
-plain Python, where the integrator under test multiplies step matrices, and
-the CSV oracle formats one row at a time with one scalar analytic call per
+plain Python, where the integrator under test multiplies step matrices, the
+window oracle walks the runs above threshold one at a time, where the code
+under test interpolates every crossing in one array expression, and the CSV
+oracle formats one row at a time with one scalar analytic call per
 row, where the writer under test works on whole columns in chunks.
 """
 import math
@@ -165,6 +167,37 @@ def rk4_reference(atom, pulse, config) -> Trajectory:
     times = config.t_start + h * np.arange(n + 1)
     times[-1] = config.t_end
     return Trajectory(times=times, a1=out_a1, a2=out_a2)
+
+
+def populated_window_reference(traj, p_cr: float) -> float:
+    """Widest run with P2 >= 1 - p_cr, one run at a time in a Python loop.
+
+    Same edge interpolation and ValueError contract as
+    :func:`twolevel.integrator.populated_window`.
+    """
+    times = traj.times
+    p2 = traj.p2
+    threshold = 1.0 - p_cr
+    mask = p2 >= threshold
+    if not mask.any():
+        raise ValueError(f"peak never reaches threshold {threshold}")
+    idx = np.flatnonzero(mask)
+    runs = np.split(idx, np.flatnonzero(np.diff(idx) != 1) + 1)
+    best = 0.0
+    for run in runs:
+        i, j = int(run[0]), int(run[-1])
+        if i == 0:
+            left = times[0]
+        else:
+            frac = (threshold - p2[i - 1]) / (p2[i] - p2[i - 1])
+            left = times[i - 1] + frac * (times[i] - times[i - 1])
+        if j == len(times) - 1:
+            right = times[-1]
+        else:
+            frac = (p2[j] - threshold) / (p2[j] - p2[j + 1])
+            right = times[j] + frac * (times[j + 1] - times[j])
+        best = max(best, float(right - left))
+    return best
 
 
 def csv_reference(path, traj, analytic_pulse) -> None:

@@ -174,6 +174,13 @@ class TestSimulate:
         assert [p.name for p in tmp_path.iterdir()] == ["d"]
         assert list((tmp_path / "d").iterdir()) == []
 
+    def test_sweep_with_error_estimate_is_usage_error_before_integration(
+            self, tmp_path, monkeypatch, capsys):
+        args = ["simulate", "--sweep", "10,100", "--error-estimate", "--out", "s.csv"]
+        assert exit_code_without_integration(args, tmp_path, monkeypatch) == 2
+        assert "--error-estimate applies to a single run" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_pulse_is_usage_error(self, tmp_path):
         result = run_cli(["simulate", "--out", "x.csv"], tmp_path)
         assert result.returncode == 2
@@ -270,6 +277,9 @@ class TestOptimize:
         ((k, chi),) = pulse["coefficients"]
         assert k == 1
         assert abs(chi) == pytest.approx(math.pi / 2, rel=1e-9)
+        assert summary["measured_T_s"] == pytest.approx(summary["achieved_T_s"], rel=1e-6)
+        line = next(l for l in result.stdout.splitlines() if l.startswith("measured T_s (RK4) ="))
+        assert float(line.split("=")[1].split()[0]) == summary["measured_T_s"]
 
     def test_same_seed_identical_files(self, tmp_path):
         args = [

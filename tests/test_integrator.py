@@ -2,10 +2,11 @@
 import math
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from twolevel.analytic import (
@@ -33,7 +34,7 @@ from twolevel.integrator import (
 )
 from twolevel.pulses import normalize_for_transfer
 
-from _oracles import rk4_reference
+from _oracles import populated_window_reference, rk4_reference
 
 DEGENERATE = TwoLevelAtom(omega21=0.0, dipole_projection=-3.0)
 
@@ -288,6 +289,67 @@ def test_random_harmonic_sum_follows_closed_form(coefficients):
     assert float(np.max(np.abs(traj.p2 - closed_form))) <= 1e-8
 
 
+@st.composite
+def convergence_cases(draw):
+    """A transfer-normalized harmonic sum over one period or a Gaussian kick
+    over ten widths, a splitting up to the pulse's peak coupling, and that
+    peak coupling."""
+    if draw(st.booleans()):
+        omega = draw(st.floats(0.5, 2.0))
+        coefficients = draw(st.dictionaries(
+            st.sampled_from([1, 3, 5, 7]), st.floats(-1.0, 1.0), min_size=1, max_size=4))
+        try:
+            pulse = normalize_for_transfer(
+                HarmonicSum(omega, tuple(coefficients.items())), math.pi / (2 * omega))
+        except ValueError:
+            assume(False)
+        span = 2 * math.pi / omega
+        v_max = float(np.max(np.abs(pulse.value(np.linspace(0.0, span, 2001)))))
+        # Near-cancelling shapes normalize to huge couplings and grids.
+        assume(v_max <= 10 * omega)
+    else:
+        width = draw(st.floats(0.1, 2.0))
+        area = draw(st.floats(0.5, 4.0))
+        pulse = GaussianApprox(area=area, center=5 * width, width=width)
+        span = 10 * width
+        v_max = area / (width * math.sqrt(2 * math.pi))
+    return pulse, span, draw(st.floats(0.0, 1.0)) * v_max, v_max
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=convergence_cases())
+def test_measured_fourth_order_convergence(case):
+    """The error against a 16x-finer RK4 falls 16 +- 3 per halving over three
+    halvings, and step_halving_error is within a factor 2 of the coarse error.
+
+    With the reference at twice the finest grid, the last ratio reads
+    16 (255/256) / (15/16) = 17.0 instead of 16.
+    """
+    pulse, span, omega21, v_max = case
+    atom = TwoLevelAtom(omega21=omega21, dipole_projection=-3.0)
+    # max |V| h = 0.03 on the coarsest grid: fine enough for the h^4 term to
+    # dominate, coarse enough to keep the finest error (about 1e-12) far
+    # above rounding.
+    n = math.ceil(v_max * span / 0.03)
+
+    def run(refinement):
+        cfg = IntegrationConfig(0.0, span, step=span / (refinement * n))
+        return cfg, integrate(atom, pulse, cfg)
+
+    _, reference = run(16)
+    errors = []
+    for refinement in (1, 2, 4, 8):
+        _, traj = run(refinement)
+        stride = 16 // refinement
+        errors.append(max(float(np.max(np.abs(traj.a1 - reference.a1[::stride]))),
+                          float(np.max(np.abs(traj.a2 - reference.a2[::stride])))))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 13.0 <= coarse / fine <= 19.0, errors
+    cfg, coarse_traj = run(1)
+    estimate = step_halving_error(atom, pulse, cfg, coarse=coarse_traj)
+    assert 0.5 * errors[0] <= estimate <= 2.0 * errors[0]
+
+
 def test_kernel_memory_is_bounded_per_step():
     """Peak traced allocation of a 2*10^5-step run stays at or below 120 B/step."""
     n = 200_000
@@ -395,6 +457,35 @@ class TestPopulatedWindow:
         traj = integrate(DEGENERATE, normalized_cosine(omega), cfg)
         predicted = 2.0 * (16.0 * p_cr / math.pi**2) ** 0.25 / omega
         assert populated_window(traj, p_cr) == pytest.approx(predicted, rel=0.05)
+
+
+@st.composite
+def p2_curves(draw):
+    """A strictly increasing grid of 1..40 points and P2 values on it, often
+    exactly 1 so that runs above threshold are common and touch the ends."""
+    n = draw(st.integers(1, 40))
+    start = draw(st.floats(-10.0, 10.0))
+    steps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1))
+    p2 = draw(st.lists(st.one_of(st.floats(0.0, 1.0), st.just(1.0)), min_size=n, max_size=n))
+    return np.cumsum([start] + steps), np.array(p2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(curve=p2_curves(), p_cr=st.floats(1e-6, 1.0))
+@example(curve=(np.arange(6.0), np.array([1.0, 0.2, 1.0, 0.99, 0.1, 1.0])), p_cr=0.05)
+@example(curve=(np.arange(4.0), np.array([1.0, 1.0, 1.0, 1.0])), p_cr=0.5)
+def test_populated_window_matches_loop_reference(curve, p_cr):
+    """The array interpolation gives the run-by-run loop's width bit for bit."""
+    times, p2 = curve
+    assume(np.all(np.diff(times) > 0.0))
+    traj = SimpleNamespace(times=times, p2=p2)
+    try:
+        expected = populated_window_reference(traj, p_cr)
+    except ValueError:
+        with pytest.raises(ValueError, match="never reaches"):
+            populated_window(traj, p_cr)
+        return
+    assert populated_window(traj, p_cr) == expected
 
 
 class TestDeltaPulseLimit:

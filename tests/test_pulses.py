@@ -1,18 +1,22 @@
 """Transfer normalization, flatness scoring, and the genetic optimizer."""
 import math
+import warnings
 
 import pytest
 
+from twolevel import pulses
 from twolevel.core import Cosine, GaussianApprox, HarmonicSum, TwoLevelAtom, action
 from twolevel.integrator import IntegrationConfig, integrate, populated_window
 from twolevel.pulses import (
     MAX_GENERATIONS,
     MAX_POPULATION,
+    MODEL_RANKING_MIN_RATIO,
     OptimizerConfig,
     ShapingObjective,
     flatness_order,
     normalize_for_transfer,
     optimize_pulse,
+    ranks_on_model,
     run_optimizer,
     second_derivative_nulled_pulse,
 )
@@ -173,6 +177,18 @@ class TestOptimizer:
             math.pi / 2, abs=1e-9
         )
 
+    def test_rk4_referee_agrees_with_ranking_at_zero_splitting(self):
+        # At omega21 = 0 the ranking measure is the exact sin^2 A, so the
+        # winner's RK4 window differs from it only by RK4's grid error.
+        config = OptimizerConfig(
+            population_size=6, generations=3, mutation_scale=0.3, seed=5, n_harmonics=3
+        )
+        result = run_optimizer(self.OBJECTIVE, config)
+        rk4 = integrate(DEGENERATE, result.best_pulse, IntegrationConfig(0.0, 2 * math.pi))
+        assert result.measured_window == populated_window(rk4, self.OBJECTIVE.p_cr)
+        assert result.measured_window == pytest.approx(result.best_window, rel=1e-6)
+        assert result.best_window == result.history[-1]
+
     def test_never_worse_than_cosine_baseline(self):
         config = OptimizerConfig(
             population_size=8, generations=4, mutation_scale=0.25, seed=7, n_harmonics=3
@@ -180,6 +196,61 @@ class TestOptimizer:
         _, window = optimize_pulse(self.OBJECTIVE, config)
         baseline = cosine_baseline_window(1.0, self.OBJECTIVE.p_cr)
         assert window >= baseline - 1e-12
+
+    @pytest.mark.parametrize("ratio, horizon, p_cr, model", [
+        (math.inf, 1.0, 1e-8, True),
+        (MODEL_RANKING_MIN_RATIO, 1.0, 1e-2, True),
+        (MODEL_RANKING_MIN_RATIO, 2.0, 1e-2, False),
+        (2 * MODEL_RANKING_MIN_RATIO, 2.0, 1e-2, True),
+        # p_cr twice and half MODEL_RANKING_MIN_BUDGET (omega21/omega)^2.
+        (MODEL_RANKING_MIN_RATIO, 1.0, 2e-3, True),
+        (MODEL_RANKING_MIN_RATIO, 1.0, 5e-4, False),
+        (30.0, 1.0, 1e-2, False),
+    ])
+    def test_ranking_measure_follows_splitting(self, ratio, horizon, p_cr, model, monkeypatch):
+        # Weak splitting against the drive and the budget ranks on the model
+        # and integrates only the winner; otherwise every candidate is integrated.
+        calls = []
+        monkeypatch.setattr(pulses, "integrate", lambda *a: calls.append(a) or integrate(*a))
+        atom = TwoLevelAtom(omega21=1.0 / ratio, dipole_projection=-3.0)
+        objective = ShapingObjective(p_cr=p_cr, omega=1.0, atom=atom, horizon=horizon)
+        assert ranks_on_model(objective) == model
+        config = OptimizerConfig(population_size=4, generations=1, seed=2, n_harmonics=2)
+        result = run_optimizer(objective, config)
+        assert (len(calls) == 1) == model
+        if not model:
+            assert result.measured_window == result.best_window
+
+    @pytest.mark.parametrize("ratio, p_cr, n_harmonics, generations, seed, rk4_window", [
+        (30.0, 1e-4, 3, 40, 1, 0.6619),
+        (30.0, 1e-4, 3, 40, 3, 0.6451),
+        (100.0, 1e-5, 2, 20, 11, 0.6590),
+        (100.0, 1e-5, 2, 20, 14, 0.6616),
+    ])
+    def test_small_budget_keeps_rk4_ranking(self, ratio, p_cr, n_harmonics, generations,
+                                            seed, rk4_window):
+        # Ranked on the model, these runs picked winners that measured 0.38,
+        # 0.39, 0.40 and 0.40 on RK4; ranked on RK4 they keep the windows the
+        # all-RK4 search found.
+        atom = TwoLevelAtom(omega21=1.0 / ratio, dipole_projection=-3.0)
+        objective = ShapingObjective(p_cr=p_cr, omega=1.0, atom=atom)
+        config = OptimizerConfig(n_harmonics=n_harmonics, generations=generations, seed=seed)
+        result = run_optimizer(objective, config)
+        assert result.measured_window == result.best_window
+        assert result.measured_window == pytest.approx(rk4_window, abs=1e-4)
+
+    def test_nonfinite_model_scores_zero_without_warnings(self, monkeypatch):
+        # With the model forced, omega21^2 overflows, so every candidate's
+        # model populations are inf or nan; each scores 0 and the search ends
+        # in the usual error.
+        monkeypatch.setattr(pulses, "ranks_on_model", lambda objective: True)
+        atom = TwoLevelAtom(omega21=1e300, dipole_projection=-3.0)
+        objective = ShapingObjective(p_cr=1e-4, omega=1.0, atom=atom)
+        config = OptimizerConfig(population_size=4, generations=1, seed=1, n_harmonics=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no candidate"):
+                run_optimizer(objective, config)
 
     def test_unreachable_budget_signaled(self):
         # A splitting as large as the drive frequency leaks far more than
