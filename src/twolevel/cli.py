@@ -17,7 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +107,55 @@ def _write_trajectory_csv(path: Path, traj: Trajectory, analytic_pulse: PulseSpe
             fh.writelines([row_format % row for row in zip(*chunk)])
 
 
+def _write_trajectories(writes: list[tuple[Path, Trajectory, PulseSpec | None]]) -> None:
+    """Write each ``(path, trajectory, analytic pulse)`` with one process per CPU.
+
+    Formatting 17-digit text is Python work that holds the GIL, so the writes
+    are split over ``W = min(len(writes), available CPUs)`` processes: write
+    ``i`` goes to worker ``i % W``, this process is worker 0 and the other
+    ``W - 1`` are forked children.  With one CPU, or where the platform cannot
+    tell which CPUs are available, ``W = 1`` and nothing forks.  Every child is
+    reaped, also when this process's own share raised.  OSError names the
+    files of a child that failed.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(writes), cpus)
+    # A child inherits unflushed output and would write it a second time.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = {}
+    try:
+        for worker in range(1, workers):
+            with warnings.catch_warnings():
+                # Python 3.12+ warns because OpenBLAS has a thread running
+                # after `import numpy`.  The children only format and write
+                # text and never call BLAS, so that thread cannot hang them.
+                warnings.filterwarnings("ignore", category=DeprecationWarning,
+                                        message=r".*use of fork\(\) may lead to deadlocks")
+                pid = os.fork()
+            if pid == 0:
+                # A child never returns into its caller's code (a test
+                # runner, a tracer that dumps its spans): it ends in os._exit.
+                status = 1
+                try:
+                    for path, traj, analytic_pulse in writes[worker::workers]:
+                        _write_trajectory_csv(path, traj, analytic_pulse)
+                    status = 0
+                except Exception as exc:
+                    print(f"cannot write {path}: {exc}", file=sys.stderr)
+                finally:
+                    sys.stderr.flush()
+                    os._exit(status)
+            children[pid] = worker
+        for path, traj, analytic_pulse in writes[::workers]:
+            _write_trajectory_csv(path, traj, analytic_pulse)
+    finally:
+        failed = [worker for pid, worker in children.items() if os.waitpid(pid, 0)[1] != 0]
+    if failed:
+        paths = ", ".join(str(path) for worker in failed for path, _, _ in writes[worker::workers])
+        raise OSError(f"a worker process could not write all of {paths}")
+
+
 def _out_path(out: str) -> Path:
     """The --out path; ValueError if it names no file, as ``.`` does."""
     path = Path(out)
@@ -180,8 +231,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     # Every integration finishes before the first file is written.
     trajs = [integrate(atom, pulse, cfg) for _, pulse, cfg in jobs]
-    for (path, job_pulse, _), traj in zip(jobs, trajs):
-        _write_trajectory_csv(path, traj, job_pulse if args.analytic else None)
+    _write_trajectories([(path, traj, job_pulse if args.analytic else None)
+                         for (path, job_pulse, _), traj in zip(jobs, trajs)])
     manifest = _write_manifest(manifest_path, args, [str(path) for path, _, _ in jobs])
     if args.sweep is not None:
         print(f"wrote {len(jobs)} trajectories and {manifest}")

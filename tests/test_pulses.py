@@ -2,6 +2,7 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from twolevel import pulses
@@ -238,6 +239,27 @@ class TestOptimizer:
         result = run_optimizer(objective, config)
         assert result.measured_window == result.best_window
         assert result.measured_window == pytest.approx(rk4_window, abs=1e-4)
+
+    def test_blown_up_rk4_trajectory_scores_zero(self):
+        # This near-cancelling genome normalizes to about (179.2, 542.2), with
+        # max|V| h of about 4.5 on the 1000-step grid.  RK4's states stay
+        # finite but its norm grows past 1e200, and its P2 reads above
+        # 1 - p_cr over the whole period.
+        atom = TwoLevelAtom(omega21=0.01, dipole_projection=-3.0)
+        objective = ShapingObjective(p_cr=1e-3, omega=1.0, atom=atom)
+        grid = IntegrationConfig(0.0, 2 * math.pi)
+        genome = np.array([178.7, 540.8])
+        pulse = normalize_for_transfer(
+            HarmonicSum(omega=1.0, coefficients=((1, 178.7), (3, 540.8))), math.pi / 2)
+        with np.errstate(over="ignore"):
+            trajectory = integrate(atom, pulse, grid)
+            assert trajectory.norm_defect().max() > 1e200
+            assert populated_window(trajectory, objective.p_cr) > 0.99 * 2 * math.pi
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            score = pulses._evaluate(genome, (1, 3), objective, math.pi / 2,
+                                     lambda p: pulses._rk4_populations(atom, p, grid))
+        assert score == (0.0, None, math.inf)
 
     def test_nonfinite_model_scores_zero_without_warnings(self, monkeypatch):
         # With the model forced, omega21^2 overflows, so every candidate's
