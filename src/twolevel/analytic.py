@@ -12,8 +12,9 @@ live here as pure functions.
 
 For finite omega21, :func:`first_order_populations` adds the first-order
 interaction-picture term on a time grid.  It reduces to sin^2 A at
-omega21 = 0, and the optimizer ranks its candidates on it while omega/omega21
-is large.
+omega21 = 0.  :func:`first_order_from_action` computes it for many pulses
+at once from their actions, one row each; the optimizer ranks a whole
+generation of candidates on it while omega/omega21 is large.
 """
 from __future__ import annotations
 
@@ -37,6 +38,7 @@ __all__ = [
     "leakage_at_peak",
     "populations_from_action",
     "first_order_populations",
+    "first_order_from_action",
     "nth_derivative_p2",
     "delta_pulse_populations",
     "detuning_sensitivity",
@@ -201,22 +203,61 @@ def first_order_populations(pulse: PulseSpec, omega21: float, t) -> ModelPopulat
     12.1.7), a peak leakage of 0.16540 (omega21/omega)^2.
 
     ``t`` is an increasing 1-d grid that starts at 0; C and S are cumulative
-    trapezoid sums over it.
+    trapezoid sums over it.  :func:`first_order_from_action` does the work.
     """
     times = np.asarray(t, dtype=float)
     if times.ndim != 1 or times.size < 2 or times[0] != 0.0:
         raise ValueError("t must be a 1-d grid of at least two points starting at 0")
-    a = np.asarray(action(pulse, times), dtype=float)
-    cos_a, sin_a = np.cos(a), np.sin(a)
-    half_dt = 0.5 * np.diff(times)
-    c = np.zeros_like(times)
-    s = np.zeros_like(times)
-    cos_2a = cos_a * cos_a - sin_a * sin_a
-    sin_2a = 2.0 * sin_a * cos_a
-    np.cumsum(half_dt * (cos_2a[1:] + cos_2a[:-1]), out=c[1:])
-    np.cumsum(half_dt * (sin_2a[1:] + sin_2a[:-1]), out=s[1:])
-    leak = (0.25 * omega21 * omega21) * ((times - c) * cos_a - s * sin_a) ** 2
-    return ModelPopulations(times=times, p1=cos_a * cos_a + leak, p2=sin_a * sin_a - leak)
+    return first_order_from_action(np.array(action(pulse, times), dtype=float), omega21, times)
+
+
+def first_order_from_action(a: np.ndarray, omega21: float, times: np.ndarray) -> ModelPopulations:
+    """:func:`first_order_populations` for the action ``a`` on the grid ``times``.
+
+    ``a`` has shape (..., n) for the n grid points, one pulse per row, and
+    ``p1`` and ``p2`` come back in that shape; every row equals the
+    populations of its pulse alone bit for bit.  ``times`` is as in
+    :func:`first_order_populations` and is not checked here.  ``a`` may be
+    overwritten: it is one of the five arrays of its shape that the
+    computation holds at most.
+    """
+    a = np.ascontiguousarray(a, dtype=float)
+    half_steps = np.empty_like(times)
+    half_steps[0] = 0.0
+    np.multiply(0.5, np.diff(times), out=half_steps[1:])
+
+    def cumulative_trapezoid(y, out):
+        # Pair sums over the flattened rows, so every operand is contiguous;
+        # the sums that wrap from one row's end into the next row's column 0
+        # are zeroed.
+        flat = y.reshape(-1)
+        np.add(flat[1:], flat[:-1], out=out.reshape(-1)[1:])
+        out *= half_steps
+        out[..., 0] = 0.0
+        return np.cumsum(out, axis=-1, out=out)
+
+    cos_a = np.cos(a)
+    sin_a = np.sin(a, out=a)
+    work = np.multiply(cos_a, cos_a)
+    c = np.multiply(sin_a, sin_a)
+    work -= c  # cos 2A
+    cumulative_trapezoid(work, out=c)
+    np.multiply(sin_a, 2.0, out=work)
+    work *= cos_a  # sin 2A
+    s = cumulative_trapezoid(work, out=np.empty_like(work))
+    del work
+    leak = np.subtract(times, c, out=c)
+    leak *= cos_a
+    s *= sin_a
+    leak -= s
+    del s
+    np.multiply(leak, leak, out=leak)
+    leak *= 0.25 * omega21 * omega21
+    p1 = np.multiply(cos_a, cos_a, out=cos_a)
+    p1 += leak
+    p2 = np.multiply(sin_a, sin_a, out=sin_a)
+    p2 -= leak
+    return ModelPopulations(times=times, p1=p1, p2=p2)
 
 
 @lru_cache(maxsize=None)

@@ -9,8 +9,10 @@ problems, 3 integration failure.
 The specs check their own input and command code raises ``ValueError`` for
 the rest; specs, grids and output paths are all checked before the first
 integration, and nothing raises ``ValueError`` after the first file write.
-:func:`main` alone maps a ``ValueError`` to a usage error (exit 2) and an
-``IntegrationError`` to exit 3.
+Every trajectory is integrated and its norm checked before that write too.
+:func:`main` alone maps a ``ValueError`` to a usage error (exit 2), an
+``IntegrationError`` to exit 3, and an ``OSError`` from a write to a
+one-line error with exit 2.
 """
 from __future__ import annotations
 
@@ -55,6 +57,7 @@ from .integrator import (
     MAX_STEPS,
     IntegrationConfig,
     IntegrationError,
+    check_norm,
     integrate,
     natural_period,
     populated_window,
@@ -167,10 +170,13 @@ def _out_path(out: str) -> Path:
 def _check_outputs(paths: list[Path]) -> None:
     """ValueError unless every output can be created as a file."""
     for path in paths:
-        if path.is_dir():
-            raise ValueError(f"--out: {path} is an existing directory")
-        if not path.parent.is_dir():
-            raise ValueError(f"--out: the directory {path.parent} of {path} does not exist")
+        try:
+            if path.is_dir():
+                raise ValueError(f"--out: {path} is an existing directory")
+            if not path.parent.is_dir():
+                raise ValueError(f"--out: the directory {path.parent} of {path} does not exist")
+        except OSError as exc:
+            raise ValueError(f"--out: cannot use {path}: {exc.strerror or exc}") from None
 
 
 def _energy_in_au(value: float, use_ev: bool) -> float:
@@ -229,8 +235,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     manifest_path = out_path.with_suffix(".manifest.json")
     _check_outputs([path for path, _, _ in jobs] + [manifest_path])
 
-    # Every integration finishes before the first file is written.
+    # Every integration finishes, and is checked, before the first file is written.
     trajs = [integrate(atom, pulse, cfg) for _, pulse, cfg in jobs]
+    for traj in trajs:
+        check_norm(traj)
     _write_trajectories([(path, traj, job_pulse if args.analytic else None)
                          for (path, job_pulse, _), traj in zip(jobs, trajs)])
     manifest = _write_manifest(manifest_path, args, [str(path) for path, _, _ in jobs])
@@ -457,6 +465,9 @@ def main(argv: list[str] | None = None) -> int:
     except IntegrationError as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

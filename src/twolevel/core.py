@@ -31,6 +31,7 @@ __all__ = [
     "pulse_value",
     "pulse_derivative",
     "action",
+    "odd_harmonic_action",
     "probabilities",
     "pulse_to_dict",
     "pulse_from_dict",
@@ -108,6 +109,23 @@ def _check_order(order: int) -> int:
     return order
 
 
+def odd_harmonic_action(omega: float, harmonics, chi, t):
+    """Action of V21 = -sum_k chi_k cos(k omega t), for one pulse or many.
+
+    ``chi[j]`` is the coefficient of harmonic ``harmonics[j]``: a number for
+    one pulse, or an array with one value per pulse, shaped to broadcast
+    against ``t``, for many; chi of shape (len(harmonics), rows, 1) and a
+    1-d ``t`` give one row per pulse.  The terms chi_k/(k omega)
+    sin(k omega t) are added in harmonic order and the sum is negated last,
+    so every row is bit for bit the action of its pulse alone.
+    """
+    total = 0
+    for k, c in zip(harmonics, chi):
+        w = k * omega
+        total = total + c / w * np.sin(w * t)
+    return -total
+
+
 class _OddHarmonics:
     """V21(t) = -sum_k chi_k cos(k omega t) over ``omega`` and ``coefficients``."""
 
@@ -121,8 +139,8 @@ class _OddHarmonics:
                     for k, c in self.coefficients)
 
     def action(self, t):
-        return -sum(c / (k * self.omega) * np.sin(k * self.omega * t)
-                    for k, c in self.coefficients)
+        harmonics, chi = zip(*self.coefficients)
+        return odd_harmonic_action(self.omega, harmonics, chi, t)
 
     @property
     def period(self) -> float:

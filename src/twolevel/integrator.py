@@ -28,10 +28,12 @@ __all__ = [
     "IntegrationError",
     "IntegrationConfig",
     "MAX_STEPS",
+    "MAX_NORM_DEFECT",
     "natural_period",
     "step_count",
     "grid_times",
     "integrate",
+    "check_norm",
     "step_halving_error",
     "max_population_deviation",
     "populated_window",
@@ -40,6 +42,14 @@ __all__ = [
 
 #: Largest grid :func:`integrate` accepts; it peaks near 60 bytes per step.
 MAX_STEPS = 10**7
+
+#: A trajectory whose norm |a1|^2 + |a2|^2 strays from 1 by more than this
+#: has blown up on its grid: its states can stay finite while its P2 reads
+#: above 1 - p_cr over a whole period.  The GA scores such a candidate 0, and
+#: ``simulate`` refuses to write it.  Candidates that drift by 1e-6..1e-3
+#: still reach windows up to 0.19 in seeded RK4-ranked searches and steer
+#: the tournaments, so a tighter bound changes the GA's winners.
+MAX_NORM_DEFECT = 1e-3
 
 #: Steps propagated together; bounds the kernel's workspace to a few MB.
 _CHUNK = 4096
@@ -144,6 +154,22 @@ def integrate(atom: TwoLevelAtom, pulse: PulseSpec, config: IntegrationConfig) -
             states[:, lo + 1:hi + 1] = chunk
     del v  # 16 bytes per step, no longer needed
     return Trajectory(times=grid_times(pulse, config), a1=states[0], a2=states[1])
+
+
+def check_norm(traj: Trajectory) -> None:
+    """Raise :class:`IntegrationError` if the trajectory's norm has blown up.
+
+    That is, if |a1|^2 + |a2|^2 strays from 1 by more than MAX_NORM_DEFECT
+    anywhere; the error carries the grid time of the largest defect.
+    """
+    with np.errstate(over="ignore"):
+        defect = traj.norm_defect()
+    worst = int(np.argmax(defect))
+    if not defect[worst] <= MAX_NORM_DEFECT:
+        t_bad = float(traj.times[worst])
+        raise IntegrationError(
+            f"the norm drifted by {defect[worst]:.3g} at t={t_bad}, "
+            f"past {MAX_NORM_DEFECT:g}; the step is too long for this pulse", time=t_bad)
 
 
 def _step_matrices(v: np.ndarray, w: float, h: float) -> np.ndarray:

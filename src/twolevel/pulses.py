@@ -8,8 +8,9 @@ Nulling them one by one raises the order of the first non-vanishing
 derivative of P2 above four and widens the flat top at a fixed leakage
 budget.  A small real-coded genetic algorithm searches the coefficient space.
 Where the level splitting is weak it ranks candidates by the window of the
-first-order closed-form populations and integrates only the winner with RK4;
-otherwise it ranks every candidate on RK4.  The search is deterministic for a
+first-order closed-form populations, computed for a whole generation in one
+array pass, and integrates only the winner with RK4; otherwise it integrates
+every candidate with RK4, one at a time.  The search is deterministic for a
 fixed seed.
 """
 from __future__ import annotations
@@ -20,16 +21,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HarmonicSum, PulseSpec, Trajectory, TwoLevelAtom, action
+from .core import (
+    HarmonicSum,
+    PulseSpec,
+    Trajectory,
+    TwoLevelAtom,
+    action,
+    odd_harmonic_action,
+)
 from .analytic import (
     MAX_DERIVATIVE_ORDER,
     ModelPopulations,
-    first_order_populations,
+    first_order_from_action,
     nth_derivative_p2,
 )
 from .integrator import (
+    MAX_NORM_DEFECT,
     IntegrationConfig,
     IntegrationError,
+    check_norm,
     grid_times,
     integrate,
     populated_window,
@@ -73,13 +83,6 @@ MAX_GENERATIONS = 10_000
 #: on RK4.
 MODEL_RANKING_MIN_RATIO = 100.0
 MODEL_RANKING_MIN_BUDGET = 10.0
-
-#: An RK4 trajectory whose norm |a1|^2 + |a2|^2 strays from 1 by more than
-#: this has blown up on its grid and scores 0: its states can stay finite
-#: while its P2 reads above 1 - p_cr over the whole period.  Candidates that
-#: drift by 1e-6..1e-3 still reach windows up to 0.19 in seeded RK4-ranked
-#: searches and steer the tournaments, so a tighter bound changes winners.
-MAX_NORM_DEFECT = 1e-3
 
 
 @dataclass(frozen=True)
@@ -215,19 +218,28 @@ def _rk4_populations(atom: TwoLevelAtom, pulse: PulseSpec,
     by more than MAX_NORM_DEFECT."""
     try:
         trajectory = integrate(atom, pulse, grid)
+        check_norm(trajectory)
     except IntegrationError:
         return None
-    with np.errstate(over="ignore"):
-        defect = trajectory.norm_defect().max()
-    return trajectory if defect <= MAX_NORM_DEFECT else None
+    return trajectory
 
 
-def _model_populations(omega21: float, pulse: PulseSpec,
-                       grid: IntegrationConfig) -> ModelPopulations | None:
-    """First-order populations on the RK4 grid, None if they are not finite."""
+def _model_rows(pulses: list[HarmonicSum], harmonics: tuple[int, ...], omega: float,
+                omega21: float, times: np.ndarray) -> list[ModelPopulations | None]:
+    """First-order populations of every pulse on ``times``, in one array pass.
+
+    One row per pulse, None where a row is not finite.
+    """
+    if not pulses:
+        return []
+    # chi[j, i, 0] is the coefficient of harmonic j in pulse i.
+    chi = np.array([[c for _, c in pulse.coefficients] for pulse in pulses]).T[:, :, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        model = first_order_populations(pulse, omega21, grid_times(pulse, grid))
-    return model if np.isfinite(model.p2).all() else None
+        model = first_order_from_action(odd_harmonic_action(omega, harmonics, chi, times),
+                                        omega21, times)
+    finite = np.isfinite(model.p2).all(axis=-1)
+    return [ModelPopulations(times=times, p1=p1, p2=p2) if ok else None
+            for p1, p2, ok in zip(model.p1, model.p2, finite)]
 
 
 def _window(curve: Trajectory | ModelPopulations, p_cr: float) -> float:
@@ -238,36 +250,62 @@ def _window(curve: Trajectory | ModelPopulations, p_cr: float) -> float:
         return 0.0
 
 
+Score = tuple[float, PulseSpec | None, float]
+
+#: The score of a genome that cannot be normalized or whose populations are unusable.
+_UNUSABLE: Score = (0.0, None, math.inf)
+
+
+def _normalized(genome: np.ndarray, harmonics: tuple[int, ...], omega: float,
+                t_peak: float) -> HarmonicSum | None:
+    """The genome's transfer-normalized pulse, None if it cannot be normalized."""
+    try:
+        return normalize_for_transfer(
+            HarmonicSum(omega=omega, coefficients=tuple(zip(harmonics, (float(c) for c in genome)))),
+            t_peak,
+        )
+    except ValueError:
+        return None
+
+
+def _score(pulse: PulseSpec, curve: Trajectory | ModelPopulations | None, p_cr: float) -> Score:
+    """(window of ``curve``, pulse, coefficient norm); unusable if ``curve`` is None."""
+    if curve is None:
+        return _UNUSABLE
+    width = _window(curve, p_cr)
+    norm = math.sqrt(sum(c * c for _, c in pulse.coefficients))
+    return width, pulse, norm
+
+
 def _evaluate(
     genome: np.ndarray,
     harmonics: tuple[int, ...],
     objective: ShapingObjective,
     t_peak: float,
     populations: Callable[[PulseSpec], Trajectory | ModelPopulations | None],
-) -> tuple[float, PulseSpec | None, float]:
+) -> Score:
     """Fitness of one genome: the populated window of ``populations(pulse)``.
 
     0.0 if it cannot be normalized or its populations are None.
     """
-    try:
-        pulse = normalize_for_transfer(
-            HarmonicSum(
-                omega=objective.omega,
-                coefficients=tuple(zip(harmonics, (float(c) for c in genome))),
-            ),
-            t_peak,
-        )
-    except ValueError:
-        return 0.0, None, math.inf
-    curve = populations(pulse)
-    if curve is None:
-        return 0.0, None, math.inf
-    width = _window(curve, objective.p_cr)
-    norm = math.sqrt(sum(c * c for _, c in pulse.coefficients))
-    return width, pulse, norm
+    pulse = _normalized(genome, harmonics, objective.omega, t_peak)
+    if pulse is None:
+        return _UNUSABLE
+    return _score(pulse, populations(pulse), objective.p_cr)
 
 
-def _better(a: tuple[float, PulseSpec | None, float], b: tuple[float, PulseSpec | None, float]) -> bool:
+def _model_scores(genomes: list[np.ndarray], harmonics: tuple[int, ...],
+                  objective: ShapingObjective, t_peak: float, times: np.ndarray) -> list[Score]:
+    """Fitness of every genome on the first-order model, as :func:`_evaluate`
+    would give it, with the populations of all of them computed together."""
+    pulses = [_normalized(genome, harmonics, objective.omega, t_peak) for genome in genomes]
+    usable = [pulse for pulse in pulses if pulse is not None]
+    curves = iter(_model_rows(usable, harmonics, objective.omega, objective.atom.omega21, times))
+    return [_UNUSABLE if pulse is None else _score(pulse, next(curves), objective.p_cr)
+            for pulse in pulses]
+
+
+def _better(a: Score, b: Score) -> bool:
     """Fitness comparison: wider window wins, ties go to the smaller-norm pulse."""
     if a[0] != b[0]:
         return a[0] > b[0]
@@ -281,12 +319,14 @@ def run_optimizer(objective: ShapingObjective, config: OptimizerConfig) -> Optim
     moves only through shapes that reach complete transfer in the degenerate
     limit.  Fitness is the populated-window width on the RK4 grid.  Where
     :func:`ranks_on_model` holds it is the window of the first-order
-    populations, and only the final winner is integrated with RK4, to
+    populations, computed for all new candidates of a generation in one
+    array pass, and only the final winner is integrated with RK4, to
     measure its window; elsewhere every candidate is integrated.
     Tournament selection (size 2), blend crossover and Gaussian mutation;
     the single elite survivor makes the best fitness monotone non-decreasing
     across generations.  All random draws come from one sequentially
-    consumed generator, so a fixed seed reproduces the run bit for bit.
+    consumed generator, and a generation's children are all drawn before
+    any is scored, so a fixed seed reproduces the run bit for bit.
 
     Raises ValueError when no candidate ever reaches P2 >= 1 - p_cr, in the
     ranking measure or on the winner's RK4 trajectory.
@@ -296,16 +336,20 @@ def run_optimizer(objective: ShapingObjective, config: OptimizerConfig) -> Optim
     t_peak = HALF_PI / objective.omega
     period = 2.0 * math.pi / objective.omega
     grid = IntegrationConfig(t_start=0.0, t_end=objective.horizon * period)
-    omega21 = objective.atom.omega21
     ranked_on_model = ranks_on_model(objective)
 
-    def populations(pulse: PulseSpec) -> Trajectory | ModelPopulations | None:
-        if ranked_on_model:
-            return _model_populations(omega21, pulse, grid)
-        return _rk4_populations(objective.atom, pulse, grid)
+    if ranked_on_model:
+        # Every candidate has the base period, so all share one grid.
+        times = grid_times(HarmonicSum(objective.omega, ((1, 1.0),)), grid)
 
-    def evaluate(genome: np.ndarray) -> tuple[float, PulseSpec | None, float]:
-        return _evaluate(genome, harmonics, objective, t_peak, populations)
+        def score(genomes: list[np.ndarray]) -> list[Score]:
+            return _model_scores(genomes, harmonics, objective, t_peak, times)
+    else:
+        def populations(pulse: PulseSpec) -> Trajectory | None:
+            return _rk4_populations(objective.atom, pulse, grid)
+
+        def score(genomes: list[np.ndarray]) -> list[Score]:
+            return [_evaluate(g, harmonics, objective, t_peak, populations) for g in genomes]
 
     n_genes = config.n_harmonics
     cosine_seed = np.zeros(n_genes)
@@ -313,7 +357,7 @@ def run_optimizer(objective: ShapingObjective, config: OptimizerConfig) -> Optim
     population = [cosine_seed]
     for _ in range(config.population_size - 1):
         population.append(cosine_seed + config.mutation_scale * rng.standard_normal(n_genes))
-    scores = [evaluate(g) for g in population]
+    scores = score(population)
 
     def best_index() -> int:
         best = 0
@@ -325,19 +369,17 @@ def run_optimizer(objective: ShapingObjective, config: OptimizerConfig) -> Optim
     history = [scores[best_index()][0]]
     for _ in range(config.generations):
         elite = best_index()
-        next_population = [population[elite]]
-        next_scores = [scores[elite]]
-        while len(next_population) < config.population_size:
+        children = []
+        while len(children) < config.population_size - 1:
             picks = rng.integers(0, config.population_size, size=4)
             mother = picks[0] if _better(scores[picks[0]], scores[picks[1]]) else picks[1]
             father = picks[2] if _better(scores[picks[2]], scores[picks[3]]) else picks[3]
             blend = rng.random()
             child = blend * population[mother] + (1.0 - blend) * population[father]
             child = child + config.mutation_scale * rng.standard_normal(n_genes)
-            next_population.append(child)
-            next_scores.append(evaluate(child))
-        population = next_population
-        scores = next_scores
+            children.append(child)
+        population = [population[elite]] + children
+        scores = [scores[elite]] + score(children)
         history.append(scores[best_index()][0])
 
     winner = scores[best_index()]

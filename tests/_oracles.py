@@ -7,9 +7,13 @@ conditions rather than taken from any closed form under test, the RK4
 oracle advances the four real amplitude components one step at a time in
 plain Python, where the integrator under test multiplies step matrices, the
 window oracle walks the runs above threshold one at a time, where the code
-under test interpolates every crossing in one array expression, and the CSV
+under test interpolates every crossing in one array expression, the CSV
 oracle formats one row at a time with one scalar analytic call per
-row, where the writer under test works on whole columns in chunks.
+row, where the writer under test works on whole columns in chunks, and the
+GA oracle evaluates one candidate at a time, where the optimizer under test
+computes the model populations of a whole generation in one array pass, and
+the first-order oracle allocates a fresh array for every step of the
+formula, where the code under test reuses a few buffers in place.
 """
 import math
 import warnings
@@ -17,9 +21,18 @@ import warnings
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from twolevel.analytic import populations_from_action
+from twolevel.analytic import first_order_populations, populations_from_action
 from twolevel.core import GaussianApprox, Trajectory, pulse_value
-from twolevel.integrator import IntegrationError, step_count
+from twolevel.integrator import IntegrationConfig, IntegrationError, grid_times, step_count
+from twolevel.pulses import (
+    HALF_PI,
+    OptimizationResult,
+    _better,
+    _evaluate,
+    _rk4_populations,
+    _window,
+    ranks_on_model,
+)
 
 
 def action_by_quadrature(pulse, t: float) -> float:
@@ -219,3 +232,104 @@ def csv_reference(path, traj, analytic_pulse) -> None:
                        for x in populations_from_action(analytic_pulse, float(row[0]))]
         lines.append(",".join(fields))
     path.write_text("\n".join(lines) + "\n")
+
+
+def first_order_reference(pulse, omega21, t):
+    """(P1, P2) of :func:`twolevel.analytic.first_order_populations` for one
+    pulse, the formula written out with a fresh array for every step."""
+    times = np.asarray(t, dtype=float)
+    a = np.asarray(pulse.action(times), dtype=float)
+    cos_a, sin_a = np.cos(a), np.sin(a)
+    half_dt = 0.5 * np.diff(times)
+    c = np.zeros_like(times)
+    s = np.zeros_like(times)
+    cos_2a = cos_a * cos_a - sin_a * sin_a
+    sin_2a = 2.0 * sin_a * cos_a
+    np.cumsum(half_dt * (cos_2a[1:] + cos_2a[:-1]), out=c[1:])
+    np.cumsum(half_dt * (sin_2a[1:] + sin_2a[:-1]), out=s[1:])
+    leak = (0.25 * omega21 * omega21) * ((times - c) * cos_a - s * sin_a) ** 2
+    return cos_a * cos_a + leak, sin_a * sin_a - leak
+
+
+def _model_populations(omega21, pulse, grid):
+    """First-order populations on the RK4 grid, None if they are not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        model = first_order_populations(pulse, omega21, grid_times(pulse, grid))
+    return model if np.isfinite(model.p2).all() else None
+
+
+def run_optimizer_reference(objective, config) -> OptimizationResult:
+    """The GA of :func:`twolevel.pulses.run_optimizer`, one candidate at a time.
+
+    Each child is scored as soon as it is drawn, and on the model side each
+    candidate's populations come from its own
+    :func:`twolevel.analytic.first_order_populations` call.  Same random
+    draws, results and ValueError contract.
+    """
+    rng = np.random.default_rng(config.seed)
+    harmonics = tuple(2 * i + 1 for i in range(config.n_harmonics))
+    t_peak = HALF_PI / objective.omega
+    period = 2.0 * math.pi / objective.omega
+    grid = IntegrationConfig(t_start=0.0, t_end=objective.horizon * period)
+    omega21 = objective.atom.omega21
+    ranked_on_model = ranks_on_model(objective)
+
+    def populations(pulse):
+        if ranked_on_model:
+            return _model_populations(omega21, pulse, grid)
+        return _rk4_populations(objective.atom, pulse, grid)
+
+    def evaluate(genome):
+        return _evaluate(genome, harmonics, objective, t_peak, populations)
+
+    n_genes = config.n_harmonics
+    cosine_seed = np.zeros(n_genes)
+    cosine_seed[0] = 1.0
+    population = [cosine_seed]
+    for _ in range(config.population_size - 1):
+        population.append(cosine_seed + config.mutation_scale * rng.standard_normal(n_genes))
+    scores = [evaluate(g) for g in population]
+
+    def best_index():
+        best = 0
+        for i in range(1, len(scores)):
+            if _better(scores[i], scores[best]):
+                best = i
+        return best
+
+    history = [scores[best_index()][0]]
+    for _ in range(config.generations):
+        elite = best_index()
+        next_population = [population[elite]]
+        next_scores = [scores[elite]]
+        while len(next_population) < config.population_size:
+            picks = rng.integers(0, config.population_size, size=4)
+            mother = picks[0] if _better(scores[picks[0]], scores[picks[1]]) else picks[1]
+            father = picks[2] if _better(scores[picks[2]], scores[picks[3]]) else picks[3]
+            blend = rng.random()
+            child = blend * population[mother] + (1.0 - blend) * population[father]
+            child = child + config.mutation_scale * rng.standard_normal(n_genes)
+            next_population.append(child)
+            next_scores.append(evaluate(child))
+        population = next_population
+        scores = next_scores
+        history.append(scores[best_index()][0])
+
+    winner = scores[best_index()]
+    measured = winner[0]
+    if ranked_on_model and measured > 0.0:
+        trajectory = _rk4_populations(objective.atom, winner[1], grid)
+        measured = 0.0 if trajectory is None else _window(trajectory, objective.p_cr)
+    if measured <= 0.0:
+        raise ValueError(
+            f"no candidate reached P2 >= {1.0 - objective.p_cr}; "
+            "widen the search or relax p_cr"
+        )
+    return OptimizationResult(
+        best_pulse=winner[1],
+        best_window=winner[0],
+        measured_window=measured,
+        history=tuple(history),
+        objective=objective,
+        config=config,
+    )

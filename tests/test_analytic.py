@@ -15,6 +15,7 @@ from twolevel.analytic import (
     delta_pulse_populations,
     design_frequency,
     detuning_sensitivity,
+    first_order_from_action,
     first_order_populations,
     leakage_at_peak,
     leakage_estimate,
@@ -278,6 +279,19 @@ class TestFirstOrderPopulations:
     def test_rejects_grid_that_does_not_start_at_zero(self, t):
         with pytest.raises(ValueError, match="starting at 0"):
             first_order_populations(Cosine(chi=1.0, omega=1.0), 0.1, t)
+
+    def test_non_finite_row_leaves_the_next_row_alone(self):
+        # The trapezoid pair sums run across row ends; a row of nan must not
+        # leak into the start of the next.
+        pulse = HarmonicSum(omega=1.0, coefficients=((1, 1.2), (3, 0.4)))
+        t = np.linspace(0.0, 2 * math.pi, 1001)
+        a = np.stack([np.full_like(t, np.inf), action(pulse, t)])
+        with np.errstate(invalid="ignore"):
+            rows = first_order_from_action(a, 0.03, t)
+        alone = first_order_populations(pulse, 0.03, t)
+        assert np.isnan(rows.p2[0]).all()
+        assert rows.p1[1].tobytes() == alone.p1.tobytes()
+        assert rows.p2[1].tobytes() == alone.p2.tobytes()
 
     def test_matches_the_formula_with_quadrature_integrals(self):
         # P1 = cos^2 A + (omega21^2/4) [(t - C) cos A - S sin A]^2, with C and

@@ -161,8 +161,10 @@ class TestSimulate:
             (["--ratio", "10"], "."),
             (["--sweep", "10,100"], "nodir/x.csv"),
             (["--sweep", "10,100"], "."),
+            (["--ratio", "10"], "a" * 300 + ".csv"),
         ],
-        ids=["missing-dir", "existing-dir", "dot", "sweep-missing-dir", "sweep-dot"],
+        ids=["missing-dir", "existing-dir", "dot", "sweep-missing-dir", "sweep-dot",
+             "name-too-long"],
     )
     def test_unwritable_out_is_usage_error_before_integration(self, tmp_path, monkeypatch,
                                                               capsys, args, out):
@@ -192,6 +194,37 @@ class TestSimulate:
         )
         assert result.returncode == 3
         assert "integration failed" in result.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # max|V| h of about 4.5 on the 1000-step grid: the states stay
+            # finite while the norm grows past 1e200.
+            ["--pulse-json", "blowup.json"],
+            # The ratio-100 cosine gets 6 steps of h = 1 per period.
+            ["--sweep", "10,100", "--step", "1"],
+        ],
+        ids=["single", "sweep"],
+    )
+    def test_blown_up_trajectory_is_integration_failure(self, tmp_path, args):
+        (tmp_path / "blowup.json").write_text(
+            '{"type": "harmonic_sum", "omega": 1, '
+            '"coefficients": [[1, 179.17104484994596], [3, 542.2255235302226]]}')
+        result = run_cli(["simulate", "--omega21", "0.01", *args, "--out", "x.csv"], tmp_path)
+        assert result.returncode == 3
+        assert "integration failed: the norm drifted by" in result.stderr
+        assert "at t=6.283185307179586" in result.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["blowup.json"]
+
+    def test_failed_write_is_one_line_error(self, tmp_path, monkeypatch, capsys):
+        def no_space(path, traj, analytic_pulse):
+            raise OSError(f"no space left for {path}")
+
+        monkeypatch.setattr(twolevel.cli, "_write_trajectory_csv", no_space)
+        assert twolevel.cli.main(["simulate", "--ratio", "10",
+                                  "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"twolevel: error: no space left for {tmp_path / 'x.csv'}\n"
 
     def test_error_estimate_reported(self, tmp_path):
         result = run_cli(
@@ -333,7 +366,7 @@ class TestOptimize:
         )
         assert abs(action) == pytest.approx(math.pi / 2, rel=1e-12)
 
-    @pytest.mark.parametrize("out", ["nodir/x", "."])
+    @pytest.mark.parametrize("out", ["nodir/x", ".", pytest.param("a" * 300, id="name-too-long")])
     def test_unwritable_out_is_usage_error_before_search(self, tmp_path, monkeypatch,
                                                          capsys, out):
         args = ["optimize", "--pcr", "1e-3", "--population", "4", "--generations", "1",

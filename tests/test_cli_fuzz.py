@@ -37,8 +37,9 @@ PULSE_FILES = {
 GOOD_PULSES = ["cosine.json", "harmonic.json", "gaussian.json"]
 BAD_PULSES = [f"{name}.json" for name in MALFORMED_PULSES] + ["missing.json", "d"]
 
-#: An existing directory, a missing one, and a path that names no file.
-BAD_OUT = ["d", "nodir/x.csv", "."]
+#: An existing directory, a missing one, a path that names no file, and a
+#: name longer than any file system allows.
+BAD_OUT = ["d", "nodir/x.csv", ".", "a" * 300]
 
 # option -> (small valid values, edge and bad values)
 OPTIONS = {

@@ -1,13 +1,18 @@
 """Transfer normalization, flatness scoring, and the genetic optimizer."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twolevel import pulses
 from twolevel.core import Cosine, GaussianApprox, HarmonicSum, TwoLevelAtom, action
-from twolevel.integrator import IntegrationConfig, integrate, populated_window
+from twolevel.analytic import first_order_populations
+from twolevel.hydrogen import lamb_shift
+from twolevel.integrator import IntegrationConfig, grid_times, integrate, populated_window
 from twolevel.pulses import (
     MAX_GENERATIONS,
     MAX_POPULATION,
@@ -22,7 +27,7 @@ from twolevel.pulses import (
     second_derivative_nulled_pulse,
 )
 
-from _oracles import action_by_quadrature
+from _oracles import action_by_quadrature, first_order_reference, run_optimizer_reference
 
 DEGENERATE = TwoLevelAtom(omega21=0.0, dipole_projection=-3.0)
 
@@ -284,3 +289,80 @@ class TestOptimizer:
         )
         with pytest.raises(ValueError, match="no candidate"):
             run_optimizer(objective, config)
+
+
+class TestGenerationInOneArrayPass:
+    """The model side scores a generation at once; the RK4 side one by one."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_harmonics=st.integers(1, 5),
+        population=st.integers(4, 16),
+        generations=st.integers(1, 4),
+        p_cr=st.floats(-6.0, -2.0).map(lambda x: 10.0**x),
+        # 0 and the Lamb shift rank on the model; 0.03 on RK4; 1e-3 on the
+        # model for p_cr >= 1e-5, else on RK4.
+        omega21=st.sampled_from([0.0, lamb_shift(), 1e-3, 0.03]),
+    )
+    def test_matches_one_candidate_at_a_time(self, seed, n_harmonics, population,
+                                             generations, p_cr, omega21):
+        objective = ShapingObjective(p_cr=p_cr, omega=1.0,
+                                     atom=TwoLevelAtom(omega21=omega21, dipole_projection=-3.0))
+        config = OptimizerConfig(population_size=population, generations=generations,
+                                 seed=seed, n_harmonics=n_harmonics)
+
+        def outcome(run):
+            try:
+                result = run(objective, config)
+            except ValueError as exc:
+                return str(exc)
+            # repr tells every float apart, -0.0 from 0.0 included.
+            return repr((result.best_pulse, result.best_window, result.measured_window,
+                         result.history))
+
+        assert outcome(run_optimizer) == outcome(run_optimizer_reference)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        n_harmonics=st.integers(1, 5),
+        chi=st.lists(st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=5),
+                     min_size=1, max_size=8),
+        omega=st.floats(0.5, 2.0),
+        omega21=st.sampled_from([0.0, 1e-3, 0.03, 0.5]),
+    )
+    def test_each_row_is_its_pulse_alone(self, n_harmonics, chi, omega, omega21):
+        harmonics = tuple(range(1, 2 * n_harmonics, 2))
+        batch = [HarmonicSum(omega, tuple(zip(harmonics, row))) for row in chi]
+        times = grid_times(batch[0], IntegrationConfig(0.0, 2 * math.pi / omega))
+        rows = pulses._model_rows(batch, harmonics, omega, omega21, times)
+        for pulse, row in zip(batch, rows, strict=True):
+            alone = first_order_populations(pulse, omega21, times)
+            p1, p2 = first_order_reference(pulse, omega21, times)
+            assert row.p1.tobytes() == alone.p1.tobytes() == p1.tobytes()
+            assert row.p2.tobytes() == alone.p2.tobytes() == p2.tobytes()
+
+    def test_generation_holds_about_five_arrays(self):
+        # A generation of 15 new candidates on the 1000-step grid: the model
+        # holds at most five (15, 1001) float64 arrays at once; the rest is a
+        # fraction of one (ufunc buffers, the windows, the pulses).
+        objective = ShapingObjective(p_cr=1e-4, omega=1.0, atom=DEGENERATE)
+        times = grid_times(Cosine(chi=1.0, omega=1.0), IntegrationConfig(0.0, 2 * math.pi))
+        rng = np.random.default_rng(5)
+        genomes = [np.array([1.0, 0.0, 0.0]) + 0.2 * rng.standard_normal(3) for _ in range(15)]
+
+        def score():
+            return pulses._model_scores(genomes, (1, 3, 5), objective, math.pi / 2, times)
+
+        expected = score()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            scores = score()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert scores == expected
+        assert all(width > 0.0 for width, _, _ in scores)
+        assert peak <= 6 * 15 * times.size * 8
