@@ -7,16 +7,17 @@ for the flatness of the populated state are the odd coupling derivatives.
 Nulling them one by one raises the order of the first non-vanishing
 derivative of P2 above four and widens the flat top at a fixed leakage
 budget.  A small real-coded genetic algorithm searches the coefficient space.
-Where the level splitting is weak it ranks candidates by the window of the
-first-order closed-form populations, computed for a whole generation in one
-array pass, and integrates only the winner with RK4; otherwise it integrates
-every candidate with RK4, one at a time.  The search is deterministic for a
-fixed seed.
+Each generation is normalized and scored through one path; only the source
+of the populations it ranks on differs.  Where the level splitting is weak
+they are the first-order closed-form populations, computed for the whole
+generation in one array pass, and only the winner is integrated with RK4;
+otherwise every candidate is integrated with RK4, one at a time.  The
+search is deterministic for a fixed seed.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,14 +243,7 @@ def _model_rows(pulses: list[HarmonicSum], harmonics: tuple[int, ...], omega: fl
             for p1, p2, ok in zip(model.p1, model.p2, finite)]
 
 
-def _window(curve: Trajectory | ModelPopulations, p_cr: float) -> float:
-    """Populated window of the curve, 0.0 if P2 never reaches 1 - p_cr."""
-    try:
-        return populated_window(curve, p_cr)
-    except ValueError:
-        return 0.0
-
-
+Curve = Trajectory | ModelPopulations
 Score = tuple[float, PulseSpec | None, float]
 
 #: The score of a genome that cannot be normalized or whose populations are unusable.
@@ -268,48 +262,36 @@ def _normalized(genome: np.ndarray, harmonics: tuple[int, ...], omega: float,
         return None
 
 
-def _score(pulse: PulseSpec, curve: Trajectory | ModelPopulations | None, p_cr: float) -> Score:
-    """(window of ``curve``, pulse, coefficient norm); unusable if ``curve`` is None."""
+def _score(pulse: PulseSpec, curve: Curve | None, p_cr: float) -> Score:
+    """(populated window of ``curve``, pulse, coefficient norm); unusable if
+    ``curve`` is None, and the window is 0.0 if P2 never reaches 1 - p_cr."""
     if curve is None:
         return _UNUSABLE
-    width = _window(curve, p_cr)
+    try:
+        width = populated_window(curve, p_cr)
+    except ValueError:
+        width = 0.0
     norm = math.sqrt(sum(c * c for _, c in pulse.coefficients))
     return width, pulse, norm
 
 
-def _evaluate(
-    genome: np.ndarray,
-    harmonics: tuple[int, ...],
-    objective: ShapingObjective,
-    t_peak: float,
-    populations: Callable[[PulseSpec], Trajectory | ModelPopulations | None],
-) -> Score:
-    """Fitness of one genome: the populated window of ``populations(pulse)``.
-
-    0.0 if it cannot be normalized or its populations are None.
-    """
-    pulse = _normalized(genome, harmonics, objective.omega, t_peak)
-    if pulse is None:
-        return _UNUSABLE
-    return _score(pulse, populations(pulse), objective.p_cr)
-
-
-def _model_scores(genomes: list[np.ndarray], harmonics: tuple[int, ...],
-                  objective: ShapingObjective, t_peak: float, times: np.ndarray) -> list[Score]:
-    """Fitness of every genome on the first-order model, as :func:`_evaluate`
-    would give it, with the populations of all of them computed together."""
-    pulses = [_normalized(genome, harmonics, objective.omega, t_peak) for genome in genomes]
-    usable = [pulse for pulse in pulses if pulse is not None]
-    curves = iter(_model_rows(usable, harmonics, objective.omega, objective.atom.omega21, times))
-    return [_UNUSABLE if pulse is None else _score(pulse, next(curves), objective.p_cr)
+def _scores(genomes: list[np.ndarray], harmonics: tuple[int, ...], objective: ShapingObjective,
+            t_peak: float, curves: Callable[[list[HarmonicSum]], Iterable[Curve | None]]
+            ) -> list[Score]:
+    """Fitness of every genome: :func:`_score` of its transfer-normalized pulse
+    on its curve, with ``curves`` giving the curves of the normalized pulses in
+    order; unusable if the genome cannot be normalized."""
+    # A huge finite genome overflows its action and fails to normalize.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pulses = [_normalized(genome, harmonics, objective.omega, t_peak) for genome in genomes]
+    usable = iter(curves([pulse for pulse in pulses if pulse is not None]))
+    return [_UNUSABLE if pulse is None else _score(pulse, next(usable), objective.p_cr)
             for pulse in pulses]
 
 
-def _better(a: Score, b: Score) -> bool:
-    """Fitness comparison: wider window wins, ties go to the smaller-norm pulse."""
-    if a[0] != b[0]:
-        return a[0] > b[0]
-    return a[2] < b[2]
+def _rank(score: Score) -> tuple[float, float]:
+    """Fitness order: the wider window wins, ties go to the smaller-norm pulse."""
+    return score[0], -score[2]
 
 
 def run_optimizer(objective: ShapingObjective, config: OptimizerConfig) -> OptimizationResult:
@@ -317,11 +299,12 @@ def run_optimizer(objective: ShapingObjective, config: OptimizerConfig) -> Optim
 
     Every candidate is transfer-normalized before evaluation, so the search
     moves only through shapes that reach complete transfer in the degenerate
-    limit.  Fitness is the populated-window width on the RK4 grid.  Where
-    :func:`ranks_on_model` holds it is the window of the first-order
-    populations, computed for all new candidates of a generation in one
-    array pass, and only the final winner is integrated with RK4, to
-    measure its window; elsewhere every candidate is integrated.
+    limit.  Fitness is the populated-window width on the RK4 grid, of one
+    of two curves chosen once per run.  Where :func:`ranks_on_model` holds
+    they are the first-order populations, computed for all new candidates
+    of a generation in one array pass, and only the final winner is
+    integrated with RK4, to measure its window; elsewhere they are the RK4
+    trajectories, integrated one candidate at a time.
     Tournament selection (size 2), blend crossover and Gaussian mutation;
     the single elite survivor makes the best fitness monotone non-decreasing
     across generations.  All random draws come from one sequentially
@@ -338,55 +321,53 @@ def run_optimizer(objective: ShapingObjective, config: OptimizerConfig) -> Optim
     grid = IntegrationConfig(t_start=0.0, t_end=objective.horizon * period)
     ranked_on_model = ranks_on_model(objective)
 
+    def rk4(pulses: list[HarmonicSum]) -> Iterator[Trajectory | None]:
+        return (_rk4_populations(objective.atom, pulse, grid) for pulse in pulses)
+
+    curves = rk4
     if ranked_on_model:
         # Every candidate has the base period, so all share one grid.
         times = grid_times(HarmonicSum(objective.omega, ((1, 1.0),)), grid)
 
-        def score(genomes: list[np.ndarray]) -> list[Score]:
-            return _model_scores(genomes, harmonics, objective, t_peak, times)
-    else:
-        def populations(pulse: PulseSpec) -> Trajectory | None:
-            return _rk4_populations(objective.atom, pulse, grid)
+        def curves(pulses: list[HarmonicSum]) -> list[ModelPopulations | None]:
+            return _model_rows(pulses, harmonics, objective.omega, objective.atom.omega21, times)
 
-        def score(genomes: list[np.ndarray]) -> list[Score]:
-            return [_evaluate(g, harmonics, objective, t_peak, populations) for g in genomes]
+    def best() -> int:
+        return max(range(len(scores)), key=lambda i: _rank(scores[i]))
 
     n_genes = config.n_harmonics
     cosine_seed = np.zeros(n_genes)
     cosine_seed[0] = 1.0
     population = [cosine_seed]
-    for _ in range(config.population_size - 1):
-        population.append(cosine_seed + config.mutation_scale * rng.standard_normal(n_genes))
-    scores = score(population)
+    # An overflowing draw makes a non-finite genome, which scores as unusable.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.population_size - 1):
+            population.append(cosine_seed + config.mutation_scale * rng.standard_normal(n_genes))
+    scores = _scores(population, harmonics, objective, t_peak, curves)
 
-    def best_index() -> int:
-        best = 0
-        for i in range(1, len(scores)):
-            if _better(scores[i], scores[best]):
-                best = i
-        return best
-
-    history = [scores[best_index()][0]]
+    elite = best()
+    history = [scores[elite][0]]
     for _ in range(config.generations):
-        elite = best_index()
         children = []
-        while len(children) < config.population_size - 1:
-            picks = rng.integers(0, config.population_size, size=4)
-            mother = picks[0] if _better(scores[picks[0]], scores[picks[1]]) else picks[1]
-            father = picks[2] if _better(scores[picks[2]], scores[picks[3]]) else picks[3]
-            blend = rng.random()
-            child = blend * population[mother] + (1.0 - blend) * population[father]
-            child = child + config.mutation_scale * rng.standard_normal(n_genes)
-            children.append(child)
+        with np.errstate(over="ignore", invalid="ignore"):
+            while len(children) < config.population_size - 1:
+                picks = rng.integers(0, config.population_size, size=4)
+                mother = picks[0] if _rank(scores[picks[0]]) > _rank(scores[picks[1]]) else picks[1]
+                father = picks[2] if _rank(scores[picks[2]]) > _rank(scores[picks[3]]) else picks[3]
+                blend = rng.random()
+                child = blend * population[mother] + (1.0 - blend) * population[father]
+                child = child + config.mutation_scale * rng.standard_normal(n_genes)
+                children.append(child)
         population = [population[elite]] + children
-        scores = [scores[elite]] + score(children)
-        history.append(scores[best_index()][0])
+        scores = [scores[elite]] + _scores(children, harmonics, objective, t_peak, curves)
+        elite = best()
+        history.append(scores[elite][0])
 
-    winner = scores[best_index()]
+    winner = scores[elite]
     measured = winner[0]
     if ranked_on_model and measured > 0.0:
-        trajectory = _rk4_populations(objective.atom, winner[1], grid)
-        measured = 0.0 if trajectory is None else _window(trajectory, objective.p_cr)
+        (trajectory,) = rk4([winner[1]])
+        measured = _score(winner[1], trajectory, objective.p_cr)[0]
     if measured <= 0.0:
         raise ValueError(
             f"no candidate reached P2 >= {1.0 - objective.p_cr}; "

@@ -9,11 +9,13 @@ plain Python, where the integrator under test multiplies step matrices, the
 window oracle walks the runs above threshold one at a time, where the code
 under test interpolates every crossing in one array expression, the CSV
 oracle formats one row at a time with one scalar analytic call per
-row, where the writer under test works on whole columns in chunks, and the
-GA oracle evaluates one candidate at a time, where the optimizer under test
-computes the model populations of a whole generation in one array pass, and
-the first-order oracle allocates a fresh array for every step of the
-formula, where the code under test reuses a few buffers in place.
+row, where the writer under test works on whole columns in chunks, the GA
+oracle scores one candidate at a time and compares fitness pair by pair,
+where the optimizer under test scores a whole generation through one path,
+taking the model populations of all its candidates from one array pass, and
+orders fitness by a key, and the first-order oracle allocates a fresh array
+for every step of the formula, where the code under test reuses a few
+buffers in place.
 """
 import math
 import warnings
@@ -23,14 +25,20 @@ from scipy.integrate import IntegrationWarning, quad
 
 from twolevel.analytic import first_order_populations, populations_from_action
 from twolevel.core import GaussianApprox, Trajectory, pulse_value
-from twolevel.integrator import IntegrationConfig, IntegrationError, grid_times, step_count
+from twolevel.integrator import (
+    IntegrationConfig,
+    IntegrationError,
+    grid_times,
+    populated_window,
+    step_count,
+)
 from twolevel.pulses import (
+    _UNUSABLE,
     HALF_PI,
     OptimizationResult,
-    _better,
-    _evaluate,
+    _normalized,
     _rk4_populations,
-    _window,
+    _score,
     ranks_on_model,
 )
 
@@ -256,6 +264,32 @@ def _model_populations(omega21, pulse, grid):
     with np.errstate(over="ignore", invalid="ignore"):
         model = first_order_populations(pulse, omega21, grid_times(pulse, grid))
     return model if np.isfinite(model.p2).all() else None
+
+
+def _window(curve, p_cr: float) -> float:
+    """Populated window of the curve, 0.0 if P2 never reaches 1 - p_cr."""
+    try:
+        return populated_window(curve, p_cr)
+    except ValueError:
+        return 0.0
+
+
+def _evaluate(genome, harmonics, objective, t_peak, populations):
+    """Fitness of one genome: the populated window of ``populations(pulse)``.
+
+    0.0 if it cannot be normalized or its populations are None.
+    """
+    pulse = _normalized(genome, harmonics, objective.omega, t_peak)
+    if pulse is None:
+        return _UNUSABLE
+    return _score(pulse, populations(pulse), objective.p_cr)
+
+
+def _better(a, b) -> bool:
+    """Fitness comparison: wider window wins, ties go to the smaller-norm pulse."""
+    if a[0] != b[0]:
+        return a[0] > b[0]
+    return a[2] < b[2]
 
 
 def run_optimizer_reference(objective, config) -> OptimizationResult:

@@ -4,13 +4,15 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import twolevel.cli
 import twolevel.integrator
 import twolevel.pulses
-from twolevel.pulses import MAX_GENERATIONS, MAX_POPULATION
+from twolevel.core import TwoLevelAtom
+from twolevel.pulses import MAX_GENERATIONS, MAX_POPULATION, ShapingObjective, ranks_on_model
 
 CLI = [sys.executable, "-m", "twolevel.cli"]
 
@@ -393,6 +395,20 @@ class TestOptimize:
         assert code == 2
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("omega21, on_model", [("0", True), ("0.01", False)],
+                             ids=["model-ranked", "rk4-ranked"])
+    def test_overflowing_mutation_scale_warns_nothing(self, tmp_path, monkeypatch,
+                                                      omega21, on_model):
+        # The draws overflow into non-finite genomes, which score as unusable.
+        args = ["optimize", "--pcr", "1e-4", "--omega21", omega21,
+                "--mutation-scale", "1.7e308", "--out", "ga"]
+        atom = TwoLevelAtom(omega21=float(omega21), dipole_projection=-3.0)
+        assert ranks_on_model(ShapingObjective(p_cr=1e-4, omega=1.0, atom=atom)) is on_model
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert twolevel.cli.main(args) == 0
 
     def test_oversized_grid_is_usage_error(self, tmp_path):
         result = run_cli(["optimize", "--pcr", "1e-3", "--horizon", "1e5"], tmp_path)

@@ -4,15 +4,17 @@ For each command, and for each of its options in turn, Hypothesis draws an
 argument list of small valid values in which that option holds a bad one
 (nan, +-inf, 0, a negative, 1e400, a malformed pulse file, a missing or an
 existing directory), and runs it through ``twolevel.cli.main`` in a fresh
-temporary directory.  The valid values keep every accepted run small: at
-most 2.5 periods of 1000 steps (doubled by ``--error-estimate``) and a GA of
-at most 8 candidates over 2 generations.  A run that does not exit 0 must
-leave the directory as it found it.
+temporary directory, where a RuntimeWarning is an error.  The valid values
+keep every accepted run small: at most 2.5 periods of 1000 steps (doubled
+by ``--error-estimate``) and a GA of at most 8 candidates over 2
+generations.  A run that does not exit 0 must leave the directory as it
+found it.
 """
 import contextlib
 import io
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -70,7 +72,7 @@ OPTIONS = {
         "--n-harmonics": (["1", "2", "3"], EDGE),
         "--population": (["4", "8"], [str(MAX_POPULATION + 1)] + EDGE),
         "--generations": (["1", "2"], [str(MAX_GENERATIONS + 1)] + EDGE),
-        "--mutation-scale": (["0.2", "0.5"], EDGE),
+        "--mutation-scale": (["0.2", "0.5", "1.7e308"], EDGE),
         "--seed": (["0", "3"], EDGE),
         "--out": (["ga"], BAD_OUT),
     },
@@ -121,7 +123,8 @@ def run_in_fresh_directory(argv: list[str]) -> tuple[int, list[str], list[str]]:
         os.chdir(root)
         try:
             with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
+                    contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
                 try:
                     code = twolevel.cli.main(argv)
                 except SystemExit as exc:

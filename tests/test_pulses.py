@@ -27,7 +27,12 @@ from twolevel.pulses import (
     second_derivative_nulled_pulse,
 )
 
-from _oracles import action_by_quadrature, first_order_reference, run_optimizer_reference
+from _oracles import (
+    _better,
+    action_by_quadrature,
+    first_order_reference,
+    run_optimizer_reference,
+)
 
 DEGENERATE = TwoLevelAtom(omega21=0.0, dipole_projection=-3.0)
 
@@ -262,8 +267,9 @@ class TestOptimizer:
             assert populated_window(trajectory, objective.p_cr) > 0.99 * 2 * math.pi
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            score = pulses._evaluate(genome, (1, 3), objective, math.pi / 2,
-                                     lambda p: pulses._rk4_populations(atom, p, grid))
+            [score] = pulses._scores(
+                [genome], (1, 3), objective, math.pi / 2,
+                lambda batch: [pulses._rk4_populations(atom, p, grid) for p in batch])
         assert score == (0.0, None, math.inf)
 
     def test_nonfinite_model_scores_zero_without_warnings(self, monkeypatch):
@@ -278,6 +284,21 @@ class TestOptimizer:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="no candidate"):
                 run_optimizer(objective, config)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(pair=st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0.0, 10.0),
+                      st.sampled_from([0.5, 1.0]) | st.floats(0.0, 1e6)),
+            st.just((0.0, math.inf)),
+        ),
+        min_size=2, max_size=2,
+    ))
+    def test_rank_orders_like_pairwise_comparison(self, pair):
+        # Widths and norms from short menus make ties common, width 0.0
+        # included; the norm is finite, except in the unusable score.
+        a, b = ((width, None, norm) for width, norm in pair)
+        assert (pulses._rank(a) > pulses._rank(b)) == _better(a, b)
 
     def test_unreachable_budget_signaled(self):
         # A splitting as large as the drive frequency leaks far more than
@@ -351,8 +372,11 @@ class TestGenerationInOneArrayPass:
         rng = np.random.default_rng(5)
         genomes = [np.array([1.0, 0.0, 0.0]) + 0.2 * rng.standard_normal(3) for _ in range(15)]
 
+        def curves(batch):
+            return pulses._model_rows(batch, (1, 3, 5), 1.0, 0.0, times)
+
         def score():
-            return pulses._model_scores(genomes, (1, 3, 5), objective, math.pi / 2, times)
+            return pulses._scores(genomes, (1, 3, 5), objective, math.pi / 2, curves)
 
         expected = score()
         tracemalloc.start()
