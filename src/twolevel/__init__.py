@@ -50,6 +50,7 @@ from .integrator import (
     max_population_deviation,
     natural_period,
     populated_window,
+    populated_windows,
     step_halving_error,
 )
 from .pulses import (

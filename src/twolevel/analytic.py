@@ -12,7 +12,8 @@ live here as pure functions.
 
 For finite omega21, :func:`first_order_populations` adds the first-order
 interaction-picture term on a time grid.  It reduces to sin^2 A at
-omega21 = 0.  :func:`first_order_from_action` computes it for many pulses
+omega21 = 0, where it skips the correction's integrals, which add exactly
++0.0 there.  :func:`first_order_from_action` computes it for many pulses
 at once from their actions, one row each; the optimizer ranks a whole
 generation of candidates on it while omega/omega21 is large.
 """
@@ -219,9 +220,16 @@ def first_order_from_action(a: np.ndarray, omega21: float, times: np.ndarray) ->
     populations of its pulse alone bit for bit.  ``times`` is as in
     :func:`first_order_populations` and is not checked here.  ``a`` may be
     overwritten: it is one of the five arrays of its shape that the
-    computation holds at most.
+    computation holds at most.  At omega21 = 0 the correction term is +0.0
+    wherever the action is finite, so the populations are computed as
+    (cos^2 A, sin^2 A) directly, bit for bit the same, without C and S.
     """
     a = np.ascontiguousarray(a, dtype=float)
+    cos_a = np.cos(a)
+    sin_a = np.sin(a, out=a)
+    if omega21 == 0.0:
+        return ModelPopulations(times=times, p1=np.multiply(cos_a, cos_a, out=cos_a),
+                                p2=np.multiply(sin_a, sin_a, out=sin_a))
     half_steps = np.empty_like(times)
     half_steps[0] = 0.0
     np.multiply(0.5, np.diff(times), out=half_steps[1:])
@@ -236,8 +244,6 @@ def first_order_from_action(a: np.ndarray, omega21: float, times: np.ndarray) ->
         out[..., 0] = 0.0
         return np.cumsum(out, axis=-1, out=out)
 
-    cos_a = np.cos(a)
-    sin_a = np.sin(a, out=a)
     work = np.multiply(cos_a, cos_a)
     c = np.multiply(sin_a, sin_a)
     work -= c  # cos 2A

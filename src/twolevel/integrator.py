@@ -13,6 +13,10 @@ applies them as a blocked prefix product, a fixed number of steps at a time;
 fixed steps keep output grids exactly reproducible.  No renormalization is
 ever applied during integration: norm drift is a diagnostic of integrator
 error, and correcting it would only mask that error.
+
+:func:`populated_windows` measures the populated window of many P2 rows on
+one grid in one array pass, the GA's whole generation at once;
+:func:`populated_window` is its one-row case.
 """
 from __future__ import annotations
 
@@ -37,6 +41,7 @@ __all__ = [
     "step_halving_error",
     "max_population_deviation",
     "populated_window",
+    "populated_windows",
 ]
 
 
@@ -283,29 +288,47 @@ def populated_window(traj, p_cr: float) -> float:
 
     ``traj`` is any object with equal-length ``times`` and finite ``p2``
     arrays: a :class:`Trajectory` or a model such as
-    :class:`twolevel.analytic.ModelPopulations`.  Window edges are linearly
-    interpolated between the grid points that bracket each threshold
-    crossing; a run that touches an end of the grid ends there.  Raises
-    ValueError when no grid point reaches P2 >= 1 - p_cr.
+    :class:`twolevel.analytic.ModelPopulations`.  It is the one-row case of
+    :func:`populated_windows`.  Raises ValueError when no grid point reaches
+    P2 >= 1 - p_cr.
     """
-    if not 0.0 < p_cr <= 1.0:
-        raise ValueError(f"p_cr must lie in (0, 1], got {p_cr}")
-    times = traj.times
     p2 = traj.p2
+    (width,) = populated_windows(traj.times, p2[None], p_cr).tolist()
     threshold = 1.0 - p_cr
-    mask = p2 >= threshold
-    # One crossing between k and k + 1 wherever the mask changes.  For a
-    # falling crossing the numerator and denominator are the rising form
-    # negated, which leaves the quotient exact.
-    k = np.flatnonzero(mask[1:] != mask[:-1])
-    edges = times[k] + (threshold - p2[k]) / (p2[k + 1] - p2[k]) * (times[k + 1] - times[k])
-    if mask[0]:
-        edges = np.concatenate((times[:1], edges))
-    if mask[-1]:
-        edges = np.concatenate((edges, times[-1:]))
-    if edges.size == 0:
+    if width == 0.0 and not (p2 >= threshold).any():
         raise ValueError(
             f"peak never reaches threshold: max P2 = {float(p2.max())} < {threshold}"
         )
-    # Edges alternate: run start, run end.
-    return float(np.max(edges[1::2] - edges[::2]))
+    return width
+
+
+def populated_windows(times: np.ndarray, p2: np.ndarray, p_cr: float) -> np.ndarray:
+    """:func:`populated_window` of every row of ``p2``, on the common grid ``times``.
+
+    ``p2`` has shape (rows, times.size) and finite values.  Window edges are
+    linearly interpolated between the grid points that bracket each
+    threshold crossing; a run that touches an end of the grid ends there.
+    A row that never reaches P2 >= 1 - p_cr has width 0.0.
+    """
+    if not 0.0 < p_cr <= 1.0:
+        raise ValueError(f"p_cr must lie in (0, 1], got {p_cr}")
+    threshold = 1.0 - p_cr
+    rows, n = p2.shape
+    # The mask, padded with False at both ends, changes between padded
+    # columns j and j + 1 once at each end of every run, so each row's
+    # changes alternate run start, run end.
+    mask = np.zeros((rows, n + 2), dtype=bool)
+    np.greater_equal(p2, threshold, out=mask[:, 1:-1])
+    r, j = np.nonzero(mask[:, 1:] != mask[:, :-1])
+    edges = np.where(j == 0, times[0], times[-1])
+    # An inner change crosses between grid points k = j - 1 and k + 1.  For a
+    # falling crossing the numerator and denominator are the rising form
+    # negated, which leaves the quotient exact.
+    inner = (j > 0) & (j < n)
+    row, k = r[inner], j[inner] - 1
+    edges[inner] = times[k] + (threshold - p2[row, k]) / (p2[row, k + 1] - p2[row, k]) * (
+        times[k + 1] - times[k])
+    widths = np.full(rows, -math.inf)
+    np.maximum.at(widths, r[::2], edges[1::2] - edges[::2])
+    widths[widths == -math.inf] = 0.0
+    return widths

@@ -7,17 +7,18 @@ for the flatness of the populated state are the odd coupling derivatives.
 Nulling them one by one raises the order of the first non-vanishing
 derivative of P2 above four and widens the flat top at a fixed leakage
 budget.  A small real-coded genetic algorithm searches the coefficient space.
-Each generation is normalized and scored through one path; only the source
-of the populations it ranks on differs.  Where the level splitting is weak
-they are the first-order closed-form populations, computed for the whole
-generation in one array pass, and only the winner is integrated with RK4;
-otherwise every candidate is integrated with RK4, one at a time.  The
-search is deterministic for a fixed seed.
+A generation is an array of genome rows: it is transfer-normalized in one
+array pass and windowed in one call, and only the source of the P2 rows it
+ranks on differs.  Where the level splitting is weak they are the
+first-order closed-form populations, computed for the whole generation in
+one array pass, and only the winner is integrated with RK4; otherwise every
+candidate is integrated with RK4, one at a time.  Only the winner is built
+as a pulse object.  The search is deterministic for a fixed seed.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +31,7 @@ from .core import (
     action,
     odd_harmonic_action,
 )
-from .analytic import (
-    MAX_DERIVATIVE_ORDER,
-    ModelPopulations,
-    first_order_from_action,
-    nth_derivative_p2,
-)
+from .analytic import MAX_DERIVATIVE_ORDER, first_order_from_action, nth_derivative_p2
 from .integrator import (
     MAX_NORM_DEFECT,
     IntegrationConfig,
@@ -44,6 +40,7 @@ from .integrator import (
     grid_times,
     integrate,
     populated_window,
+    populated_windows,
 )
 
 __all__ = [
@@ -225,73 +222,94 @@ def _rk4_populations(atom: TwoLevelAtom, pulse: PulseSpec,
     return trajectory
 
 
-def _model_rows(pulses: list[HarmonicSum], harmonics: tuple[int, ...], omega: float,
-                omega21: float, times: np.ndarray) -> list[ModelPopulations | None]:
-    """First-order populations of every pulse on ``times``, in one array pass.
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """Python's ``sum`` of every row, left to right from 0: bit for bit the
+    sum a pulse's own scalar code takes, on every Python version (3.12
+    compensates float sums, numpy does not)."""
+    return np.array([sum(row) for row in rows.tolist()])
 
-    One row per pulse, None where a row is not finite.
+
+def _normalized_rows(genomes: np.ndarray, harmonics: tuple[int, ...], omega: float,
+                     t_peak: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`normalize_for_transfer` of every genome row in one array pass.
+
+    Returns the mask of the usable rows and the coefficient rows.  The
+    arithmetic is that of ``normalize_for_transfer(HarmonicSum(omega,
+    zip(harmonics, genome)), t_peak)``, so a usable row holds that pulse's
+    coefficients bit for bit.  A row is unusable where that call raises
+    ValueError: a gene or scaled coefficient is not finite, or the action at
+    ``t_peak`` overflows or vanishes against the action scale.
     """
-    if not pulses:
-        return []
-    # chi[j, i, 0] is the coefficient of harmonic j in pulse i.
-    chi = np.array([[c for _, c in pulse.coefficients] for pulse in pulses]).T[:, :, None]
+    # A huge finite genome overflows its action; a vanishing action divides by zero.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a = np.abs(odd_harmonic_action(omega, harmonics, genomes.T, t_peak))
+        action_scale = _row_sums(np.abs(genomes) / np.array([k * omega for k in harmonics]))
+        rows = genomes * (HALF_PI / a)[:, None]
+    usable = (np.isfinite(genomes).all(axis=1) & np.isfinite(a)
+              & ~(a <= 1e-12 * action_scale) & np.isfinite(rows).all(axis=1))
+    return usable, rows
+
+
+def _model_rows(rows: np.ndarray, harmonics: tuple[int, ...], omega: float, omega21: float,
+                times: np.ndarray) -> np.ndarray:
+    """First-order P2 of every coefficient row on ``times``, in one array pass;
+    a row is not finite where the model overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        model = first_order_from_action(odd_harmonic_action(omega, harmonics, chi, times),
-                                        omega21, times)
-    finite = np.isfinite(model.p2).all(axis=-1)
-    return [ModelPopulations(times=times, p1=p1, p2=p2) if ok else None
-            for p1, p2, ok in zip(model.p1, model.p2, finite)]
+        return first_order_from_action(
+            odd_harmonic_action(omega, harmonics, rows.T[:, :, None], times), omega21, times).p2
 
 
-Curve = Trajectory | ModelPopulations
-Score = tuple[float, PulseSpec | None, float]
-
-#: The score of a genome that cannot be normalized or whose populations are unusable.
-_UNUSABLE: Score = (0.0, None, math.inf)
-
-
-def _normalized(genome: np.ndarray, harmonics: tuple[int, ...], omega: float,
-                t_peak: float) -> HarmonicSum | None:
-    """The genome's transfer-normalized pulse, None if it cannot be normalized."""
-    try:
-        return normalize_for_transfer(
-            HarmonicSum(omega=omega, coefficients=tuple(zip(harmonics, (float(c) for c in genome)))),
-            t_peak,
-        )
-    except ValueError:
-        return None
+def _rk4_rows(atom: TwoLevelAtom, rows: np.ndarray, harmonics: tuple[int, ...], omega: float,
+              grid: IntegrationConfig, times: np.ndarray) -> np.ndarray:
+    """RK4 P2 of every coefficient row on ``times``, the grid of ``grid``,
+    integrated one pulse at a time; a row is NaN where :func:`_rk4_populations`
+    gives None."""
+    p2 = np.empty((len(rows), times.size))
+    for row, out in zip(rows.tolist(), p2):
+        trajectory = _rk4_populations(atom, HarmonicSum(omega, tuple(zip(harmonics, row))), grid)
+        out[:] = math.nan if trajectory is None else trajectory.p2
+    return p2
 
 
-def _score(pulse: PulseSpec, curve: Curve | None, p_cr: float) -> Score:
-    """(populated window of ``curve``, pulse, coefficient norm); unusable if
-    ``curve`` is None, and the window is 0.0 if P2 never reaches 1 - p_cr."""
-    if curve is None:
-        return _UNUSABLE
-    try:
-        width = populated_window(curve, p_cr)
-    except ValueError:
-        width = 0.0
-    norm = math.sqrt(sum(c * c for _, c in pulse.coefficients))
-    return width, pulse, norm
+Fitness = tuple[float, float]
 
 
-def _scores(genomes: list[np.ndarray], harmonics: tuple[int, ...], objective: ShapingObjective,
-            t_peak: float, curves: Callable[[list[HarmonicSum]], Iterable[Curve | None]]
-            ) -> list[Score]:
-    """Fitness of every genome: :func:`_score` of its transfer-normalized pulse
-    on its curve, with ``curves`` giving the curves of the normalized pulses in
-    order; unusable if the genome cannot be normalized."""
-    # A huge finite genome overflows its action and fails to normalize.
-    with np.errstate(over="ignore", invalid="ignore"):
-        pulses = [_normalized(genome, harmonics, objective.omega, t_peak) for genome in genomes]
-    usable = iter(curves([pulse for pulse in pulses if pulse is not None]))
-    return [_UNUSABLE if pulse is None else _score(pulse, next(usable), objective.p_cr)
-            for pulse in pulses]
+def _rank(width: float, norm: float) -> Fitness:
+    """Fitness of a pulse with populated window ``width`` and coefficient norm
+    ``norm``.  Fitness tuples compare in the fitness order: the wider window
+    wins, ties go to the smaller-norm pulse."""
+    return width, -norm
 
 
-def _rank(score: Score) -> tuple[float, float]:
-    """Fitness order: the wider window wins, ties go to the smaller-norm pulse."""
-    return score[0], -score[2]
+#: The fitness of a genome that cannot be normalized or whose populations are unusable.
+_UNUSABLE = _rank(0.0, math.inf)
+
+
+def _fitness(genomes: np.ndarray, harmonics: tuple[int, ...], objective: ShapingObjective,
+             t_peak: float, times: np.ndarray,
+             p2_rows: Callable[[np.ndarray], np.ndarray]) -> list[Fitness]:
+    """:func:`_rank` of every genome row's populated window and coefficient norm.
+
+    The window is that of its transfer-normalized pulse on ``times``, 0.0
+    where P2 never reaches 1 - p_cr, with ``p2_rows`` giving the P2 rows of
+    the normalized coefficient rows.  A genome that cannot be normalized,
+    or whose P2 row is not finite, is unusable.
+    """
+    usable, rows = _normalized_rows(genomes, harmonics, objective.omega, t_peak)
+    fitness = [_UNUSABLE] * len(genomes)
+    if usable.any():
+        rows = rows[usable]
+        p2 = p2_rows(rows)
+        finite = np.isfinite(p2).all(axis=1)
+        if not finite.all():
+            rows, p2 = rows[finite], p2[finite]
+            usable[usable] = finite
+        widths = populated_windows(times, p2, objective.p_cr)
+        norms = np.sqrt(_row_sums(rows * rows))
+        for i, width, norm in zip(np.flatnonzero(usable).tolist(), widths.tolist(),
+                                  norms.tolist()):
+            fitness[i] = _rank(width, norm)
+    return fitness
 
 
 def run_optimizer(objective: ShapingObjective, config: OptimizerConfig) -> OptimizationResult:
@@ -299,12 +317,14 @@ def run_optimizer(objective: ShapingObjective, config: OptimizerConfig) -> Optim
 
     Every candidate is transfer-normalized before evaluation, so the search
     moves only through shapes that reach complete transfer in the degenerate
-    limit.  Fitness is the populated-window width on the RK4 grid, of one
-    of two curves chosen once per run.  Where :func:`ranks_on_model` holds
-    they are the first-order populations, computed for all new candidates
-    of a generation in one array pass, and only the final winner is
-    integrated with RK4, to measure its window; elsewhere they are the RK4
-    trajectories, integrated one candidate at a time.
+    limit.  A generation is an array of genome rows, normalized in one array
+    pass.  Fitness is the populated-window width on the RK4 grid, of one of
+    two P2 curves chosen once per run, measured for the whole generation in
+    one call.  Where :func:`ranks_on_model` holds they are the first-order
+    populations, computed for all new candidates of a generation in one
+    array pass, and only the final winner is integrated with RK4, to measure
+    its window; elsewhere they are the RK4 trajectories, integrated one
+    candidate at a time.  Only the winner is built as a pulse object.
     Tournament selection (size 2), blend crossover and Gaussian mutation;
     the single elite survivor makes the best fitness monotone non-decreasing
     across generations.  All random draws come from one sequentially
@@ -316,66 +336,73 @@ def run_optimizer(objective: ShapingObjective, config: OptimizerConfig) -> Optim
     """
     rng = np.random.default_rng(config.seed)
     harmonics = tuple(2 * i + 1 for i in range(config.n_harmonics))
-    t_peak = HALF_PI / objective.omega
-    period = 2.0 * math.pi / objective.omega
+    omega = objective.omega
+    t_peak = HALF_PI / omega
+    period = 2.0 * math.pi / omega
     grid = IntegrationConfig(t_start=0.0, t_end=objective.horizon * period)
+    # Every candidate has the base period, so all share one grid.
+    times = grid_times(HarmonicSum(omega, ((1, 1.0),)), grid)
     ranked_on_model = ranks_on_model(objective)
 
-    def rk4(pulses: list[HarmonicSum]) -> Iterator[Trajectory | None]:
-        return (_rk4_populations(objective.atom, pulse, grid) for pulse in pulses)
+    def p2_rows(rows: np.ndarray) -> np.ndarray:
+        if ranked_on_model:
+            return _model_rows(rows, harmonics, omega, objective.atom.omega21, times)
+        return _rk4_rows(objective.atom, rows, harmonics, omega, grid, times)
 
-    curves = rk4
-    if ranked_on_model:
-        # Every candidate has the base period, so all share one grid.
-        times = grid_times(HarmonicSum(objective.omega, ((1, 1.0),)), grid)
-
-        def curves(pulses: list[HarmonicSum]) -> list[ModelPopulations | None]:
-            return _model_rows(pulses, harmonics, objective.omega, objective.atom.omega21, times)
+    def score(genomes: np.ndarray) -> list[Fitness]:
+        return _fitness(genomes, harmonics, objective, t_peak, times, p2_rows)
 
     def best() -> int:
-        return max(range(len(scores)), key=lambda i: _rank(scores[i]))
+        return max(range(len(fitness)), key=fitness.__getitem__)
 
     n_genes = config.n_harmonics
-    cosine_seed = np.zeros(n_genes)
-    cosine_seed[0] = 1.0
-    population = [cosine_seed]
+    population = np.zeros((config.population_size, n_genes))
+    population[:, 0] = 1.0  # every row starts as the cosine
     # An overflowing draw makes a non-finite genome, which scores as unusable.
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(config.population_size - 1):
-            population.append(cosine_seed + config.mutation_scale * rng.standard_normal(n_genes))
-    scores = _scores(population, harmonics, objective, t_peak, curves)
+        for genome in population[1:]:
+            genome += config.mutation_scale * rng.standard_normal(n_genes)
+    fitness = score(population)
 
     elite = best()
-    history = [scores[elite][0]]
+    history = [fitness[elite][0]]
     for _ in range(config.generations):
-        children = []
+        children = np.empty_like(population)
+        children[0] = population[elite]
         with np.errstate(over="ignore", invalid="ignore"):
-            while len(children) < config.population_size - 1:
+            for child in children[1:]:
                 picks = rng.integers(0, config.population_size, size=4)
-                mother = picks[0] if _rank(scores[picks[0]]) > _rank(scores[picks[1]]) else picks[1]
-                father = picks[2] if _rank(scores[picks[2]]) > _rank(scores[picks[3]]) else picks[3]
+                mother = picks[0] if fitness[picks[0]] > fitness[picks[1]] else picks[1]
+                father = picks[2] if fitness[picks[2]] > fitness[picks[3]] else picks[3]
                 blend = rng.random()
-                child = blend * population[mother] + (1.0 - blend) * population[father]
-                child = child + config.mutation_scale * rng.standard_normal(n_genes)
-                children.append(child)
-        population = [population[elite]] + children
-        scores = [scores[elite]] + _scores(children, harmonics, objective, t_peak, curves)
+                child[:] = blend * population[mother] + (1.0 - blend) * population[father]
+                child += config.mutation_scale * rng.standard_normal(n_genes)
+        population = children
+        fitness = [fitness[elite]] + score(population[1:])
         elite = best()
-        history.append(scores[elite][0])
+        history.append(fitness[elite][0])
 
-    winner = scores[elite]
-    measured = winner[0]
-    if ranked_on_model and measured > 0.0:
-        (trajectory,) = rk4([winner[1]])
-        measured = _score(winner[1], trajectory, objective.p_cr)[0]
+    width = measured = fitness[elite][0]
+    winner = None
+    if width > 0.0:
+        winner = normalize_for_transfer(
+            HarmonicSum(omega, tuple(zip(harmonics, population[elite].tolist()))), t_peak)
+        if ranked_on_model:
+            trajectory = _rk4_populations(objective.atom, winner, grid)
+            measured = 0.0
+            if trajectory is not None:
+                try:
+                    measured = populated_window(trajectory, objective.p_cr)
+                except ValueError:  # P2 never reaches 1 - p_cr
+                    pass
     if measured <= 0.0:
         raise ValueError(
             f"no candidate reached P2 >= {1.0 - objective.p_cr}; "
             "widen the search or relax p_cr"
         )
     return OptimizationResult(
-        best_pulse=winner[1],
-        best_window=winner[0],
+        best_pulse=winner,
+        best_window=width,
         measured_window=measured,
         history=tuple(history),
         objective=objective,

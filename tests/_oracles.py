@@ -7,24 +7,26 @@ conditions rather than taken from any closed form under test, the RK4
 oracle advances the four real amplitude components one step at a time in
 plain Python, where the integrator under test multiplies step matrices, the
 window oracle walks the runs above threshold one at a time, where the code
-under test interpolates every crossing in one array expression, the CSV
-oracle formats one row at a time with one scalar analytic call per
-row, where the writer under test works on whole columns in chunks, the GA
-oracle scores one candidate at a time and compares fitness pair by pair,
-where the optimizer under test scores a whole generation through one path,
-taking the model populations of all its candidates from one array pass, and
-orders fitness by a key, and the first-order oracle allocates a fresh array
+under test interpolates every crossing of every row in one array
+expression, the CSV oracle formats one row at a time with one scalar
+analytic call per row, where the writer under test works on whole columns
+in chunks, the GA oracle scores one candidate at a time, normalizing each
+through its own pulse objects, and compares fitness pair by pair, where the
+optimizer under test normalizes, models and windows a whole generation as
+arrays and orders fitness by a key, and the first-order oracle allocates a fresh array
 for every step of the formula, where the code under test reuses a few
 buffers in place.
 """
+from __future__ import annotations
+
 import math
 import warnings
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from twolevel.analytic import first_order_populations, populations_from_action
-from twolevel.core import GaussianApprox, Trajectory, pulse_value
+from twolevel.analytic import ModelPopulations, first_order_populations, populations_from_action
+from twolevel.core import GaussianApprox, HarmonicSum, PulseSpec, Trajectory, pulse_value
 from twolevel.integrator import (
     IntegrationConfig,
     IntegrationError,
@@ -33,12 +35,10 @@ from twolevel.integrator import (
     step_count,
 )
 from twolevel.pulses import (
-    _UNUSABLE,
     HALF_PI,
     OptimizationResult,
-    _normalized,
     _rk4_populations,
-    _score,
+    normalize_for_transfer,
     ranks_on_model,
 )
 
@@ -264,6 +264,38 @@ def _model_populations(omega21, pulse, grid):
     with np.errstate(over="ignore", invalid="ignore"):
         model = first_order_populations(pulse, omega21, grid_times(pulse, grid))
     return model if np.isfinite(model.p2).all() else None
+
+
+Curve = Trajectory | ModelPopulations
+Score = tuple[float, PulseSpec | None, float]
+
+#: The score of a genome that cannot be normalized or whose populations are unusable.
+_UNUSABLE: Score = (0.0, None, math.inf)
+
+
+def _normalized(genome: np.ndarray, harmonics: tuple[int, ...], omega: float,
+                t_peak: float) -> HarmonicSum | None:
+    """The genome's transfer-normalized pulse, None if it cannot be normalized."""
+    try:
+        return normalize_for_transfer(
+            HarmonicSum(omega=omega, coefficients=tuple(zip(harmonics, (float(c) for c in genome)))),
+            t_peak,
+        )
+    except ValueError:
+        return None
+
+
+def _score(pulse: PulseSpec, curve: Curve | None, p_cr: float) -> Score:
+    """(populated window of ``curve``, pulse, coefficient norm); unusable if
+    ``curve`` is None, and the window is 0.0 if P2 never reaches 1 - p_cr."""
+    if curve is None:
+        return _UNUSABLE
+    try:
+        width = populated_window(curve, p_cr)
+    except ValueError:
+        width = 0.0
+    norm = math.sqrt(sum(c * c for _, c in pulse.coefficients))
+    return width, pulse, norm
 
 
 def _window(curve, p_cr: float) -> float:

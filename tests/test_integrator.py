@@ -29,6 +29,7 @@ from twolevel.integrator import (
     max_population_deviation,
     natural_period,
     populated_window,
+    populated_windows,
     step_count,
     step_halving_error,
 )
@@ -492,6 +493,46 @@ def test_populated_window_matches_loop_reference(curve, p_cr):
             populated_window(traj, p_cr)
         return
     assert populated_window(traj, p_cr) == expected
+
+
+@st.composite
+def p2_row_sets(draw):
+    """A strictly increasing grid of 1..40 points and 1..6 P2 rows on it.
+
+    Values are often exactly 1 or 0, so rows hold several runs, runs of one
+    point and runs touching either end; a row of values below threshold
+    never reaches it."""
+    n = draw(st.integers(1, 40))
+    start = draw(st.floats(-10.0, 10.0))
+    steps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1))
+    value = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    rows = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=1, max_size=6))
+    return np.cumsum([start] + steps), np.array(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(curves=p2_row_sets(), p_cr=st.floats(1e-6, 1.0))
+@example(curves=(np.arange(6.0), np.array([[1.0, 0.2, 1.0, 0.99, 0.1, 1.0],
+                                           [0.1, 1.0, 0.1, 1.0, 0.0, 0.1],
+                                           [0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
+                                           [1.0, 1.0, 1.0, 1.0, 1.0, 1.0]])), p_cr=0.05)
+def test_populated_windows_match_each_row_alone(curves, p_cr):
+    """Every row's width is its populated_window and the loop's, bit for
+    bit; a row that never reaches threshold has width 0.0."""
+    times, p2 = curves
+    assume(np.all(np.diff(times) > 0.0))
+    widths = populated_windows(times, p2, p_cr)
+    assert widths.shape == (len(p2),)
+    for row, width in zip(p2, widths.tolist()):
+        traj = SimpleNamespace(times=times, p2=row)
+        try:
+            expected = populated_window_reference(traj, p_cr)
+        except ValueError:
+            assert width == 0.0
+            with pytest.raises(ValueError, match="never reaches"):
+                populated_window(traj, p_cr)
+            continue
+        assert repr(width) == repr(populated_window(traj, p_cr)) == repr(expected)
 
 
 class TestDeltaPulseLimit:

@@ -9,8 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twolevel import pulses
-from twolevel.core import Cosine, GaussianApprox, HarmonicSum, TwoLevelAtom, action
-from twolevel.analytic import first_order_populations
+from twolevel.core import (
+    Cosine,
+    GaussianApprox,
+    HarmonicSum,
+    TwoLevelAtom,
+    action,
+    odd_harmonic_action,
+)
+from twolevel.analytic import first_order_from_action, first_order_populations
 from twolevel.hydrogen import lamb_shift
 from twolevel.integrator import IntegrationConfig, grid_times, integrate, populated_window
 from twolevel.pulses import (
@@ -29,6 +36,7 @@ from twolevel.pulses import (
 
 from _oracles import (
     _better,
+    _normalized,
     action_by_quadrature,
     first_order_reference,
     run_optimizer_reference,
@@ -265,12 +273,13 @@ class TestOptimizer:
             trajectory = integrate(atom, pulse, grid)
             assert trajectory.norm_defect().max() > 1e200
             assert populated_window(trajectory, objective.p_cr) > 0.99 * 2 * math.pi
+        times = grid_times(pulse, grid)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            [score] = pulses._scores(
-                [genome], (1, 3), objective, math.pi / 2,
-                lambda batch: [pulses._rk4_populations(atom, p, grid) for p in batch])
-        assert score == (0.0, None, math.inf)
+            [fitness] = pulses._fitness(
+                genome[None], (1, 3), objective, math.pi / 2, times,
+                lambda rows: pulses._rk4_rows(atom, rows, (1, 3), 1.0, grid, times))
+        assert fitness == (0.0, -math.inf)
 
     def test_nonfinite_model_scores_zero_without_warnings(self, monkeypatch):
         # With the model forced, omega21^2 overflows, so every candidate's
@@ -298,7 +307,7 @@ class TestOptimizer:
         # Widths and norms from short menus make ties common, width 0.0
         # included; the norm is finite, except in the unusable score.
         a, b = ((width, None, norm) for width, norm in pair)
-        assert (pulses._rank(a) > pulses._rank(b)) == _better(a, b)
+        assert (pulses._rank(*pair[0]) > pulses._rank(*pair[1])) == _better(a, b)
 
     def test_unreachable_budget_signaled(self):
         # A splitting as large as the drive frequency leaks far more than
@@ -354,39 +363,109 @@ class TestGenerationInOneArrayPass:
     )
     def test_each_row_is_its_pulse_alone(self, n_harmonics, chi, omega, omega21):
         harmonics = tuple(range(1, 2 * n_harmonics, 2))
-        batch = [HarmonicSum(omega, tuple(zip(harmonics, row))) for row in chi]
+        rows = np.array(chi)[:, :n_harmonics]
+        batch = [HarmonicSum(omega, tuple(zip(harmonics, row))) for row in rows.tolist()]
         times = grid_times(batch[0], IntegrationConfig(0.0, 2 * math.pi / omega))
-        rows = pulses._model_rows(batch, harmonics, omega, omega21, times)
-        for pulse, row in zip(batch, rows, strict=True):
+        model = first_order_from_action(
+            odd_harmonic_action(omega, harmonics, rows.T[:, :, None], times), omega21, times)
+        p2_rows = pulses._model_rows(rows, harmonics, omega, omega21, times)
+        for pulse, row_p1, row_p2, p2_row in zip(batch, model.p1, model.p2, p2_rows, strict=True):
             alone = first_order_populations(pulse, omega21, times)
             p1, p2 = first_order_reference(pulse, omega21, times)
-            assert row.p1.tobytes() == alone.p1.tobytes() == p1.tobytes()
-            assert row.p2.tobytes() == alone.p2.tobytes() == p2.tobytes()
+            assert row_p1.tobytes() == alone.p1.tobytes() == p1.tobytes()
+            assert row_p2.tobytes() == p2_row.tobytes() == alone.p2.tobytes() == p2.tobytes()
+
+    @staticmethod
+    def assert_normalized_like_each_pulse_alone(genomes, harmonics, omega):
+        t_peak = math.pi / (2 * omega)
+        usable, rows = pulses._normalized_rows(genomes, harmonics, omega, t_peak)
+        assert usable.shape == (len(genomes),)
+        for genome, ok, row in zip(genomes, usable.tolist(), rows, strict=True):
+            with np.errstate(all="ignore"):
+                pulse = _normalized(genome, harmonics, omega, t_peak)
+            assert ok == (pulse is not None)
+            if ok:
+                assert row.tobytes() == np.array([c for _, c in pulse.coefficients]).tobytes()
+        return usable
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        genomes=st.integers(1, 5).flatmap(lambda n: st.lists(
+            st.lists(st.floats(-3.0, 3.0) | st.sampled_from([0.0, 1.0, -1.0]) | st.floats(),
+                     min_size=n, max_size=n),
+            min_size=1, max_size=8)),
+        omega=st.floats(0.1, 10.0) | st.just(1.0),
+    )
+    def test_normalization_matches_each_pulse_alone(self, genomes, omega):
+        # st.floats() also draws nan, inf, huge and subnormal genes.
+        genomes = np.array(genomes)
+        harmonics = tuple(range(1, 2 * genomes.shape[1], 2))
+        self.assert_normalized_like_each_pulse_alone(genomes, harmonics, omega)
+
+    @pytest.mark.parametrize("genome, harmonics, omega", [
+        ([math.nan, 0.2], (1, 3), 1.0),
+        ([1.0, math.inf], (1, 3), 1.0),
+        # The two terms of the action at t_peak cancel exactly.
+        ([1.0, 3.0], (1, 3), 1.0),
+        # Finite, but the action 1e308 / omega overflows.
+        ([1e308], (1,), 0.5),
+        # The action 1e-310 passes the zero test, pi/2 / 1e-310 overflows.
+        ([1e-310, 0.0], (1, 3), 1.0),
+    ], ids=["nan", "inf", "zero-action", "action-overflow", "scale-overflow"])
+    def test_unusable_genome_leaves_its_neighbours_alone(self, genome, harmonics, omega):
+        neighbour = [1.0, 0.2][:len(genome)]
+        genomes = np.array([neighbour, genome, neighbour])
+        usable = self.assert_normalized_like_each_pulse_alone(genomes, harmonics, omega)
+        assert usable.tolist() == [True, False, True]
+
+    @pytest.mark.parametrize("omega21", [0.0, lamb_shift()])
+    def test_builds_the_same_few_pulses_at_any_size(self, omega21, monkeypatch):
+        # Only the shared grid and the winner are pulse objects, however many
+        # candidates are scored.
+        built = []
+        post_init = HarmonicSum.__post_init__
+        monkeypatch.setattr(HarmonicSum, "__post_init__",
+                            lambda pulse: built.append(1) or post_init(pulse))
+        objective = ShapingObjective(p_cr=1e-4, omega=1.0,
+                                     atom=TwoLevelAtom(omega21=omega21, dipole_projection=-3.0))
+        assert ranks_on_model(objective)
+        counts = []
+        for population, generations in ((4, 1), (16, 40)):
+            built.clear()
+            run_optimizer(objective, OptimizerConfig(population_size=population,
+                                                     generations=generations, seed=11,
+                                                     n_harmonics=3))
+            counts.append(len(built))
+        assert counts[0] == counts[1] <= 3
 
     def test_generation_holds_about_five_arrays(self):
         # A generation of 15 new candidates on the 1000-step grid: the model
-        # holds at most five (15, 1001) float64 arrays at once; the rest is a
-        # fraction of one (ufunc buffers, the windows, the pulses).
+        # holds at most five (15, 1001) float64 arrays at once, fewer at
+        # omega21 = 0; the rest is a fraction of one (ufunc buffers, the
+        # windows, the winner's pulse).
         objective = ShapingObjective(p_cr=1e-4, omega=1.0, atom=DEGENERATE)
         times = grid_times(Cosine(chi=1.0, omega=1.0), IntegrationConfig(0.0, 2 * math.pi))
         rng = np.random.default_rng(5)
-        genomes = [np.array([1.0, 0.0, 0.0]) + 0.2 * rng.standard_normal(3) for _ in range(15)]
+        genomes = np.array([np.array([1.0, 0.0, 0.0]) + 0.2 * rng.standard_normal(3)
+                            for _ in range(15)])
 
-        def curves(batch):
-            return pulses._model_rows(batch, (1, 3, 5), 1.0, 0.0, times)
+        for omega21 in (0.0, 1e-3):
+            def p2_rows(rows):
+                return pulses._model_rows(rows, (1, 3, 5), 1.0, omega21, times)
 
-        def score():
-            return pulses._scores(genomes, (1, 3, 5), objective, math.pi / 2, curves)
+            def score():
+                return pulses._fitness(genomes, (1, 3, 5), objective, math.pi / 2, times,
+                                       p2_rows)
 
-        expected = score()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            scores = score()
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert scores == expected
-        assert all(width > 0.0 for width, _, _ in scores)
-        assert peak <= 6 * 15 * times.size * 8
+            expected = score()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                scores = score()
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert scores == expected
+            assert all(width > 0.0 for width, _ in scores)
+            assert peak <= 6 * 15 * times.size * 8
