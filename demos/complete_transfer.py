@@ -23,7 +23,7 @@ from twolevel import (
 )
 
 omega = 1.0
-atom = TwoLevelAtom(omega21=0.0, dipole_projection=-3.0)
+atom = TwoLevelAtom(omega21=0.0)
 pulse = Cosine(chi=0.5 * math.pi * omega, omega=omega)
 
 traj = integrate(atom, pulse, IntegrationConfig(0.0, 2 * 2 * math.pi / omega))

@@ -35,7 +35,7 @@ print(f"request: window t_s = {request.t_s} a.u. with leakage <= {request.p_cr}"
 print(f"designed omega = {omega:.6e} a.u.")
 
 # Verify on the exact dynamics in the degenerate limit.
-atom = TwoLevelAtom(omega21=0.0, dipole_projection=-3.0)
+atom = TwoLevelAtom(omega21=0.0)
 pulse = Cosine(chi=0.5 * math.pi * omega, omega=omega)
 traj = integrate(atom, pulse, IntegrationConfig(0.0, 2 * math.pi / omega))
 measured = populated_window(traj, request.p_cr)

@@ -29,7 +29,7 @@ print("deviation from the degenerate-limit curve near the first peak")
 print(f"{'omega/omega21':>14} {'measured':>12} {'series bound':>14}")
 results = {}
 for ratio in (1.0, 10.0, 100.0):
-    atom = TwoLevelAtom(omega21=omega / ratio, dipole_projection=-3.0)
+    atom = TwoLevelAtom(omega21=omega / ratio)
     pulse = Cosine(chi=0.5 * math.pi * omega, omega=omega)
     traj = integrate(atom, pulse, IntegrationConfig(0.0, 2 * math.pi / omega))
     dev = max_population_deviation(

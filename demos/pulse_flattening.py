@@ -26,7 +26,7 @@ from twolevel import (
 )
 
 omega, p_cr = 1.0, 1e-4
-atom = TwoLevelAtom(omega21=0.0, dipole_projection=-3.0)
+atom = TwoLevelAtom(omega21=0.0)
 t_peak = math.pi / (2 * omega)
 grid = IntegrationConfig(0.0, 2 * math.pi / omega)
 

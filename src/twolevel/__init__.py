@@ -31,7 +31,6 @@ from .core import (
 )
 from .analytic import (
     DesignRequest,
-    LeakageReport,
     degenerate_amplitudes,
     delta_pulse_populations,
     design_frequency,

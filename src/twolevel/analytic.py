@@ -29,7 +29,6 @@ from .core import AmplitudeState, PulseSpec, action, pulse_derivative
 
 __all__ = [
     "DesignRequest",
-    "LeakageReport",
     "ModelPopulations",
     "degenerate_amplitudes",
     "transfer_populations",
@@ -64,23 +63,6 @@ class DesignRequest:
             raise ValueError(f"t_s must be finite and > 0, got {self.t_s}")
         if not (0.0 < self.p_cr < 1.0):
             raise ValueError(f"p_cr must lie in (0, 1), got {self.p_cr}")
-
-
-@dataclass(frozen=True)
-class LeakageReport:
-    """Predicted (series bound) versus measured leakage at a probability peak."""
-
-    omega: float
-    omega21: float
-    predicted_leakage: float
-    measured_leakage: float
-    peak_time: float
-
-    def __post_init__(self) -> None:
-        if self.predicted_leakage < 0.0:
-            raise ValueError("predicted_leakage must be >= 0")
-        if not -1e-12 <= self.measured_leakage <= 1.0 + 1e-12:
-            raise ValueError(f"measured_leakage must lie in [0, 1], got {self.measured_leakage}")
 
 
 def degenerate_amplitudes(chi: float, omega: float, t: float) -> AmplitudeState:

@@ -42,6 +42,7 @@ from .core import (
     pulse_to_dict,
 )
 from .hydrogen import (
+    VALIDITY_MARGIN,
     dipole_2s2p,
     ev_to_hartree,
     field_for_transfer,
@@ -183,6 +184,12 @@ def _energy_in_au(value: float, use_ev: bool) -> float:
     return ev_to_hartree(value) if use_ev else value
 
 
+def _atom(args: argparse.Namespace) -> TwoLevelAtom:
+    """The atom of --omega21, or of the hydrogen Lamb shift when it is not given."""
+    omega21 = lamb_shift() if args.omega21 is None else _energy_in_au(args.omega21, args.ev)
+    return TwoLevelAtom(omega21=omega21)
+
+
 def _wavelength_in_m(value: float, args: argparse.Namespace) -> float:
     if args.um:
         return value * 1e-6
@@ -218,16 +225,15 @@ def _resolve_pulse(args: argparse.Namespace, omega21: float) -> PulseSpec:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    omega21 = _energy_in_au(args.omega21, args.ev) if args.omega21 is not None else lamb_shift()
     out_path = _out_path(args.out)
     # Every spec, grid and output path is checked before any integration.
-    atom = TwoLevelAtom(omega21=omega21, dipole_projection=dipole_2s2p())
+    atom = _atom(args)
     if args.sweep is not None:
         if args.error_estimate:
             raise ValueError("--error-estimate applies to a single run, not to --sweep")
-        jobs = _sweep_jobs(args, omega21, out_path)
+        jobs = _sweep_jobs(args, atom.omega21, out_path)
     else:
-        pulse = _resolve_pulse(args, omega21)
+        pulse = _resolve_pulse(args, atom.omega21)
         cfg = _grid_config(args, pulse)
         if args.error_estimate and 2 * step_count(pulse, cfg) > MAX_STEPS:
             raise ValueError(f"--error-estimate doubles the grid past {MAX_STEPS} steps")
@@ -318,12 +324,10 @@ def cmd_design(args: argparse.Namespace) -> int:
 # --- optimize ----------------------------------------------------------------
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    omega = _energy_in_au(args.omega, args.ev)
-    omega21 = _energy_in_au(args.omega21, args.ev) if args.omega21 is not None else lamb_shift()
     objective = ShapingObjective(
         p_cr=args.pcr,
-        omega=omega,
-        atom=TwoLevelAtom(omega21=omega21, dipole_projection=dipole_2s2p()),
+        omega=_energy_in_au(args.omega, args.ev),
+        atom=_atom(args),
         horizon=args.horizon,
     )
     config = OptimizerConfig(
@@ -381,7 +385,8 @@ def cmd_info(args: argparse.Namespace) -> int:
     print(f"  gap to next level (3p)  = {_fmt(gap)} a.u. = {_fmt(hartree_to_ev(gap))} eV")
     print(f"  dipole <2s|z|2p0>       = {_fmt(dipole)} a.u. (|d| = {abs(dipole):.6f})")
     print(f"  <2s|z|2s> (selection)   = {_fmt(z_matrix_element('2s', '2s'))} a.u.")
-    print(f"  valid drive window      = [{_fmt(10 * shift)}, {_fmt(gap / 10)}] a.u.")
+    print(f"  valid drive window      = [{_fmt(VALIDITY_MARGIN * shift)}, "
+          f"{_fmt(gap / VALIDITY_MARGIN)}] a.u.")
     for label, wavelength in (("3 um", 3e-6), ("3 cm", 3e-2)):
         regime = field_for_transfer(wavelength_to_omega(wavelength))
         print(f"  at {label}: E0 = {_fmt(regime.e0)} a.u., "

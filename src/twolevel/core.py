@@ -70,24 +70,25 @@ def _check_index(k) -> int:
 class TwoLevelAtom:
     """A pair of discrete levels with the energy zero fixed at the lower one.
 
+    In the dipole approximation the transition dipole enters only through
+    the Rabi frequency chi = d E0, which the pulse carries, so the splitting
+    alone describes the atom.  The hydrogen 2s-2p dipole lives in
+    :func:`twolevel.hydrogen.dipole_2s2p`, where ``field_for_transfer`` and
+    the ``info`` command read it.
+
     Parameters
     ----------
     omega21 : float
         Energy splitting of the two levels in Hartree, >= 0.  With the zero
         of energy at the lower level this is also the upper-level energy.
-    dipole_projection : float
-        Signed projection of the transition dipole onto the field
-        polarization direction, in Bohr radii.
     """
 
     omega21: float
-    dipole_projection: float
 
     def __post_init__(self) -> None:
         omega21 = _check_finite("omega21", self.omega21)
         if omega21 < 0.0:
             raise ValueError(f"omega21 must be >= 0, got {omega21}")
-        _check_finite("dipole_projection", self.dipole_projection)
 
 
 # --- pulse families -----------------------------------------------------------

@@ -26,6 +26,7 @@ __all__ = [
     "SPEED_OF_LIGHT_AU",
     "BOHR_RADIUS_M",
     "INTENSITY_AU_W_CM2",
+    "VALIDITY_MARGIN",
     "FieldRegime",
     "ValidityReport",
     "ev_to_hartree",
@@ -52,6 +53,10 @@ BOHR_RADIUS_M = 5.29177e-11
 #: Peak intensity in W/cm^2 of a field with amplitude E0 = 1 a.u.
 #: (peak-field convention I = E0^2 * I_au; a cycle average would halve it).
 INTENSITY_AU_W_CM2 = 3.50945e16
+
+#: Margin, as a factor, that a "valid" drive frequency keeps from both edges
+#: of the window omega21 << omega << omega_2s3p.
+VALIDITY_MARGIN = 10.0
 
 _LAMB_SHIFT_EV = 4.37e-6
 _GAP_2S3P_EV = 1.89
@@ -153,8 +158,12 @@ def dipole_2s2p(n_nodes: int = 64) -> float:
 
 
 def hydrogen_atom() -> TwoLevelAtom:
-    """The 2s-2p pair as a TwoLevelAtom: Lamb-shift splitting, quadrature dipole."""
-    return TwoLevelAtom(omega21=lamb_shift(), dipole_projection=dipole_2s2p())
+    """The 2s-2p pair as a TwoLevelAtom: the Lamb-shift splitting.
+
+    The dipole stays in :func:`dipole_2s2p`; only :func:`field_for_transfer`
+    and the ``info`` command read it.
+    """
+    return TwoLevelAtom(omega21=lamb_shift())
 
 
 @dataclass(frozen=True)
@@ -203,7 +212,6 @@ class ValidityReport:
 
     omega: float
     splitting_ratio: float  # omega21 / omega
-    gap_ratio: float  # omega / omega_2s3p
     leakage_bound: float
     verdict: str
 
@@ -211,16 +219,17 @@ class ValidityReport:
 def validity_report(omega: float) -> ValidityReport:
     """Classify a drive frequency against omega21 << omega << omega_2s3p.
 
-    "valid" requires a decade of margin on both sides (omega >= 10 omega21
-    and omega <= omega_2s3p / 10); frequencies inside the window but within
-    one decade of an edge are "marginal", and anything at or beyond an edge
-    is "invalid".  The leakage bound is the truncated-series peak estimate.
+    "valid" requires a margin of VALIDITY_MARGIN (a decade) on both sides
+    (omega >= 10 omega21 and omega <= omega_2s3p / 10); frequencies inside
+    the window but within that margin of an edge are "marginal", and
+    anything at or beyond an edge is "invalid".  The leakage bound is the
+    truncated-series peak estimate.
     """
     if not omega > 0.0:
         raise ValueError(f"omega must be > 0, got {omega}")
     omega21 = lamb_shift()
     gap = next_level_gap()
-    if 10.0 * omega21 <= omega <= gap / 10.0:
+    if VALIDITY_MARGIN * omega21 <= omega <= gap / VALIDITY_MARGIN:
         verdict = "valid"
     elif omega <= omega21 or omega >= gap:
         verdict = "invalid"
@@ -229,7 +238,6 @@ def validity_report(omega: float) -> ValidityReport:
     return ValidityReport(
         omega=omega,
         splitting_ratio=omega21 / omega,
-        gap_ratio=omega / gap,
         leakage_bound=leakage_at_peak(omega21, omega),
         verdict=verdict,
     )

@@ -149,8 +149,6 @@ class OptimizationResult:
     best_window: float
     measured_window: float
     history: tuple[float, ...]
-    objective: ShapingObjective
-    config: OptimizerConfig
 
 
 def normalize_for_transfer(pulse: PulseSpec, t_peak: float) -> PulseSpec:
@@ -405,8 +403,6 @@ def run_optimizer(objective: ShapingObjective, config: OptimizerConfig) -> Optim
         best_window=width,
         measured_window=measured,
         history=tuple(history),
-        objective=objective,
-        config=config,
     )
 
 

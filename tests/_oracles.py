@@ -396,6 +396,4 @@ def run_optimizer_reference(objective, config) -> OptimizationResult:
         best_window=winner[0],
         measured_window=measured,
         history=tuple(history),
-        objective=objective,
-        config=config,
     )

@@ -42,7 +42,7 @@ from twolevel.pulses import (
 
 from _oracles import central_derivative
 
-DEGENERATE = TwoLevelAtom(omega21=0.0, dipole_projection=-3.0)
+DEGENERATE = TwoLevelAtom(omega21=0.0)
 
 
 def check(criterion: str, ok: bool, detail: str) -> None:
@@ -57,7 +57,7 @@ def normalized_cosine(omega: float) -> Cosine:
 def deviation_near_peak(ratio: float) -> tuple[float, float]:
     """Max |P2 - analytic P2| over the half period centered on the peak."""
     omega = 1.0
-    atom = TwoLevelAtom(omega21=omega / ratio, dipole_projection=-3.0)
+    atom = TwoLevelAtom(omega21=omega / ratio)
     started = time.perf_counter()
     traj = integrate(atom, normalized_cosine(omega), IntegrationConfig(0.0, 2 * math.pi))
     elapsed = time.perf_counter() - started
@@ -119,7 +119,7 @@ def test_criterion_03_degenerate_oracle_and_convergence():
 
 def test_criterion_04_norm_conservation():
     omega = 1.0
-    atom = TwoLevelAtom(omega21=omega / 100.0, dipole_projection=-3.0)
+    atom = TwoLevelAtom(omega21=omega / 100.0)
     cfg = IntegrationConfig(0.0, 10 * 2 * math.pi)
     traj = integrate(atom, normalized_cosine(omega), cfg)
     drift = float(np.max(traj.norm_defect()))

@@ -10,7 +10,6 @@ from scipy.special import struve
 
 from twolevel.analytic import (
     DesignRequest,
-    LeakageReport,
     degenerate_amplitudes,
     delta_pulse_populations,
     design_frequency,
@@ -202,18 +201,6 @@ class TestLeakage:
         with pytest.raises(ValueError):
             leakage_at_peak(0.1, 0.0)
 
-    def test_report_validation(self):
-        with pytest.raises(ValueError):
-            LeakageReport(
-                omega=1.0, omega21=0.0, predicted_leakage=-1.0,
-                measured_leakage=0.0, peak_time=1.0,
-            )
-        with pytest.raises(ValueError):
-            LeakageReport(
-                omega=1.0, omega21=0.0, predicted_leakage=0.0,
-                measured_leakage=1.5, peak_time=1.0,
-            )
-
 
 class TestPopulationsFromAction:
     def test_half_pi_action_transfers_completely(self):
@@ -248,7 +235,7 @@ class TestPopulationsFromAction:
 
 def rk4_at(pulse, ratio: float, t_end: float):
     """RK4 at 20000 steps per period, omega21 = omega / ratio, from 0 to ``t_end``."""
-    atom = TwoLevelAtom(omega21=pulse.omega / ratio, dipole_projection=-3.0)
+    atom = TwoLevelAtom(omega21=pulse.omega / ratio)
     return integrate(atom, pulse, IntegrationConfig(0.0, t_end, steps_per_period=20000))
 
 

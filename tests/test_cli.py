@@ -12,6 +12,7 @@ import twolevel.cli
 import twolevel.integrator
 import twolevel.pulses
 from twolevel.core import TwoLevelAtom
+from twolevel.hydrogen import dipole_2s2p
 from twolevel.pulses import MAX_GENERATIONS, MAX_POPULATION, ShapingObjective, ranks_on_model
 
 CLI = [sys.executable, "-m", "twolevel.cli"]
@@ -403,7 +404,7 @@ class TestOptimize:
         # The draws overflow into non-finite genomes, which score as unusable.
         args = ["optimize", "--pcr", "1e-4", "--omega21", omega21,
                 "--mutation-scale", "1.7e308", "--out", "ga"]
-        atom = TwoLevelAtom(omega21=float(omega21), dipole_projection=-3.0)
+        atom = TwoLevelAtom(omega21=float(omega21))
         assert ranks_on_model(ShapingObjective(p_cr=1e-4, omega=1.0, atom=atom)) is on_model
         monkeypatch.chdir(tmp_path)
         with warnings.catch_warnings():
@@ -452,3 +453,19 @@ class TestInfo:
         gap_line = next(l for l in out.splitlines() if "3p" in l)
         ev_gap = float(gap_line.split("=")[2].replace("eV", "").strip())
         assert ev_gap == pytest.approx(1.89, rel=1e-9)
+
+
+class TestDipoleQuadrature:
+    def test_only_info_and_design_evaluate_the_dipole(self, tmp_path, monkeypatch, capsys):
+        """simulate and optimize never read the dipole; info and design share one solve."""
+        monkeypatch.chdir(tmp_path)
+        main = twolevel.cli.main
+        dipole_2s2p.cache_clear()
+        assert main(["simulate", "--ratio", "10", "--out", "one.csv"]) == 0
+        assert main(["simulate", "--sweep", "10,100", "--out", "s.csv"]) == 0
+        assert main(["optimize", "--omega21", "0", "--population", "6", "--generations", "2",
+                     "--pcr", "1e-4", "--out", "ga"]) == 0
+        assert dipole_2s2p.cache_info().misses == 0
+        assert main(["info"]) == 0
+        assert main(["design", "--ts", "50", "--pcr", "1e-4", "--verify"]) == 0
+        assert dipole_2s2p.cache_info().misses == 1

@@ -208,11 +208,7 @@ class TestValidation:
 
     def test_atom_rejects_negative_splitting(self):
         with pytest.raises(ValueError):
-            TwoLevelAtom(omega21=-1e-6, dipole_projection=3.0)
-
-    def test_atom_rejects_nonfinite_dipole(self):
-        with pytest.raises(ValueError):
-            TwoLevelAtom(omega21=0.0, dipole_projection=math.nan)
+            TwoLevelAtom(omega21=-1e-6)
 
 
 class TestTrajectory:

@@ -15,7 +15,7 @@ from twolevel.integrator import IntegrationConfig, integrate
 
 from _oracles import csv_reference
 
-ATOM = TwoLevelAtom(omega21=0.3, dipole_projection=-3.0)
+ATOM = TwoLevelAtom(omega21=0.3)
 
 PULSES = {
     "cosine": Cosine(chi=0.5 * math.pi, omega=1.0),

@@ -97,7 +97,6 @@ class TestDipole:
     def test_hydrogen_atom_bundle(self):
         atom = hydrogen_atom()
         assert atom.omega21 == lamb_shift()
-        assert atom.dipole_projection == dipole_2s2p()
 
 
 class TestConversions:

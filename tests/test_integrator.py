@@ -37,7 +37,7 @@ from twolevel.pulses import normalize_for_transfer
 
 from _oracles import populated_window_reference, rk4_reference
 
-DEGENERATE = TwoLevelAtom(omega21=0.0, dipole_projection=-3.0)
+DEGENERATE = TwoLevelAtom(omega21=0.0)
 
 
 def normalized_cosine(omega: float) -> Cosine:
@@ -99,7 +99,7 @@ class TestIntegrate:
         assert traj.times[-1] == 2 * math.pi
 
     def test_decoupled_when_chi_zero(self):
-        atom = TwoLevelAtom(omega21=0.35, dipole_projection=-3.0)
+        atom = TwoLevelAtom(omega21=0.35)
         cfg = IntegrationConfig(0.0, 10.0, step=0.01)
         traj = integrate(atom, Cosine(chi=0.0, omega=1.0), cfg)
         assert np.max(np.abs(traj.a1 - 1.0)) <= 1e-12
@@ -127,7 +127,7 @@ class TestIntegrate:
 
     def test_stationary_state_phase_evolution(self):
         omega21 = 0.7
-        atom = TwoLevelAtom(omega21=omega21, dipole_projection=-3.0)
+        atom = TwoLevelAtom(omega21=omega21)
         cfg = IntegrationConfig(
             0.0, 20.0, initial=AmplitudeState(0.0 + 0.0j, 1.0j), step=0.01
         )
@@ -138,7 +138,7 @@ class TestIntegrate:
 
     def test_norm_conservation_ten_periods(self):
         omega = 1.0
-        atom = TwoLevelAtom(omega21=omega / 100.0, dipole_projection=-3.0)
+        atom = TwoLevelAtom(omega21=omega / 100.0)
         cfg = IntegrationConfig(0.0, 10 * 2 * math.pi / omega)
         traj = integrate(atom, normalized_cosine(omega), cfg)
         assert np.max(traj.norm_defect()) <= 1e-10
@@ -238,7 +238,7 @@ class TestKernelMatchesScalarLoop:
         "n", [1, 2, 3, 15, 16, 17, 4095, 4096, 4097, 8193, 25000]
     )
     def test_cosine(self, n, omega21):
-        atom = TwoLevelAtom(omega21=omega21, dipole_projection=-3.0)
+        atom = TwoLevelAtom(omega21=omega21)
         cfg = IntegrationConfig(0.0, n * self.H, step=self.H)
         pulse = normalized_cosine(1.0)
         assert step_count(pulse, cfg) == n
@@ -248,7 +248,7 @@ class TestKernelMatchesScalarLoop:
         assert max_amplitude_difference(traj, ref) <= 1e-12
 
     def test_non_default_initial_state(self):
-        atom = TwoLevelAtom(omega21=0.7, dipole_projection=-3.0)
+        atom = TwoLevelAtom(omega21=0.7)
         initial = AmplitudeState(0.6 + 0.0j, 0.8j)
         cfg = IntegrationConfig(0.0, 4097 * self.H, initial=initial, step=self.H)
         traj = integrate(atom, normalized_cosine(1.0), cfg)
@@ -260,7 +260,7 @@ class TestKernelMatchesScalarLoop:
     def test_gaussian_pulse(self):
         pulse = GaussianApprox(area=math.pi / 2, center=5.0, width=0.3)
         cfg = IntegrationConfig(0.0, 10.0, step=1e-3)
-        atom = TwoLevelAtom(omega21=0.01, dipole_projection=-3.0)
+        atom = TwoLevelAtom(omega21=0.01)
         traj = integrate(atom, pulse, cfg)
         assert max_amplitude_difference(traj, rk4_reference(atom, pulse, cfg)) <= 1e-12
 
@@ -333,7 +333,7 @@ def test_measured_fourth_order_convergence(case):
     16 (255/256) / (15/16) = 17.0 instead of 16.
     """
     pulse, span, omega21, v_max = case
-    atom = TwoLevelAtom(omega21=omega21, dipole_projection=-3.0)
+    atom = TwoLevelAtom(omega21=omega21)
     # max |V| h = 0.03 on the coarsest grid: fine enough for the h^4 term to
     # dominate, coarse enough to keep the finest error (about 1e-12) far
     # above rounding.
@@ -413,7 +413,7 @@ class TestFiniteSplittingDeviations:
     @staticmethod
     def deviation_near_peak(ratio: float) -> float:
         omega = 1.0
-        atom = TwoLevelAtom(omega21=omega / ratio, dipole_projection=-3.0)
+        atom = TwoLevelAtom(omega21=omega / ratio)
         cfg = IntegrationConfig(0.0, 2 * math.pi / omega)
         traj = integrate(atom, normalized_cosine(omega), cfg)
         t0 = math.pi / (2 * omega)

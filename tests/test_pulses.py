@@ -42,7 +42,7 @@ from _oracles import (
     run_optimizer_reference,
 )
 
-DEGENERATE = TwoLevelAtom(omega21=0.0, dipole_projection=-3.0)
+DEGENERATE = TwoLevelAtom(omega21=0.0)
 
 
 def cosine_baseline_window(omega: float, p_cr: float) -> float:
@@ -231,7 +231,7 @@ class TestOptimizer:
         # and integrates only the winner; otherwise every candidate is integrated.
         calls = []
         monkeypatch.setattr(pulses, "integrate", lambda *a: calls.append(a) or integrate(*a))
-        atom = TwoLevelAtom(omega21=1.0 / ratio, dipole_projection=-3.0)
+        atom = TwoLevelAtom(omega21=1.0 / ratio)
         objective = ShapingObjective(p_cr=p_cr, omega=1.0, atom=atom, horizon=horizon)
         assert ranks_on_model(objective) == model
         config = OptimizerConfig(population_size=4, generations=1, seed=2, n_harmonics=2)
@@ -251,7 +251,7 @@ class TestOptimizer:
         # Ranked on the model, these runs picked winners that measured 0.38,
         # 0.39, 0.40 and 0.40 on RK4; ranked on RK4 they keep the windows the
         # all-RK4 search found.
-        atom = TwoLevelAtom(omega21=1.0 / ratio, dipole_projection=-3.0)
+        atom = TwoLevelAtom(omega21=1.0 / ratio)
         objective = ShapingObjective(p_cr=p_cr, omega=1.0, atom=atom)
         config = OptimizerConfig(n_harmonics=n_harmonics, generations=generations, seed=seed)
         result = run_optimizer(objective, config)
@@ -263,7 +263,7 @@ class TestOptimizer:
         # max|V| h of about 4.5 on the 1000-step grid.  RK4's states stay
         # finite but its norm grows past 1e200, and its P2 reads above
         # 1 - p_cr over the whole period.
-        atom = TwoLevelAtom(omega21=0.01, dipole_projection=-3.0)
+        atom = TwoLevelAtom(omega21=0.01)
         objective = ShapingObjective(p_cr=1e-3, omega=1.0, atom=atom)
         grid = IntegrationConfig(0.0, 2 * math.pi)
         genome = np.array([178.7, 540.8])
@@ -286,7 +286,7 @@ class TestOptimizer:
         # model populations are inf or nan; each scores 0 and the search ends
         # in the usual error.
         monkeypatch.setattr(pulses, "ranks_on_model", lambda objective: True)
-        atom = TwoLevelAtom(omega21=1e300, dipole_projection=-3.0)
+        atom = TwoLevelAtom(omega21=1e300)
         objective = ShapingObjective(p_cr=1e-4, omega=1.0, atom=atom)
         config = OptimizerConfig(population_size=4, generations=1, seed=1, n_harmonics=2)
         with warnings.catch_warnings():
@@ -312,7 +312,7 @@ class TestOptimizer:
     def test_unreachable_budget_signaled(self):
         # A splitting as large as the drive frequency leaks far more than
         # p_cr = 1e-8, so no candidate can reach the threshold.
-        atom = TwoLevelAtom(omega21=1.0, dipole_projection=-3.0)
+        atom = TwoLevelAtom(omega21=1.0)
         objective = ShapingObjective(p_cr=1e-8, omega=1.0, atom=atom, horizon=1.0)
         config = OptimizerConfig(
             population_size=4, generations=1, mutation_scale=0.1, seed=1, n_harmonics=2
@@ -338,7 +338,7 @@ class TestGenerationInOneArrayPass:
     def test_matches_one_candidate_at_a_time(self, seed, n_harmonics, population,
                                              generations, p_cr, omega21):
         objective = ShapingObjective(p_cr=p_cr, omega=1.0,
-                                     atom=TwoLevelAtom(omega21=omega21, dipole_projection=-3.0))
+                                     atom=TwoLevelAtom(omega21=omega21))
         config = OptimizerConfig(population_size=population, generations=generations,
                                  seed=seed, n_harmonics=n_harmonics)
 
@@ -427,7 +427,7 @@ class TestGenerationInOneArrayPass:
         monkeypatch.setattr(HarmonicSum, "__post_init__",
                             lambda pulse: built.append(1) or post_init(pulse))
         objective = ShapingObjective(p_cr=1e-4, omega=1.0,
-                                     atom=TwoLevelAtom(omega21=omega21, dipole_projection=-3.0))
+                                     atom=TwoLevelAtom(omega21=omega21))
         assert ranks_on_model(objective)
         counts = []
         for population, generations in ((4, 1), (16, 40)):
