@@ -3,12 +3,14 @@
 The 2s-2p splitting is 4.37e-6 eV while the next level (3p) is 1.89 eV away:
 more than five decades of drive frequency satisfy
 omega21 << omega << omega_2s3p, where the degenerate-limit solution and the
-two-state truncation both hold.  The transition dipole, computed here from
-the explicit orbitals by quadrature, converts the complete-transfer condition
+two-state truncation both hold.  The transition dipole, integrated exactly
+from the explicit orbitals, converts the complete-transfer condition
 chi = (pi/2) omega into laboratory field strengths.
 
 Run:  python demos/hydrogen_numbers.py
 """
+import math
+
 from twolevel import (
     dipole_2s2p,
     field_for_transfer,
@@ -25,10 +27,17 @@ print(f"  gap to 3p       : {next_level_gap():.4e} a.u. = "
 print(f"  ratio           : {next_level_gap() / lamb_shift():.3e}")
 
 print()
-print("dipole matrix element by Gauss-Laguerre quadrature")
-for n in (8, 16, 64):
-    print(f"  {n:>3} radial nodes: <2s|z|2p0> = {dipole_2s2p(n_nodes=n):+.12f} a.u.")
-print(f"  selection-rule check <2s|z|2s> = {z_matrix_element('2s', '2s'):+.2e} a.u.")
+# R20 = (2 - r) e^(-r/2) / (2 sqrt 2) and R21 = r e^(-r/2) / (2 sqrt 6), so
+# integral R20 R21 r^3 dr = (2 * 4! - 5!) / (8 sqrt 3), since
+# integral r^k e^(-r) dr = k!; and 2 pi integral Y00 cos(theta) Y10 = 1/sqrt 3.
+radial = (2 * math.factorial(4) - math.factorial(5)) / (8.0 * math.sqrt(3.0))
+angular = 1.0 / math.sqrt(3.0)
+print("dipole matrix element, integrated exactly")
+print(f"  radial factor   = -3 sqrt 3 = {radial:+.15f}")
+print(f"  angular factor  =  1/sqrt 3 = {angular:+.15f}")
+print(f"  product         = {radial * angular:+.15f} a.u.")
+print(f"  <2s|z|2p0>      = {dipole_2s2p():+.15f} a.u.")
+print(f"  selection rule  <2s|z|2s> = {z_matrix_element('2s', '2s')} a.u. (exactly, by parity)")
 
 print()
 print("field regimes for complete transfer (chi/omega = pi/2)")

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import AmplitudeState, PulseSpec, action, pulse_derivative
+from .core import AmplitudeState, PulseSpec, _check_order, action, pulse_derivative
 
 __all__ = [
     "DesignRequest",
@@ -285,7 +285,7 @@ def nth_derivative_p2(pulse: PulseSpec, t: float, n: int) -> float:
     with m = i + j + ... + k and A^(r) = V21^(r-1).  The partition count is
     at most 42 for n = 10, so exhaustive enumeration is cheap.
     """
-    n = int(n)
+    n = _check_order(n)
     if not 1 <= n <= MAX_DERIVATIVE_ORDER:
         raise ValueError(f"derivative order must lie in 1..{MAX_DERIVATIVE_ORDER}, got {n}")
     y = float(action(pulse, t))

@@ -425,8 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--sweep", default=None,
                      help="comma-separated omega/omega21 ratios; one CSV per ratio")
     sim.add_argument("--ev", action="store_true", help="energy inputs are in eV")
-    sim.add_argument("--um", action="store_true", help="--wavelength is in micrometers")
-    sim.add_argument("--cm", action="store_true", help="--wavelength is in centimeters")
+    unit = sim.add_mutually_exclusive_group()
+    unit.add_argument("--um", action="store_true", help="--wavelength is in micrometers")
+    unit.add_argument("--cm", action="store_true", help="--wavelength is in centimeters")
     sim.add_argument("--out", default="trajectory.csv", help="output CSV path")
     sim.set_defaults(func=cmd_simulate)
 

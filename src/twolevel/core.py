@@ -103,8 +103,12 @@ def _check_omega(omega: float) -> float:
     return omega
 
 
-def _check_order(order: int) -> int:
-    order = int(order)
+def _check_order(order) -> int:
+    """A derivative order as an int; ValueError unless it is an integer >= 0."""
+    number = _check_finite("derivative order", order)
+    if isinstance(order, bool) or not number.is_integer():
+        raise ValueError(f"derivative order must be an integer, got {order!r}")
+    order = int(number)
     if order < 0:
         raise ValueError(f"derivative order must be >= 0, got {order}")
     return order

@@ -5,18 +5,16 @@ splitting (the Lamb shift, 4.37e-6 eV) is tiny against the 1.89 eV gap to the
 next level (3p), which leaves several decades of drive frequency where both
 the degenerate-level approximation and the two-state truncation hold.
 
-The transition dipole is computed from the explicit Z = 1, infinite-mass
-orbitals by Gauss-Laguerre radial quadrature times a Gauss-Legendre angular
-factor rather than hard-coding the textbook value; the diagonal element
-vanishing under the same quadrature doubles as a selection-rule check.
+The transition dipole is integrated exactly from the explicit Z = 1,
+infinite-mass orbitals rather than hard-coding the textbook value: the
+radial integrand is a polynomial times e^(-r), which integrates to
+factorials, and the angular one is a polynomial in cos(theta).  The diagonal
+element, exactly 0 by parity, doubles as a selection-rule check.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
 
 from .analytic import leakage_at_peak
 from .core import TwoLevelAtom
@@ -60,10 +58,6 @@ VALIDITY_MARGIN = 10.0
 
 _LAMB_SHIFT_EV = 4.37e-6
 _GAP_2S3P_EV = 1.89
-
-# Past ~180 nodes the largest Laguerre abscissa exceeds 600 and the
-# exp(x) weight correction overflows double precision.
-_MAX_LAGUERRE_NODES = 180
 
 
 def ev_to_hartree(energy_ev: float) -> float:
@@ -111,50 +105,38 @@ def next_level_gap() -> float:
 
 # --- orbitals and the dipole matrix element ---------------------------------
 
-def _radial_2s(r):
-    """R_20(r) for Z = 1, infinite nuclear mass."""
-    return (2.0 - r) * np.exp(-0.5 * r) / (2.0 * math.sqrt(2.0))
+# Each m = 0 orbital (Z = 1, infinite nuclear mass) as the coefficients c_i of
+# its radial polynomial, its normalization and l:
+# R(r) = norm * sum(c_i r^i) * e^(-r/2).
+_ORBITALS = {
+    "2s": ((2, -1), 1.0 / (2.0 * math.sqrt(2.0)), 0),
+    "2p": ((0, 1), 1.0 / (2.0 * math.sqrt(6.0)), 1),
+}
 
 
-def _radial_2p(r):
-    """R_21(r) for Z = 1, infinite nuclear mass."""
-    return r * np.exp(-0.5 * r) / (2.0 * math.sqrt(6.0))
+def z_matrix_element(bra: str, ket: str) -> float:
+    """<bra| z |ket> for the 2s/2p (m = 0) orbitals, integrated exactly.
 
-
-_RADIAL = {"2s": _radial_2s, "2p": _radial_2p}
-
-
-def _angular_m0(label: str, x):
-    """Y_l0 as a function of x = cos(theta): l = 0 for s, l = 1 for p."""
-    if label == "2s":
-        return np.full_like(np.asarray(x, dtype=float), 1.0 / math.sqrt(4.0 * math.pi))
-    if label == "2p":
-        return math.sqrt(3.0 / (4.0 * math.pi)) * np.asarray(x, dtype=float)
-    raise ValueError(f"unknown orbital label {label!r}")
-
-
-def z_matrix_element(bra: str, ket: str, n_nodes: int = 64) -> float:
-    """<bra| z |ket> for the 2s/2p (m = 0) orbitals, by numerical quadrature.
-
-    The radial factor integral R_a(r) R_b(r) r^3 dr uses Gauss-Laguerre nodes
-    with the e^(-r) weight restored explicitly; the angular factor
-    2 pi * integral Y_a(x) x Y_b(x) dx uses Gauss-Legendre on x = cos(theta).
+    The radial factor, the integral of R_a(r) R_b(r) r^3 dr, is a polynomial
+    times e^(-r), and the integral of r^k e^(-r) dr is k!, so it equals
+    norm_a norm_b sum c_i c_j (i + j + 3)!.  The angular factor
+    2 pi * integral Y_a(x) x Y_b(x) dx over x = cos(theta) is
+    sqrt(3)^l / (l + 2) for odd l = l_a + l_b and exactly 0 for even l.
     """
-    if bra not in _RADIAL or ket not in _RADIAL:
+    if bra not in _ORBITALS or ket not in _ORBITALS:
         raise ValueError(f"orbital labels must be '2s' or '2p', got {bra!r}, {ket!r}")
-    if not 2 <= n_nodes <= _MAX_LAGUERRE_NODES:
-        raise ValueError(f"n_nodes must lie in 2..{_MAX_LAGUERRE_NODES}, got {n_nodes}")
-    r, w = np.polynomial.laguerre.laggauss(n_nodes)
-    radial = float(np.sum(w * np.exp(r) * _RADIAL[bra](r) * _RADIAL[ket](r) * r**3))
-    x, wx = np.polynomial.legendre.leggauss(32)
-    angular = 2.0 * math.pi * float(np.sum(wx * _angular_m0(bra, x) * x * _angular_m0(ket, x)))
-    return radial * angular
+    (coeffs_a, norm_a, l_a), (coeffs_b, norm_b, l_b) = _ORBITALS[bra], _ORBITALS[ket]
+    l = l_a + l_b
+    if l % 2 == 0:
+        return 0.0
+    moments = sum(a * b * math.factorial(i + j + 3)
+                  for i, a in enumerate(coeffs_a) for j, b in enumerate(coeffs_b))
+    return norm_a * norm_b * moments * math.sqrt(3.0) ** l / (l + 2)
 
 
-@lru_cache(maxsize=None)
-def dipole_2s2p(n_nodes: int = 64) -> float:
+def dipole_2s2p() -> float:
     """Signed transition dipole <2s| z |2p0> in Bohr radii (magnitude 3)."""
-    return z_matrix_element("2s", "2p", n_nodes=n_nodes)
+    return z_matrix_element("2s", "2p")
 
 
 def hydrogen_atom() -> TwoLevelAtom:
@@ -194,10 +176,7 @@ def field_for_transfer(omega: float) -> FieldRegime:
     """
     if not omega > 0.0:
         raise ValueError(f"omega must be > 0, got {omega}")
-    dipole = dipole_2s2p()
-    if dipole == 0.0:
-        raise ValueError("dipole projection is zero; cannot derive a field amplitude")
-    e0 = 0.5 * math.pi * omega / abs(dipole)
+    e0 = 0.5 * math.pi * omega / abs(dipole_2s2p())
     return FieldRegime(
         omega=omega,
         wavelength_m=omega_to_wavelength(omega),
@@ -210,7 +189,6 @@ def field_for_transfer(omega: float) -> FieldRegime:
 class ValidityReport:
     """Where a drive frequency sits relative to the two-state model's window."""
 
-    omega: float
     splitting_ratio: float  # omega21 / omega
     leakage_bound: float
     verdict: str
@@ -236,7 +214,6 @@ def validity_report(omega: float) -> ValidityReport:
     else:
         verdict = "marginal"
     return ValidityReport(
-        omega=omega,
         splitting_ratio=omega21 / omega,
         leakage_bound=leakage_at_peak(omega21, omega),
         verdict=verdict,

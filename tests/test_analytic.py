@@ -378,6 +378,11 @@ class TestNthDerivative:
         with pytest.raises(ValueError):
             nth_derivative_p2(pulse, 0.0, 11)
 
+    @pytest.mark.parametrize("n", [2.5, 1.9, True, float("inf")])
+    def test_non_integral_order_rejected(self, n):
+        with pytest.raises(ValueError):
+            nth_derivative_p2(Cosine(chi=1.0, omega=1.0), 0.0, n)
+
 
 class TestDeltaPulse:
     def test_before(self):

@@ -9,6 +9,7 @@ import warnings
 import pytest
 
 import twolevel.cli
+import twolevel.hydrogen
 import twolevel.integrator
 import twolevel.pulses
 from twolevel.core import TwoLevelAtom
@@ -141,9 +142,11 @@ class TestSimulate:
             ["--ratio", "10", "--step", "1e-320"],
             ["--ratio", "10", "--periods", "1e12"],
             ["--ratio", "10", "--step", "1e9"],
+            ["--wavelength", "3", "--um", "--cm", "--omega21", "0"],
             *(["--pulse-json", f"{name}.json"] for name in MALFORMED_PULSES),
         ],
         ids=["ratio-nan", "sweep-nan", "tiny-step", "huge-periods", "step-over-span",
+             "um-and-cm",
              *(f"pulse-{name}" for name in MALFORMED_PULSES)],
     )
     def test_invalid_grid_or_pulse_is_usage_error(self, tmp_path, args):
@@ -457,15 +460,24 @@ class TestInfo:
 
 class TestDipoleQuadrature:
     def test_only_info_and_design_evaluate_the_dipole(self, tmp_path, monkeypatch, capsys):
-        """simulate and optimize never read the dipole; info and design share one solve."""
+        """simulate and optimize never read the dipole; info and design do."""
+        calls = []
+
+        def counting_dipole():
+            calls.append(1)
+            return dipole_2s2p()
+
+        monkeypatch.setattr(twolevel.hydrogen, "dipole_2s2p", counting_dipole)
+        monkeypatch.setattr(twolevel.cli, "dipole_2s2p", counting_dipole)
         monkeypatch.chdir(tmp_path)
         main = twolevel.cli.main
-        dipole_2s2p.cache_clear()
         assert main(["simulate", "--ratio", "10", "--out", "one.csv"]) == 0
         assert main(["simulate", "--sweep", "10,100", "--out", "s.csv"]) == 0
         assert main(["optimize", "--omega21", "0", "--population", "6", "--generations", "2",
                      "--pcr", "1e-4", "--out", "ga"]) == 0
-        assert dipole_2s2p.cache_info().misses == 0
+        assert len(calls) == 0
         assert main(["info"]) == 0
+        after_info = len(calls)
+        assert after_info >= 1
         assert main(["design", "--ts", "50", "--pcr", "1e-4", "--verify"]) == 0
-        assert dipole_2s2p.cache_info().misses == 1
+        assert len(calls) > after_info

@@ -125,6 +125,18 @@ class TestPulseDerivative:
         with pytest.raises(ValueError):
             pulse_derivative(Cosine(chi=1.0, omega=1.0), 0.0, -1)
 
+    @pytest.mark.parametrize(
+        "pulse", [Cosine(chi=1.0, omega=1.0), GaussianApprox(area=1.0, center=0.0, width=1.0)]
+    )
+    @pytest.mark.parametrize("order", [1.9, 2.5, True, float("nan")])
+    def test_non_integral_order_rejected(self, pulse, order):
+        with pytest.raises(ValueError):
+            pulse_derivative(pulse, 0.3, order)
+
+    def test_integral_float_order_accepted(self):
+        pulse = Cosine(chi=1.0, omega=1.0)
+        assert pulse_derivative(pulse, 0.3, 2.0) == pulse_derivative(pulse, 0.3, 2)
+
 
 class TestPulseProtocol:
     def test_cosine_is_one_term_harmonic_sum(self):

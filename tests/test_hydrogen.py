@@ -1,7 +1,7 @@
-"""Hydrogen numbers: dipole quadrature, unit conversions, field regimes."""
+"""Hydrogen numbers: the exact dipole against a quadrature oracle, unit
+conversions, field regimes."""
 import math
 
-import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -73,26 +73,19 @@ class TestDipole:
     def test_matches_adaptive_quadrature_oracle(self):
         assert dipole_2s2p() == pytest.approx(oracle_dipole(), abs=1e-9)
 
-    def test_doubling_nodes_is_converged(self):
-        assert abs(dipole_2s2p(n_nodes=128) - dipole_2s2p(n_nodes=64)) < 1e-10
-
-    def test_converged_plateau_past_64_nodes(self):
-        # Gauss-Laguerre integrates the 2s-2p integrand exactly from three
-        # nodes on, so beyond 64 nodes the quadrature sits on a rounding-noise
-        # plateau far below the 1e-6 accuracy contract; no further node count
-        # moves the value by more than 1e-10.
-        values = [dipole_2s2p(n_nodes=n) for n in (64, 96, 128)]
-        assert all(abs(abs(v) - 3.0) <= 1e-10 for v in values)
-        assert max(values) - min(values) <= 1e-10
+    def test_exact_to_the_last_digit(self):
+        assert abs(dipole_2s2p() + 3.0) <= 1e-15
 
     def test_diagonal_element_vanishes(self):
-        assert abs(z_matrix_element("2s", "2s")) <= 1e-12
+        assert z_matrix_element("2s", "2s") == 0.0
+        assert z_matrix_element("2p", "2p") == 0.0
 
-    def test_node_count_limits(self):
+    def test_symmetric_in_bra_and_ket(self):
+        assert z_matrix_element("2p", "2s") == z_matrix_element("2s", "2p")
+
+    def test_unknown_label_rejected(self):
         with pytest.raises(ValueError):
-            z_matrix_element("2s", "2p", n_nodes=1)
-        with pytest.raises(ValueError):
-            z_matrix_element("2s", "2p", n_nodes=4096)
+            z_matrix_element("2s", "3p")
 
     def test_hydrogen_atom_bundle(self):
         atom = hydrogen_atom()
