@@ -22,11 +22,7 @@ from .core import (
     Trajectory,
     TwoLevelAtom,
     action,
-    probabilities,
     pulse_from_dict,
-    pulse_from_json,
-    pulse_to_dict,
-    pulse_to_json,
     pulse_value,
 )
 from .analytic import (
@@ -47,7 +43,6 @@ from .integrator import (
     IntegrationError,
     integrate,
     max_population_deviation,
-    natural_period,
     populated_window,
     populated_windows,
     step_halving_error,
@@ -58,7 +53,6 @@ from .pulses import (
     ShapingObjective,
     flatness_order,
     normalize_for_transfer,
-    optimize_pulse,
     run_optimizer,
     second_derivative_nulled_pulse,
 )

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import AmplitudeState, PulseSpec, _check_order, action, pulse_derivative
+from .core import AmplitudeState, PulseSpec, _check_order, action
 
 __all__ = [
     "DesignRequest",
@@ -290,7 +290,7 @@ def nth_derivative_p2(pulse: PulseSpec, t: float, n: int) -> float:
         raise ValueError(f"derivative order must lie in 1..{MAX_DERIVATIVE_ORDER}, got {n}")
     y = float(action(pulse, t))
     # y^(r) = V21^(r-1); index r-1 in this list.
-    y_derivs = [float(pulse_derivative(pulse, t, r - 1)) for r in range(1, n + 1)]
+    y_derivs = [float(pulse.derivative(t, r - 1)) for r in range(1, n + 1)]
     n_fact = math.factorial(n)
     total = 0.0
     for mult in _partition_multiplicities(n):

@@ -39,7 +39,6 @@ from .core import (
     Trajectory,
     TwoLevelAtom,
     pulse_from_dict,
-    pulse_to_dict,
 )
 from .hydrogen import (
     VALIDITY_MARGIN,
@@ -60,7 +59,6 @@ from .integrator import (
     IntegrationError,
     check_norm,
     integrate,
-    natural_period,
     populated_window,
     step_count,
     step_halving_error,
@@ -280,7 +278,7 @@ def _sweep_jobs(args: argparse.Namespace, omega21: float,
 
 def _grid_config(args: argparse.Namespace, pulse: PulseSpec) -> IntegrationConfig:
     """The --start/--periods/--step grid; ValueError if invalid or over MAX_STEPS."""
-    t_end = args.start + args.periods * natural_period(pulse)
+    t_end = args.start + args.periods * pulse.period
     config = IntegrationConfig(args.start, t_end, step=args.step,
                                steps_per_period=args.steps_per_period)
     step_count(pulse, config)
@@ -293,7 +291,7 @@ def cmd_design(args: argparse.Namespace) -> int:
     request = DesignRequest(t_s=args.ts, p_cr=args.pcr)
     omega = design_frequency(request)
     pulse = Cosine(chi=0.5 * math.pi * omega, omega=omega)
-    period = natural_period(pulse)
+    period = pulse.period
     cfg = IntegrationConfig(0.0, period, steps_per_period=args.steps_per_period)
     step_count(pulse, cfg)
     regime = field_for_transfer(omega)
@@ -345,7 +343,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
     result = run_optimizer(objective, config)
     summary = {
-        "best_pulse": pulse_to_dict(result.best_pulse),
+        "best_pulse": result.best_pulse.to_dict(),
         "achieved_T_s": result.best_window,
         "measured_T_s": result.measured_window,
         "fitness_history": list(result.history),

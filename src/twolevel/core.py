@@ -13,7 +13,6 @@ population observable.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -29,14 +28,9 @@ __all__ = [
     "AmplitudeState",
     "Trajectory",
     "pulse_value",
-    "pulse_derivative",
     "action",
     "odd_harmonic_action",
-    "probabilities",
-    "pulse_to_dict",
     "pulse_from_dict",
-    "pulse_to_json",
-    "pulse_from_json",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -293,14 +287,10 @@ class GaussianApprox:
 PulseSpec = Union[Cosine, HarmonicSum, GaussianApprox]
 
 
+# Module-level spellings of value and action: perfbench/tracer.py wraps them.
 def pulse_value(pulse: PulseSpec, t):
     """Coupling matrix element V21 at time ``t`` (scalar or array)."""
     return pulse.value(t)
-
-
-def pulse_derivative(pulse: PulseSpec, t: float, order: int) -> float:
-    """``order``-th time derivative of V21 at ``t``; order 0 is V21 itself."""
-    return pulse.derivative(t, order)
 
 
 def action(pulse: PulseSpec, t):
@@ -320,15 +310,11 @@ class AmplitudeState:
     a1: complex
     a2: complex
 
+    # The unit-norm check of the closed-form degenerate_amplitudes reads it.
     @property
     def norm_defect(self) -> float:
         """Absolute deviation of |a1|^2 + |a2|^2 from one."""
         return abs(abs(self.a1) ** 2 + abs(self.a2) ** 2 - 1.0)
-
-
-def probabilities(state: AmplitudeState) -> tuple[float, float]:
-    """Occupation probabilities (P1, P2) = (|a1|^2, |a2|^2)."""
-    return abs(state.a1) ** 2, abs(state.a2) ** 2
 
 
 @dataclass(frozen=True)
@@ -370,13 +356,6 @@ class Trajectory:
     def p2(self) -> np.ndarray:
         return np.abs(self.a2) ** 2
 
-    def state(self, i: int) -> AmplitudeState:
-        return AmplitudeState(complex(self.a1[i]), complex(self.a2[i]))
-
-    @property
-    def states(self) -> list[AmplitudeState]:
-        return [self.state(i) for i in range(len(self))]
-
     def norm_defect(self) -> np.ndarray:
         """|a1|^2 + |a2|^2 - 1 at every grid point (integrator diagnostic)."""
         return np.abs(self.p1 + self.p2 - 1.0)
@@ -384,17 +363,13 @@ class Trajectory:
 
 # --- JSON wire format -------------------------------------------------------
 #
-# Tagged by a "type" field: "cosine" | "harmonic_sum" | "gaussian".  Complex
-# numbers never appear in the pulse schema; trajectory output keeps real and
-# imaginary parts in separate columns.
-
-def pulse_to_dict(pulse: PulseSpec) -> dict:
-    """Serialize a pulse to its tagged-dict wire form."""
-    return pulse.to_dict()
-
+# Tagged by a "type" field: "cosine" | "harmonic_sum" | "gaussian".  A pulse
+# serializes with its own to_dict().  Complex numbers never appear in the
+# pulse schema; trajectory output keeps real and imaginary parts in separate
+# columns.  pulse_from_dict is the one parser of outside input (--pulse-json).
 
 def pulse_from_dict(data: dict) -> PulseSpec:
-    """Inverse of :func:`pulse_to_dict`; raises ValueError on malformed input."""
+    """Inverse of ``pulse.to_dict()``; raises ValueError on malformed input."""
     try:
         tag = data["type"]
     except (TypeError, KeyError):
@@ -410,10 +385,3 @@ def pulse_from_dict(data: dict) -> PulseSpec:
         raise ValueError(f"malformed {tag!r} pulse dict: {exc}") from None
     raise ValueError(f"unknown pulse type {tag!r}")
 
-
-def pulse_to_json(pulse: PulseSpec) -> str:
-    return json.dumps(pulse_to_dict(pulse), sort_keys=True)
-
-
-def pulse_from_json(text: str) -> PulseSpec:
-    return pulse_from_dict(json.loads(text))

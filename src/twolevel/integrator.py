@@ -33,7 +33,6 @@ __all__ = [
     "IntegrationConfig",
     "MAX_STEPS",
     "MAX_NORM_DEFECT",
-    "natural_period",
     "step_count",
     "grid_times",
     "integrate",
@@ -73,7 +72,7 @@ class IntegrationConfig:
     """Grid and initial condition for :func:`integrate`.
 
     Either give an explicit ``step`` or let the grid derive from
-    ``steps_per_period`` and the pulse's natural period (field period for
+    ``steps_per_period`` and the pulse's ``period`` (field period for
     harmonic pulses, width for the Gaussian).  The span is always divided
     into a whole number of equal steps.
     """
@@ -97,11 +96,6 @@ class IntegrationConfig:
             raise ValueError(f"steps_per_period must be >= 100, got {self.steps_per_period}")
 
 
-def natural_period(pulse: PulseSpec) -> float:
-    """Grid-defining time scale: 2*pi/omega for harmonic pulses, width for Gaussian."""
-    return pulse.period
-
-
 def step_count(pulse: PulseSpec, config: IntegrationConfig) -> int:
     """Number of equal steps on the grid.
 
@@ -109,7 +103,7 @@ def step_count(pulse: PulseSpec, config: IntegrationConfig) -> int:
     """
     step = config.step
     if step is None:
-        step = natural_period(pulse) / config.steps_per_period
+        step = pulse.period / config.steps_per_period
     span = config.t_end - config.t_start
     if step > span:
         raise ValueError(f"the step {step:.6g} exceeds the span {span:.6g}")
@@ -230,20 +224,18 @@ def _propagate(p: np.ndarray, x: list[complex]) -> np.ndarray:
 
 
 def step_halving_error(atom: TwoLevelAtom, pulse: PulseSpec, config: IntegrationConfig,
-                       *, coarse: Trajectory | None = None) -> float:
+                       *, coarse: Trajectory) -> float:
     """Grid-error report: max amplitude change when the step is halved.
 
-    Integrates on the configured grid and once more at half the step, and
-    returns the largest amplitude difference on the shared grid points.  For
-    a fourth-order stepper this is within a few percent of the coarse grid's
-    true error.  Purely a report; nothing is refined behind the caller's
-    back.  A caller that already holds ``integrate(atom, pulse, config)``
-    passes it as ``coarse`` and only the halved grid is integrated.
+    ``coarse`` is ``integrate(atom, pulse, config)``, which the caller
+    already holds; the pulse is integrated once more at half the step, and
+    the largest amplitude difference on the shared grid points is returned.
+    For a fourth-order stepper this is within a few percent of the coarse
+    grid's true error.  Purely a report; nothing is refined behind the
+    caller's back.  ValueError if ``coarse`` is not on the configured grid.
     """
     n = step_count(pulse, config)
-    if coarse is None:
-        coarse = integrate(atom, pulse, config)
-    elif len(coarse) != n + 1:
+    if len(coarse) != n + 1:
         raise ValueError(f"coarse trajectory has {len(coarse)} points, the grid {n + 1}")
     span = config.t_end - config.t_start
     fine_cfg = IntegrationConfig(

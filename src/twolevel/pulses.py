@@ -34,6 +34,7 @@ from .core import (
 from .analytic import MAX_DERIVATIVE_ORDER, first_order_from_action, nth_derivative_p2
 from .integrator import (
     MAX_NORM_DEFECT,
+    MAX_STEPS,
     IntegrationConfig,
     IntegrationError,
     check_norm,
@@ -41,6 +42,7 @@ from .integrator import (
     integrate,
     populated_window,
     populated_windows,
+    step_count,
 )
 
 __all__ = [
@@ -57,7 +59,6 @@ __all__ = [
     "second_derivative_nulled_pulse",
     "ranks_on_model",
     "run_optimizer",
-    "optimize_pulse",
 ]
 
 HALF_PI = 0.5 * math.pi
@@ -329,8 +330,10 @@ def run_optimizer(objective: ShapingObjective, config: OptimizerConfig) -> Optim
     consumed generator, and a generation's children are all drawn before
     any is scored, so a fixed seed reproduces the run bit for bit.
 
-    Raises ValueError when no candidate ever reaches P2 >= 1 - p_cr, in the
-    ranking measure or on the winner's RK4 trajectory.
+    Raises ValueError before the first generation when its candidates'
+    grid steps together exceed MAX_STEPS, and when no candidate ever
+    reaches P2 >= 1 - p_cr, in the ranking measure or on the winner's RK4
+    trajectory.
     """
     rng = np.random.default_rng(config.seed)
     harmonics = tuple(2 * i + 1 for i in range(config.n_harmonics))
@@ -339,7 +342,17 @@ def run_optimizer(objective: ShapingObjective, config: OptimizerConfig) -> Optim
     period = 2.0 * math.pi / omega
     grid = IntegrationConfig(t_start=0.0, t_end=objective.horizon * period)
     # Every candidate has the base period, so all share one grid.
-    times = grid_times(HarmonicSum(omega, ((1, 1.0),)), grid)
+    base = HarmonicSum(omega, ((1, 1.0),))
+    # A generation's P2 rows hold population x grid points.  Bounding its
+    # steps by MAX_STEPS, one integration's limit, admits MAX_POPULATION
+    # candidates on the default one-period grid of 1000 steps.
+    steps = step_count(base, grid)
+    if config.population_size * steps > MAX_STEPS:
+        raise ValueError(
+            f"a generation of {config.population_size} candidates (--population) on "
+            f"{steps} steps each ({objective.horizon:g} periods, --horizon) needs "
+            f"{config.population_size * steps:.3g} grid steps, more than the limit of {MAX_STEPS}")
+    times = grid_times(base, grid)
     ranked_on_model = ranks_on_model(objective)
 
     def p2_rows(rows: np.ndarray) -> np.ndarray:
@@ -405,8 +418,3 @@ def run_optimizer(objective: ShapingObjective, config: OptimizerConfig) -> Optim
         history=tuple(history),
     )
 
-
-def optimize_pulse(objective: ShapingObjective, config: OptimizerConfig) -> tuple[PulseSpec, float]:
-    """Best transfer-normalized pulse and its measured window width."""
-    result = run_optimizer(objective, config)
-    return result.best_pulse, result.measured_window

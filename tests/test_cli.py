@@ -1,10 +1,12 @@
 """End-to-end CLI checks: file contracts, exit codes, reproducibility."""
 import csv
+import importlib.util
 import json
 import math
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -419,6 +421,21 @@ class TestOptimize:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
 
+    def test_oversized_generation_is_usage_error_before_scoring(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        # 10^4 candidates of 10^7 steps each: 10^11 grid steps in one generation.
+        def no_scoring(*_):
+            raise AssertionError("scored a generation before rejecting its size")
+
+        monkeypatch.setattr(twolevel.pulses, "_fitness", no_scoring)
+        args = ["optimize", "--omega21", "0", "--population", "10000", "--horizon", "10000",
+                "--generations", "1", "--pcr", "1e-4", "--out", "big"]
+        assert exit_code_without_integration(args, tmp_path, monkeypatch) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "--population" in errors[0] and "--horizon" in errors[0]
+        assert list(tmp_path.iterdir()) == []
+
     def test_history_is_monotone(self, tmp_path):
         run_cli(
             ["optimize", "--pcr", "1e-4", "--omega21", "0", "--n-harmonics", "2",
@@ -442,6 +459,17 @@ class TestImport:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_every_traced_binding_exists(self):
+        # The profiler wraps these names where the CLI's modules look them
+        # up; a binding that is renamed or deleted breaks every traced run.
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        assert tracer.TARGETS
+        for module, attr, *_ in tracer.TARGETS:
+            assert callable(getattr(sys.modules[module], attr, None)), f"{module}.{attr}"
 
 
 class TestInfo:

@@ -28,7 +28,6 @@ from twolevel.pulses import (
     ShapingObjective,
     flatness_order,
     normalize_for_transfer,
-    optimize_pulse,
     ranks_on_model,
     run_optimizer,
     second_derivative_nulled_pulse,
@@ -168,7 +167,8 @@ class TestOptimizer:
         config = OptimizerConfig(
             population_size=4, generations=2, mutation_scale=0.1, seed=11, n_harmonics=1
         )
-        pulse, window = optimize_pulse(self.OBJECTIVE, config)
+        result = run_optimizer(self.OBJECTIVE, config)
+        pulse, window = result.best_pulse, result.measured_window
         assert isinstance(pulse, HarmonicSum)
         ((k, chi),) = pulse.coefficients
         assert k == 1
@@ -212,9 +212,35 @@ class TestOptimizer:
         config = OptimizerConfig(
             population_size=8, generations=4, mutation_scale=0.25, seed=7, n_harmonics=3
         )
-        _, window = optimize_pulse(self.OBJECTIVE, config)
+        window = run_optimizer(self.OBJECTIVE, config).measured_window
         baseline = cosine_baseline_window(1.0, self.OBJECTIVE.p_cr)
         assert window >= baseline - 1e-12
+
+    @pytest.mark.parametrize("population, horizon, admitted", [
+        (MAX_POPULATION, 1.0, True),
+        (MAX_POPULATION, 1.001, False),
+        (4, 2500.0, True),
+        (5, 2500.0, False),
+    ])
+    def test_generation_steps_bounded_before_scoring(self, population, horizon, admitted,
+                                                     monkeypatch):
+        # A generation holds population x grid points; past MAX_STEPS steps
+        # it is refused before the first one is scored.
+        class Scored(Exception):
+            pass
+
+        def scored(*_):
+            raise Scored
+
+        monkeypatch.setattr(pulses, "_fitness", scored)
+        objective = ShapingObjective(p_cr=1e-4, omega=1.0, atom=DEGENERATE, horizon=horizon)
+        config = OptimizerConfig(population_size=population, generations=1)
+        if admitted:
+            with pytest.raises(Scored):
+                run_optimizer(objective, config)
+        else:
+            with pytest.raises(ValueError, match="--population.*--horizon"):
+                run_optimizer(objective, config)
 
     @pytest.mark.parametrize("ratio, horizon, p_cr, model", [
         (math.inf, 1.0, 1e-8, True),
