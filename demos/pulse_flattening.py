@@ -6,7 +6,10 @@ the coupling's first derivative at the peak removes the quartic term; for
 odd-harmonic sums the odd action derivatives vanish at the peak anyway, so
 the first survivor jumps to order eight and the window more than triples at
 the same leakage budget.  A small seeded genetic search over three harmonics
-finds shapes at least this flat.
+then finds a wider window that is not flatter: its winner scores order four,
+like the cosine.  At a fixed leakage budget the widest window comes from
+letting 1 - P2 ripple up to the budget, not from nulling the most
+derivatives, so maximal flatness is the wrong objective for the window.
 
 Run:  python demos/pulse_flattening.py
 """

@@ -33,7 +33,7 @@ from .analytic import (
     detuning_sensitivity,
     leakage_at_peak,
     leakage_estimate,
-    nth_derivative_p2,
+    p2_derivatives,
     populations_from_action,
     quartic_peak_approx,
     transfer_populations,

@@ -7,8 +7,8 @@ through the action integral A(t) of the coupling, P2 = sin^2 A, and a cosine
 drive with chi/omega = pi/2 transfers the population completely twice per
 field period.  The quartic expansion of the probability peak, the frequency
 design rule derived from it, the truncated-series leakage bounds for finite
-omega21, and the exact higher derivatives of P2 used for pulse flattening all
-live here as pure functions.
+omega21, and the exact derivatives of P2 of every order used for pulse
+flattening (one Taylor-coefficient recurrence) all live here as pure functions.
 
 For finite omega21, :func:`first_order_populations` adds the first-order
 interaction-picture term on a time grid.  It reduces to sin^2 A at
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -39,12 +38,10 @@ __all__ = [
     "populations_from_action",
     "first_order_populations",
     "first_order_from_action",
-    "nth_derivative_p2",
+    "p2_derivatives",
     "delta_pulse_populations",
     "detuning_sensitivity",
 ]
-
-MAX_DERIVATIVE_ORDER = 10
 
 
 @dataclass(frozen=True)
@@ -248,62 +245,52 @@ def first_order_from_action(a: np.ndarray, omega21: float, times: np.ndarray) ->
     return ModelPopulations(times=times, p1=p1, p2=p2)
 
 
-@lru_cache(maxsize=None)
-def _partition_multiplicities(n: int) -> tuple[tuple[int, ...], ...]:
-    """Multiplicity vectors (m_1..m_n) with sum r*m_r = n, for Faa di Bruno."""
+def _cos_derivatives(v, s0: float, c0: float, sign: float) -> list[float]:
+    """Derivatives 0..n of cos B at t, where B' = 2 V and ``v`` holds V^(0..n-1)(t).
 
-    def descending(total: int, max_part: int):
-        if total == 0:
-            yield ()
-            return
-        for part in range(min(total, max_part), 0, -1):
-            for rest in descending(total - part, part):
-                yield (part, *rest)
+    With the Taylor coefficients b_r = 2 V^(r-1)(t)/r! of B, those of s = sin B
+    and c = cos B follow from s_0 = sin B(t), c_0 = cos B(t) and (Griewank &
+    Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 13)
 
-    result = []
-    for parts in descending(n, n):
-        mult = [0] * n
-        for p in parts:
-            mult[p - 1] += 1
-        result.append(tuple(mult))
-    return tuple(result)
+        k s_k = sum_(j=1..k) j b_j c_(k-j),   k c_k = -sum_(j=1..k) j b_j s_(k-j);
+
+    the k-th derivative is k! c_k.  ``sign`` = -1 gives this.  ``sign`` = +1,
+    bounds on |V^(r)| and s_0 = c_0 = 1 add magnitudes instead, which bounds
+    the numbers the signed run rounds.
+    """
+    jb, s, c = [], [s0], [c0]  # jb[j-1] = j b_j = 2 V^(j-1)/(j-1)!
+    fact = 1.0
+    out = [c0]
+    for k, vk in enumerate(v, start=1):
+        jb.append(2.0 * vk / fact)
+        fact *= k
+        s.append(sum(jb[j] * c[k - 1 - j] for j in range(k)) / k)
+        c.append(sign * sum(jb[j] * s[k - 1 - j] for j in range(k)) / k)
+        out.append(fact * c[k])
+    return out
 
 
-def _sin_sq_derivative(m: int, y: float) -> float:
-    """m-th derivative of F(y) = sin^2 y, i.e. 2^(m-1) sin(2y + (m-1) pi/2)."""
-    return 2.0 ** (m - 1) * math.sin(2.0 * y + 0.5 * math.pi * (m - 1))
+def p2_derivatives(pulse: PulseSpec, t: float, n: int) -> np.ndarray:
+    """Derivatives d^k P2/dt^k at ``t`` for k = 0..n, with P2 = sin^2 A.
 
-
-def nth_derivative_p2(pulse: PulseSpec, t: float, n: int) -> float:
-    """Exact n-th time derivative of P2(t) = sin^2[A(t)], 1 <= n <= 10.
-
-    Uses the combinatorial formula for derivatives of a composite function:
-    sum over all non-negative integer solutions of i + 2j + ... + l*k = n of
-
-        n!/(i! j! ... k!) * F^(m)(A) * (A'/1!)^i (A''/2!)^j ... (A^(l)/l!)^k
-
-    with m = i + j + ... + k and A^(r) = V21^(r-1).  The partition count is
-    at most 42 for n = 10, so exhaustive enumeration is cheap.
+    P2 = (1 - cos B)/2 with B = 2A, so d^k P2 = -(1/2) d^k cos B for k >= 1,
+    and one Taylor recurrence (:func:`_cos_derivatives`) gives every order
+    from A(t) and V21^(0..n-1)(t) in O(n^2) operations.  An order above 170
+    (171! overflows a double) or a derivative that overflows raises ValueError.
     """
     n = _check_order(n)
-    if not 1 <= n <= MAX_DERIVATIVE_ORDER:
-        raise ValueError(f"derivative order must lie in 1..{MAX_DERIVATIVE_ORDER}, got {n}")
-    y = float(action(pulse, t))
-    # y^(r) = V21^(r-1); index r-1 in this list.
-    y_derivs = [float(pulse.derivative(t, r - 1)) for r in range(1, n + 1)]
-    n_fact = math.factorial(n)
-    total = 0.0
-    for mult in _partition_multiplicities(n):
-        m = sum(mult)
-        denom = 1
-        power = 1.0
-        for r, m_r in enumerate(mult, start=1):
-            if m_r == 0:
-                continue
-            denom *= math.factorial(m_r) * math.factorial(r) ** m_r
-            power *= y_derivs[r - 1] ** m_r
-        total += (n_fact // denom) * _sin_sq_derivative(m, y) * power
-    return total
+    if n > 170:
+        raise ValueError(f"derivative order must be <= 170 (171! overflows a double), got {n}")
+    a = float(action(pulse, t))
+    try:
+        v = [pulse.derivative(t, r) for r in range(n)]
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"a derivative of the pulse overflows by order {n} at t={t}") from None
+    cos_b = _cos_derivatives(v, math.sin(2.0 * a), math.cos(2.0 * a), -1.0)
+    derivs = np.array([math.sin(a) ** 2] + [-0.5 * d for d in cos_b[1:]])
+    if not np.all(np.isfinite(derivs)):
+        raise ValueError(f"derivatives of P2 up to order {n} overflow at t={t}")
+    return derivs
 
 
 def delta_pulse_populations(t: float, t0: float) -> tuple[float, float]:

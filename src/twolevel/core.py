@@ -88,7 +88,8 @@ class TwoLevelAtom:
 # --- pulse families -----------------------------------------------------------
 #
 # Every family provides value(t), action(t), derivative(t, order), the scales
-# period, frequency_scale and action_scale, scaled(s) and to_dict().
+# period and action_scale, scaled(s) and to_dict(), and derivative_bound(t,
+# order): the magnitude sum of the terms derivative adds, its rounding scale.
 
 def _check_omega(omega: float) -> float:
     omega = _check_finite("omega", omega)
@@ -145,9 +146,8 @@ class _OddHarmonics:
     def period(self) -> float:
         return 2.0 * math.pi / self.omega
 
-    @property
-    def frequency_scale(self) -> float:
-        return self.omega
+    def derivative_bound(self, t: float, order: int) -> float:
+        return sum(abs(c) * (k * self.omega) ** order for k, c in self.coefficients)
 
     @property
     def action_scale(self) -> float:
@@ -214,13 +214,16 @@ class HarmonicSum(_OddHarmonics):
         return {"type": "harmonic_sum", "omega": self.omega, "coefficients": coefficients}
 
 
-def _hermite_e(n: int, x: float) -> float:
-    """Probabilists' Hermite polynomial He_n(x) by the three-term recurrence."""
+def _hermite_e(n: int, x: float, sign: float = -1.0) -> float:
+    """Probabilists' Hermite polynomial He_n(x) by the three-term recurrence.
+
+    ``sign`` = +1 and x = |x| add every term, a bound on |He_n(x)|.
+    """
     if n == 0:
         return 1.0
     prev, cur = 1.0, x
     for m in range(1, n):
-        prev, cur = cur, x * cur - m * prev
+        prev, cur = cur, x * cur + sign * m * prev
     return cur
 
 
@@ -261,6 +264,11 @@ class GaussianApprox:
         sign = -1.0 if order % 2 else 1.0
         return self.area * sign * _hermite_e(order, x) * gauss / self.width ** (order + 1)
 
+    def derivative_bound(self, t: float, order: int) -> float:
+        x = (t - self.center) / self.width
+        gauss = math.exp(-0.5 * x * x) / _SQRT_2PI
+        return abs(self.area) * _hermite_e(order, abs(x), 1.0) * gauss / self.width ** (order + 1)
+
     def action(self, t):
         lo = _gauss_cdf((0.0 - self.center) / self.width)
         return self.area * (_gauss_cdf((t - self.center) / self.width) - lo)
@@ -268,10 +276,6 @@ class GaussianApprox:
     @property
     def period(self) -> float:
         return self.width
-
-    @property
-    def frequency_scale(self) -> float:
-        return 1.0 / self.width
 
     @property
     def action_scale(self) -> float:

@@ -31,7 +31,7 @@ from .core import (
     action,
     odd_harmonic_action,
 )
-from .analytic import MAX_DERIVATIVE_ORDER, first_order_from_action, nth_derivative_p2
+from .analytic import _cos_derivatives, first_order_from_action, p2_derivatives
 from .integrator import (
     MAX_NORM_DEFECT,
     MAX_STEPS,
@@ -63,8 +63,12 @@ __all__ = [
 
 HALF_PI = 0.5 * math.pi
 
-#: Derivative magnitudes below 1e-9 * scale^n count as vanished.
-FLATNESS_TOL = 1e-9
+#: A derivative of P2 vanishes below ROUNDING_MARGIN * eps * M_n (eps = 2^-52,
+#: M_n the magnitudes its recurrence rounds).  Rounding residues measured at
+#: most 0.13 eps M_n and true nonzero derivatives at least 2.2e6 eps M_n on the
+#: cosine, nulled pulse, maximally flat 3-5 harmonic pulses at omega = 1 and
+#: 2.7, Gaussians and a GA winner, so 64 leaves room on both sides.
+ROUNDING_MARGIN = 64.0
 
 #: Largest GA population and generation count :class:`OptimizerConfig` accepts.
 MAX_POPULATION = 10_000
@@ -170,16 +174,19 @@ def normalize_for_transfer(pulse: PulseSpec, t_peak: float) -> PulseSpec:
 def flatness_order(pulse: PulseSpec, t_peak: float, n_max: int = 8) -> int:
     """Order of the first non-vanishing derivative of P2 at ``t_peak``.
 
-    Returns the smallest n in 1..n_max with |d^n P2/dt^n| above the tolerance
-    FLATNESS_TOL scaled by the pulse frequency scale to the n-th power, or
-    n_max + 1 when every probed derivative vanishes.  Higher order means a
-    flatter populated state; the plain cosine scores 4.
+    Returns the smallest n in 1..n_max with |d^n P2/dt^n| above
+    ROUNDING_MARGIN * eps * M_n, or n_max + 1 when every probed derivative
+    vanishes.  M_n, the recurrence of :func:`p2_derivatives` run on the
+    magnitudes from the pulse's ``derivative_bound``, bounds the numbers whose
+    rounding d^n P2 carries.  Higher order means a flatter populated state;
+    the plain cosine scores 4.
     """
-    if not 1 <= n_max <= MAX_DERIVATIVE_ORDER:
-        raise ValueError(f"n_max must lie in 1..{MAX_DERIVATIVE_ORDER}, got {n_max}")
-    scale = pulse.frequency_scale
+    derivs = p2_derivatives(pulse, t_peak, n_max)
+    bounds = _cos_derivatives([pulse.derivative_bound(t_peak, r) for r in range(n_max)],
+                              1.0, 1.0, 1.0)
+    threshold = ROUNDING_MARGIN * np.finfo(float).eps * 0.5  # M_n = bounds[n]/2
     for n in range(1, n_max + 1):
-        if abs(nth_derivative_p2(pulse, t_peak, n)) > FLATNESS_TOL * scale**n:
+        if abs(derivs[n]) > threshold * bounds[n]:
             return n
     return n_max + 1
 

@@ -3,7 +3,9 @@
 These deliberately avoid the code paths they check: the action oracle is
 adaptive quadrature of the pulse value, the derivative oracle is a
 high-order central difference whose weights are solved from the Taylor
-conditions rather than taken from any closed form under test, the RK4
+conditions rather than taken from any closed form under test, the P2
+derivative oracle sums Faa di Bruno's formula over the partitions of the
+order, where the code under test runs a Taylor-coefficient recurrence, the RK4
 oracle advances the four real amplitude components one step at a time in
 plain Python, where the integrator under test multiplies step matrices, the
 window oracle walks the runs above threshold one at a time, where the code
@@ -109,6 +111,42 @@ def central_derivative(f, x: float, n: int, h: float, n_points: int | None = Non
     w = central_difference_weights(n, n_points)
     values = np.array([f(x + j * h) for j in range(-m, m + 1)])
     return float(np.dot(w, values) / h**n)
+
+
+def _partitions(n: int, largest: int):
+    """Partitions of n into parts of at most ``largest``, each a descending tuple."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part, *rest)
+
+
+def p2_derivative_faa_di_bruno(pulse, t: float, n: int) -> float:
+    """n-th derivative of P2 = sin^2 A at t, n >= 1, by Faa di Bruno's formula.
+
+    Sums over the multiplicities m_r of the parts r of every partition of n
+
+        n!/prod(m_r! r!^m_r) * F^(m)(A) * prod(A^(r))^m_r,   m = sum m_r,
+
+    with F = sin^2, F^(m)(y) = 2^(m-1) sin(2y + (m-1) pi/2) and
+    A^(r) = V21^(r-1).
+    """
+    y = float(pulse.action(t))
+    a_derivs = [float(pulse.derivative(t, r - 1)) for r in range(1, n + 1)]
+    total = 0.0
+    for parts in _partitions(n, n):
+        m = len(parts)
+        denom = 1
+        power = 1.0
+        for r in set(parts):
+            m_r = parts.count(r)
+            denom *= math.factorial(m_r) * math.factorial(r) ** m_r
+            power *= a_derivs[r - 1] ** m_r
+        f_m = 2.0 ** (m - 1) * math.sin(2.0 * y + 0.5 * math.pi * (m - 1))
+        total += (math.factorial(n) // denom) * f_m * power
+    return total
 
 
 def rk4_reference(atom, pulse, config) -> Trajectory:

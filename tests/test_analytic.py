@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from scipy.special import struve
 
 from twolevel.analytic import (
+    _cos_derivatives,
     DesignRequest,
     degenerate_amplitudes,
     delta_pulse_populations,
@@ -18,7 +19,7 @@ from twolevel.analytic import (
     first_order_populations,
     leakage_at_peak,
     leakage_estimate,
-    nth_derivative_p2,
+    p2_derivatives,
     populations_from_action,
     quartic_peak_approx,
     transfer_populations,
@@ -27,7 +28,7 @@ from twolevel.core import Cosine, GaussianApprox, HarmonicSum, TwoLevelAtom, act
 from twolevel.integrator import IntegrationConfig, integrate, populated_window
 from twolevel.pulses import normalize_for_transfer, second_derivative_nulled_pulse
 
-from _oracles import central_derivative
+from _oracles import central_derivative, p2_derivative_faa_di_bruno
 
 # Frozen independently: 0.25 * (pi/2)**6 * 0.1**2 evaluated by hand arithmetic.
 LEAKAGE_AT_RATIO_TENTH = 0.03755426537403533
@@ -339,14 +340,14 @@ class TestNthDerivative:
         pulse = Cosine(chi=0.5 * math.pi * omega, omega=omega)
         t0 = math.pi / (2 * omega)
         for n in (1, 2, 3):
-            assert abs(nth_derivative_p2(pulse, t0, n)) <= 1e-9 * omega**n
+            assert abs(p2_derivatives(pulse, t0, n)[n]) <= 1e-9 * omega**n
 
     @pytest.mark.parametrize("omega", [1.0, 1.7])
     def test_fourth_derivative_at_peak(self, omega):
         pulse = Cosine(chi=0.5 * math.pi * omega, omega=omega)
         t0 = math.pi / (2 * omega)
         expected = -1.5 * math.pi**2 * omega**4
-        assert nth_derivative_p2(pulse, t0, 4) == pytest.approx(expected, rel=1e-9)
+        assert p2_derivatives(pulse, t0, 4)[4] == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize(
         "pulse, tscale",
@@ -365,7 +366,7 @@ class TestNthDerivative:
             return populations_from_action(pulse, x)[1]
 
         expected = central_derivative(p2_of_t, t, n, h=h, n_points=21)
-        got = nth_derivative_p2(pulse, t, n)
+        got = p2_derivatives(pulse, t, n)[n]
         if abs(got) > 1e-3 * tscale ** (-n):
             assert got == pytest.approx(expected, rel=1e-6)
         else:
@@ -373,15 +374,49 @@ class TestNthDerivative:
 
     def test_order_bounds(self):
         pulse = Cosine(chi=1.0, omega=1.0)
+        assert p2_derivatives(pulse, 0.3, 0).tolist() == [math.sin(action(pulse, 0.3)) ** 2]
+        assert len(p2_derivatives(pulse, 0.3, 170)) == 171
+        for n in (-1, 171, 10**9):
+            with pytest.raises(ValueError):
+                p2_derivatives(pulse, 0.0, n)
+
+    def test_orders_past_ten(self):
+        nulled = p2_derivatives(second_derivative_nulled_pulse(1.0), 0.5 * math.pi, 20)
+        assert nulled[8] == pytest.approx(-13990.16, abs=5e-3)
+        assert all(math.isfinite(d) for d in nulled)
+
+    def test_overflow_is_value_error(self):
         with pytest.raises(ValueError):
-            nth_derivative_p2(pulse, 0.0, 0)
+            p2_derivatives(Cosine(chi=1.0, omega=100.0), 0.1, 170)
         with pytest.raises(ValueError):
-            nth_derivative_p2(pulse, 0.0, 11)
+            p2_derivatives(GaussianApprox(area=1.0, center=0.0, width=1e-3), 0.0, 170)
 
     @pytest.mark.parametrize("n", [2.5, 1.9, True, float("inf")])
     def test_non_integral_order_rejected(self, n):
         with pytest.raises(ValueError):
-            nth_derivative_p2(Cosine(chi=1.0, omega=1.0), 0.0, n)
+            p2_derivatives(Cosine(chi=1.0, omega=1.0), 0.0, n)
+
+    @pytest.mark.parametrize(
+        "pulse",
+        [
+            Cosine(chi=0.5 * math.pi, omega=1.0),
+            HarmonicSum(omega=1.3, coefficients=((1, 0.9), (3, 0.3), (5, -0.12))),
+            GaussianApprox(area=1.2, center=3.0, width=0.8),
+            second_derivative_nulled_pulse(1.0),
+        ],
+    )
+    def test_matches_faa_di_bruno(self, pulse):
+        for t in (0.0, 0.5 * math.pi, 1.234, 2.9, 4.4):
+            got = p2_derivatives(pulse, t, 10)
+            bound = _cos_derivatives([pulse.derivative_bound(t, r) for r in range(10)],
+                                     1.0, 1.0, 1.0)
+            for n in range(1, 11):
+                ref = p2_derivative_faa_di_bruno(pulse, t, n)
+                m_n = 0.5 * bound[n]
+                if abs(ref) > 1e-8 * m_n:
+                    assert got[n] == pytest.approx(ref, rel=1e-13), (t, n)
+                else:
+                    assert abs(got[n] - ref) <= 1e-15 * m_n, (t, n)
 
 
 class TestDeltaPulse:

@@ -143,8 +143,8 @@ class TestPulseProtocol:
         np.testing.assert_array_equal(action(cos, t), action(hs, t))
         for order in range(5):
             assert cos.derivative(1.3, order) == hs.derivative(1.3, order)
+            assert cos.derivative_bound(1.3, order) == hs.derivative_bound(1.3, order)
         assert cos.period == hs.period == math.pi
-        assert cos.frequency_scale == hs.frequency_scale == 2.0
         assert cos.action_scale == hs.action_scale == 0.35
 
     @pytest.mark.parametrize(
@@ -171,8 +171,24 @@ class TestPulseProtocol:
         assert got.dtype == float and got.shape == t.shape
         np.testing.assert_array_equal(got, [action(g, float(x)) for x in t])
 
-    def test_gaussian_frequency_scale(self):
-        assert GaussianApprox(area=1.0, center=0.0, width=0.25).frequency_scale == 4.0
+    @pytest.mark.parametrize(
+        "pulse",
+        [
+            Cosine(chi=-1.2, omega=0.9),
+            HarmonicSum(omega=0.8, coefficients=((1, 0.6), (3, -0.25), (7, 0.1))),
+            GaussianApprox(area=-1.3, center=2.0, width=0.6),
+        ],
+    )
+    def test_derivative_bound_covers_derivative(self, pulse):
+        for t in (-1.0, 0.0, 0.7, 2.0, 3.1, 6.5):
+            for order in range(12):
+                assert pulse.derivative_bound(t, order) >= abs(pulse.derivative(t, order))
+
+    def test_harmonic_derivative_bound_is_magnitude_sum(self):
+        pulse = HarmonicSum(omega=0.8, coefficients=((1, 0.6), (3, -0.25), (7, 0.1)))
+        for order in range(12):
+            expected = sum(abs(c) * (k * 0.8) ** order for k, c in ((1, 0.6), (3, -0.25), (7, 0.1)))
+            assert pulse.derivative_bound(1.7, order) == expected
 
 
 class TestProbabilities:

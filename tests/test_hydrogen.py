@@ -8,7 +8,6 @@ from scipy.integrate import quad
 from twolevel.analytic import leakage_at_peak
 from twolevel.hydrogen import (
     BOHR_RADIUS_M,
-    HARTREE_EV,
     INTENSITY_AU_W_CM2,
     SPEED_OF_LIGHT_AU,
     FieldRegime,

@@ -114,8 +114,27 @@ class TestFlatnessOrder:
         assert c3 == pytest.approx(3 * math.pi / 16 * 2.0, rel=1e-12)
 
     def test_n_max_bounds(self):
-        with pytest.raises(ValueError):
-            flatness_order(Cosine(chi=1.0, omega=1.0), 0.3, n_max=11)
+        pulse = Cosine(chi=1.0, omega=1.0)
+        assert flatness_order(pulse, 0.3, n_max=20) == 1
+        assert flatness_order(second_derivative_nulled_pulse(1.0), 0.5 * math.pi, n_max=20) == 8
+        for n_max in (-1, 2.5, True, float("inf"), 171):
+            with pytest.raises(ValueError):
+                flatness_order(pulse, 0.3, n_max=n_max)
+
+    @pytest.mark.parametrize("omega", [1.0, 2.7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_maximally_flat_pulse_scores_4n(self, n, omega):
+        # A(t_peak + u) = sum_k a_k cos(k omega u) over k = 1, 3, .., 2n - 1,
+        # with sum_k a_k = pi/2 and sum_k a_k k^(2m) = 0 for m = 1..n-1, so
+        # A - pi/2 = O(u^(2n)) and 1 - P2 = O(u^(4n)).
+        k = np.arange(1, 2 * n, 2)
+        moments = k.astype(float) ** (2 * np.arange(n)[:, None])
+        a = np.linalg.solve(moments, np.eye(n)[0] * 0.5 * math.pi)
+        pulse = HarmonicSum(omega, tuple(
+            (int(kk), float(-ak * kk * omega * (-1) ** (kk // 2))) for kk, ak in zip(k, a)))
+        t_peak = 0.5 * math.pi / omega
+        assert action(pulse, t_peak) == pytest.approx(0.5 * math.pi, rel=1e-14)
+        assert flatness_order(pulse, t_peak, n_max=4 * n + 2) == 4 * n
 
     def test_nulled_pulse_widens_window(self):
         omega, p_cr = 1.0, 1e-4
