@@ -66,7 +66,9 @@ from .integrator import (
 from .pulses import OptimizerConfig, ShapingObjective, run_optimizer
 
 TRAJECTORY_HEADER = "t,P1,P2,re_a1,im_a1,re_a2,im_a2"
-_CSV_CHUNK_ROWS = 4096
+# Rows formatted at once; the arrays of one chunk are all a write holds
+# beyond its columns.
+_CSV_CHUNK_ROWS = 512
 
 
 def _fmt(x: float) -> str:
@@ -90,35 +92,41 @@ def _write_manifest(manifest_path: Path, args: argparse.Namespace, outputs: list
 
 
 def _write_trajectory_csv(path: Path, traj: Trajectory, analytic_pulse: PulseSpec | None) -> None:
-    """Write the trajectory with one array call for the analytic columns.
+    """Write the trajectory as CSV: the header, then one line per time step.
 
-    Rows are formatted and written in chunks of ``_CSV_CHUNK_ROWS``, so the
-    text held at once stays fixed whatever the length of the trajectory.
-    ``'%.17g' % x`` gives the same string as ``format(x, '.17g')``.
+    A line holds t, P1, P2 and the real and imaginary parts of a1 and a2,
+    and with an analytic pulse also the degenerate-limit P1 and P2 (one array
+    call for the whole trajectory).  Each line is the row's values formatted
+    with ``'%.17g'`` and joined by commas, byte for byte.
+    :func:`twolevel._csvtext.format_block` makes the text, ``_CSV_CHUNK_ROWS``
+    rows at a time, so the memory held at once stays fixed whatever the
+    length of the trajectory.
     """
+    # Only commands that write a trajectory pay for the formatter's tables.
+    from ._csvtext import format_block
+
     header = TRAJECTORY_HEADER
     columns = [traj.times, traj.p1, traj.p2, traj.a1.real, traj.a1.imag, traj.a2.real, traj.a2.imag]
     if analytic_pulse is not None:
         header += ",P1_analytic,P2_analytic"
         columns += populations_from_action(analytic_pulse, traj.times)
-    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
-    with path.open("w") as fh:
-        fh.write(header + "\n")
+    with path.open("wb") as fh:
+        fh.write(header.encode() + b"\n")
         for start in range(0, len(traj), _CSV_CHUNK_ROWS):
-            chunk = [column[start:start + _CSV_CHUNK_ROWS].tolist() for column in columns]
-            fh.writelines([row_format % row for row in zip(*chunk)])
+            fh.write(format_block(np.stack([column[start:start + _CSV_CHUNK_ROWS]
+                                             for column in columns], axis=1)))
 
 
 def _write_trajectories(writes: list[tuple[Path, Trajectory, PulseSpec | None]]) -> None:
     """Write each ``(path, trajectory, analytic pulse)`` with one process per CPU.
 
-    Formatting 17-digit text is Python work that holds the GIL, so the writes
-    are split over ``W = min(len(writes), available CPUs)`` processes: write
-    ``i`` goes to worker ``i % W``, this process is worker 0 and the other
-    ``W - 1`` are forked children.  With one CPU, or where the platform cannot
-    tell which CPUs are available, ``W = 1`` and nothing forks.  Every child is
-    reaped, also when this process's own share raised.  OSError names the
-    files of a child that failed.
+    Formatting 17-digit text takes most of a write and runs in one thread,
+    so the writes are split over ``W = min(len(writes), available CPUs)``
+    processes: write ``i`` goes to worker ``i % W``, this process is worker 0
+    and the other ``W - 1`` are forked children.  With one CPU, or where the
+    platform cannot tell which CPUs are available, ``W = 1`` and nothing
+    forks.  Every child is reaped, also when this process's own share
+    raised.  OSError names the files of a child that failed.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(writes), cpus)

@@ -109,6 +109,18 @@ def _check_order(order) -> int:
     return order
 
 
+def _finite_derivative(compute, t: float, order: int) -> float:
+    """``compute()``, a derivative of order ``order`` at ``t`` or its bound;
+    ValueError where it overflows a double (or comes out nan)."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"the order-{order} derivative at t={t} is not a finite double")
+    return value
+
+
 def odd_harmonic_action(omega: float, harmonics, chi, t):
     """Action of V21 = -sum_k chi_k cos(k omega t), for one pulse or many.
 
@@ -135,8 +147,9 @@ class _OddHarmonics:
     def derivative(self, t: float, order: int) -> float:
         order = _check_order(order)
         w = self.omega
-        return -sum(c * (k * w) ** order * math.cos(k * w * t + 0.5 * math.pi * order)
-                    for k, c in self.coefficients)
+        return _finite_derivative(
+            lambda: -sum(c * (k * w) ** order * math.cos(k * w * t + 0.5 * math.pi * order)
+                         for k, c in self.coefficients), t, order)
 
     def action(self, t):
         harmonics, chi = zip(*self.coefficients)
@@ -147,7 +160,9 @@ class _OddHarmonics:
         return 2.0 * math.pi / self.omega
 
     def derivative_bound(self, t: float, order: int) -> float:
-        return sum(abs(c) * (k * self.omega) ** order for k, c in self.coefficients)
+        return _finite_derivative(
+            lambda: sum(abs(c) * (k * self.omega) ** order for k, c in self.coefficients),
+            t, order)
 
     @property
     def action_scale(self) -> float:
@@ -262,12 +277,16 @@ class GaussianApprox:
         x = (t - self.center) / self.width
         gauss = math.exp(-0.5 * x * x) / _SQRT_2PI
         sign = -1.0 if order % 2 else 1.0
-        return self.area * sign * _hermite_e(order, x) * gauss / self.width ** (order + 1)
+        return _finite_derivative(
+            lambda: self.area * sign * _hermite_e(order, x) * gauss / self.width ** (order + 1),
+            t, order)
 
     def derivative_bound(self, t: float, order: int) -> float:
         x = (t - self.center) / self.width
         gauss = math.exp(-0.5 * x * x) / _SQRT_2PI
-        return abs(self.area) * _hermite_e(order, abs(x), 1.0) * gauss / self.width ** (order + 1)
+        return _finite_derivative(
+            lambda: abs(self.area) * _hermite_e(order, abs(x), 1.0) * gauss
+            / self.width ** (order + 1), t, order)
 
     def action(self, t):
         lo = _gauss_cdf((0.0 - self.center) / self.width)

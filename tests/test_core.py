@@ -133,6 +133,17 @@ class TestPulseDerivative:
         pulse = Cosine(chi=1.0, omega=1.0)
         assert pulse.derivative(0.3, 2.0) == pulse.derivative(0.3, 2)
 
+    # (100 * 1)^170 overflows a double; 1e-3^171 underflows to 0 in the
+    # Gaussian's denominator.
+    @pytest.mark.parametrize("pulse, t", [
+        (Cosine(chi=1.0, omega=100.0), 0.1),
+        (GaussianApprox(area=1.0, center=0.0, width=1e-3), 0.0),
+    ], ids=["cosine", "gaussian"])
+    @pytest.mark.parametrize("method", ["derivative", "derivative_bound"])
+    def test_overflow_is_value_error(self, pulse, t, method):
+        with pytest.raises(ValueError, match="not a finite double"):
+            getattr(pulse, method)(t, 170)
+
 
 class TestPulseProtocol:
     def test_cosine_is_one_term_harmonic_sum(self):

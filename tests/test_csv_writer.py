@@ -4,13 +4,14 @@ import os
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from twolevel import cli
+from twolevel import _csvtext, cli
 from twolevel.cli import _write_trajectory_csv
-from twolevel.core import Cosine, GaussianApprox, HarmonicSum, TwoLevelAtom
+from twolevel.core import Cosine, GaussianApprox, HarmonicSum, Trajectory, TwoLevelAtom
 from twolevel.integrator import IntegrationConfig, integrate
 
 from _oracles import csv_reference
@@ -60,9 +61,9 @@ def _assert_matches_oracle(path, ref_path, traj, analytic_pulse):
 
 @pytest.mark.parametrize("pulse_name", sorted(PULSES))
 @pytest.mark.parametrize("analytic", [False, True], ids=["plain", "analytic"])
-# The writer formats 4096 rows at a time; these counts sit on and across
-# its chunk edges.
-@pytest.mark.parametrize("rows", [2, 4095, 4096, 4097, 8193, 25001])
+# The writer formats 512 rows at a time; these counts sit on and across
+# its chunk edges (4095-4097 are the edges of its earlier 4096-row chunks).
+@pytest.mark.parametrize("rows", [2, 511, 512, 513, 4095, 4096, 4097, 8193, 25001])
 def test_writer_matches_row_by_row_oracle(tmp_path, pulse_name, analytic, rows):
     pulse = PULSES[pulse_name]
     traj = _trajectory(pulse, rows)
@@ -70,6 +71,83 @@ def test_writer_matches_row_by_row_oracle(tmp_path, pulse_name, analytic, rows):
     analytic_pulse = pulse if analytic else None
     _write_trajectory_csv(tmp_path / "new.csv", traj, analytic_pulse)
     _assert_matches_oracle(tmp_path / "new.csv", tmp_path / "ref.csv", traj, analytic_pulse)
+
+
+def test_python_formatted_values_at_chunk_edges(tmp_path):
+    """Values the array path leaves to Python as the last row of one chunk
+    and the first row of the next, and as the last row of the file."""
+    edge = cli._CSV_CHUNK_ROWS
+    rows = 2 * edge + 1
+    rng = np.random.default_rng(7)
+    # t = 0 is the last row of the first chunk.
+    times = np.arange(rows) - (edge - 1.0)
+    a1 = rng.normal(size=rows) + 1j * rng.normal(size=rows)
+    a2 = rng.normal(size=rows) + 1j * rng.normal(size=rows)
+    a2[edge - 1] = complex(1e-300, -0.0)
+    a1[edge] = 0.0
+    a2[edge] = complex(1e15, -1e-11)
+    a1[-1] = complex(5e-324, float("inf"))
+    traj = Trajectory(times, a1, a2)
+    assert traj.times[edge - 1] == 0.0
+    _write_trajectory_csv(tmp_path / "new.csv", traj, None)
+    _assert_matches_oracle(tmp_path / "new.csv", tmp_path / "ref.csv", traj, None)
+
+
+def _percent_rows(rows) -> bytes:
+    """``row_format % row`` for every row: the bytes the writer must match."""
+    row_format = ",".join(["%.17g"] * len(rows[0])) + "\n"
+    return "".join(row_format % tuple(row) for row in rows).encode()
+
+
+def _assert_formats_as_percent(values, columns):
+    block = np.asarray(values, dtype=float).reshape(-1, columns)
+    assert _csvtext.format_block(block) == _percent_rows(block.tolist())
+
+
+@given(st.integers(1, 9).flatmap(lambda columns: st.lists(
+    st.lists(st.floats(), min_size=columns, max_size=columns), min_size=1, max_size=20)))
+def test_format_block_matches_percent_format(rows):
+    _assert_formats_as_percent(rows, len(rows[0]))
+
+
+# The powers of ten 1e-12..1e16 and their neighbours, which take in the
+# array path's edges 1e-11 and 1e15; exact ties at the 18th digit; and
+# 1e-14, whose double lies so close below 10^-14 that its 17 digits round
+# up to 10^17.
+POWERS = [float(f"1e{n}") for n in range(-12, 17)]
+PINNED = sorted({y for p in POWERS
+                 for y in (math.nextafter(p, 0.0), p, math.nextafter(p, math.inf))}
+                | {123456789012345.625, 123456789012345.375, 123456789012345.125, 1e-14})
+
+
+@pytest.mark.parametrize("columns", [1, 9])
+def test_format_block_pinned_values(columns):
+    values = PINNED + [-x for x in PINNED]
+    _assert_formats_as_percent(values[:len(values) // columns * columns], columns)
+
+
+def test_format_block_random_bit_patterns():
+    bits = np.random.default_rng(22).integers(0, 2**64, size=10**5, dtype=np.uint64)
+    _assert_formats_as_percent(bits.view(np.float64), 5)
+
+
+def _python_digits(x):
+    """(E, D) of '%.16e' % x: the decimal exponent and the 17 digits."""
+    mantissa, exponent = ("%.16e" % abs(x)).split("e")
+    return int(exponent), int(mantissa.replace(".", ""))
+
+
+def test_array_path_covers_its_range():
+    """Every double with 1e-11 <= |x| < 1e15 (the real numbers) gets its
+    digits from integer arithmetic, and they are Python's."""
+    rng = np.random.default_rng(5)
+    x = 10.0 ** rng.uniform(-11.0, 15.0, 10**5) * rng.choice([-1.0, 1.0], 10**5)
+    x = np.concatenate([x, [y for y in PINNED if 1e-11 < y < 1e15]])
+    ok, exponent, digits = _csvtext.decimal_digits(x)
+    assert ok.all()
+    assert [_python_digits(v) for v in x.tolist()] == list(zip(exponent.tolist(), digits.tolist()))
+    # The double nearest 1e-11 lies below it (E = -12), outside the range.
+    assert _csvtext.decimal_digits(np.array([1e-11, 1e15, 1e-14, 0.0]))[0].tolist() == [False] * 4
 
 
 @given(st.floats(allow_nan=True, allow_infinity=True))
