@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AmplitudeState, PulseSpec, _check_order, action
+from .core import AmplitudeState, PulseSpec, _check_order, _finite, action
 
 __all__ = [
     "DesignRequest",
@@ -120,9 +120,10 @@ def leakage_estimate(omega21: float, chi: float, t: float) -> float:
     """Truncated-series leakage (1/4) omega21^2 chi^2 t^4 at elapsed time t.
 
     First correction to the degenerate-limit populations from a finite level
-    splitting; grows like t^4 from the common initial condition.
+    splitting; grows like t^4 from the common initial condition.  ValueError
+    where it overflows a double.
     """
-    return 0.25 * omega21**2 * chi**2 * t**4
+    return _finite(lambda: 0.25 * omega21**2 * chi**2 * t**4, "the series leakage bound")
 
 
 def leakage_at_peak(omega21: float, omega: float) -> float:
@@ -132,11 +133,13 @@ def leakage_at_peak(omega21: float, omega: float) -> float:
     complete-transfer amplitude chi = (pi/2) omega.  This is an
     order-of-magnitude bound, not a sharp prediction: integrated dynamics stay
     well below it (the sharp comparison is done numerically in
-    :mod:`twolevel.integrator`).
+    :mod:`twolevel.integrator`).  ValueError where it overflows a double,
+    as it does for a drive far below the splitting.
     """
     if omega <= 0.0:
         raise ValueError(f"omega must be > 0, got {omega}")
-    return 0.25 * (0.5 * math.pi) ** 6 * (omega21 / omega) ** 2
+    return _finite(lambda: 0.25 * (0.5 * math.pi) ** 6 * (omega21 / omega) ** 2,
+                   "the series leakage bound")
 
 
 def populations_from_action(pulse: PulseSpec, t):

@@ -57,7 +57,6 @@ from .integrator import (
     MAX_STEPS,
     IntegrationConfig,
     IntegrationError,
-    check_norm,
     integrate,
     populated_window,
     step_count,
@@ -249,8 +248,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     # Every integration finishes, and is checked, before the first file is written.
     trajs = [integrate(atom, pulse, cfg) for _, pulse, cfg in jobs]
-    for traj in trajs:
-        check_norm(traj)
     _write_trajectories([(path, traj, job_pulse if args.analytic else None)
                          for (path, job_pulse, _), traj in zip(jobs, trajs)])
     manifest = _write_manifest(manifest_path, args, [str(path) for path, _, _ in jobs])

@@ -109,15 +109,15 @@ def _check_order(order) -> int:
     return order
 
 
-def _finite_derivative(compute, t: float, order: int) -> float:
-    """``compute()``, a derivative of order ``order`` at ``t`` or its bound;
-    ValueError where it overflows a double (or comes out nan)."""
+def _finite(compute, what: str) -> float:
+    """``compute()``, a derivative, its bound or a series bound, named by
+    ``what``; ValueError where it overflows a double (or comes out nan)."""
     try:
         value = compute()
     except (OverflowError, ZeroDivisionError):
         value = math.inf
     if not math.isfinite(value):
-        raise ValueError(f"the order-{order} derivative at t={t} is not a finite double")
+        raise ValueError(f"{what} is not a finite double")
     return value
 
 
@@ -147,9 +147,10 @@ class _OddHarmonics:
     def derivative(self, t: float, order: int) -> float:
         order = _check_order(order)
         w = self.omega
-        return _finite_derivative(
+        return _finite(
             lambda: -sum(c * (k * w) ** order * math.cos(k * w * t + 0.5 * math.pi * order)
-                         for k, c in self.coefficients), t, order)
+                         for k, c in self.coefficients),
+            f"the order-{order} derivative at t={t}")
 
     def action(self, t):
         harmonics, chi = zip(*self.coefficients)
@@ -160,9 +161,10 @@ class _OddHarmonics:
         return 2.0 * math.pi / self.omega
 
     def derivative_bound(self, t: float, order: int) -> float:
-        return _finite_derivative(
+        order = _check_order(order)
+        return _finite(
             lambda: sum(abs(c) * (k * self.omega) ** order for k, c in self.coefficients),
-            t, order)
+            f"the order-{order} derivative at t={t}")
 
     @property
     def action_scale(self) -> float:
@@ -277,16 +279,17 @@ class GaussianApprox:
         x = (t - self.center) / self.width
         gauss = math.exp(-0.5 * x * x) / _SQRT_2PI
         sign = -1.0 if order % 2 else 1.0
-        return _finite_derivative(
+        return _finite(
             lambda: self.area * sign * _hermite_e(order, x) * gauss / self.width ** (order + 1),
-            t, order)
+            f"the order-{order} derivative at t={t}")
 
     def derivative_bound(self, t: float, order: int) -> float:
+        order = _check_order(order)
         x = (t - self.center) / self.width
         gauss = math.exp(-0.5 * x * x) / _SQRT_2PI
-        return _finite_derivative(
+        return _finite(
             lambda: abs(self.area) * _hermite_e(order, abs(x), 1.0) * gauss
-            / self.width ** (order + 1), t, order)
+            / self.width ** (order + 1), f"the order-{order} derivative at t={t}")
 
     def action(self, t):
         lo = _gauss_cdf((0.0 - self.center) / self.width)

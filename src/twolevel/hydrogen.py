@@ -2,8 +2,11 @@
 
 The 2s-2p pair is the reference instance of the two-level model: the
 splitting (the Lamb shift, 4.37e-6 eV) is tiny against the 1.89 eV gap to the
-next level (3p), which leaves several decades of drive frequency where both
-the degenerate-level approximation and the two-state truncation hold.
+next level (3p).  :func:`validity_report` keeps a decade from both, but its
+verdict and leakage bound cover only the splitting side.  Nothing here checks
+the two-state truncation: with the n <= 4 levels, a cosine drive switched on
+at full amplitude at gap/10, which the report calls valid, leaves about
+1.2e-2 of the population outside n = 2 at the peak.
 
 The transition dipole is integrated exactly from the explicit Z = 1,
 infinite-mass orbitals rather than hard-coding the textbook value: the
@@ -201,7 +204,9 @@ def validity_report(omega: float) -> ValidityReport:
     (omega >= 10 omega21 and omega <= omega_2s3p / 10); frequencies inside
     the window but within that margin of an edge are "marginal", and
     anything at or beyond an edge is "invalid".  The leakage bound is the
-    truncated-series peak estimate.
+    truncated-series peak estimate of the splitting alone; leakage to the
+    other levels is not estimated.  ValueError where that bound overflows
+    a double, for a drive far below the splitting.
     """
     if not omega > 0.0:
         raise ValueError(f"omega must be > 0, got {omega}")

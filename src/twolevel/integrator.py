@@ -12,7 +12,8 @@ midpoint and end.  :func:`integrate` builds the step matrices with numpy and
 applies them as a blocked prefix product, a fixed number of steps at a time;
 fixed steps keep output grids exactly reproducible.  No renormalization is
 ever applied during integration: norm drift is a diagnostic of integrator
-error, and correcting it would only mask that error.
+error, and correcting it would only mask that error.  A trajectory whose
+drift passes MAX_NORM_DEFECT is refused instead.
 
 :func:`populated_windows` measures the populated window of many P2 rows on
 one grid in one array pass, the GA's whole generation at once;
@@ -36,7 +37,6 @@ __all__ = [
     "step_count",
     "grid_times",
     "integrate",
-    "check_norm",
     "step_halving_error",
     "max_population_deviation",
     "populated_window",
@@ -49,10 +49,11 @@ MAX_STEPS = 10**7
 
 #: A trajectory whose norm |a1|^2 + |a2|^2 strays from 1 by more than this
 #: has blown up on its grid: its states can stay finite while its P2 reads
-#: above 1 - p_cr over a whole period.  The GA scores such a candidate 0, and
-#: ``simulate`` refuses to write it.  Candidates that drift by 1e-6..1e-3
-#: still reach windows up to 0.19 in seeded RK4-ranked searches and steer
-#: the tournaments, so a tighter bound changes the GA's winners.
+#: above 1 - p_cr over a whole period.  :func:`integrate` raises
+#: :class:`IntegrationError` for it, so no caller sees such a trajectory.
+#: Candidates that drift by 1e-6..1e-3 still reach windows up to 0.19 in
+#: seeded RK4-ranked searches and steer the GA's tournaments, so a tighter
+#: bound changes its winners.
 MAX_NORM_DEFECT = 1e-3
 
 #: Steps propagated together; bounds the kernel's workspace to a few MB.
@@ -60,7 +61,7 @@ _CHUNK = 4096
 
 
 class IntegrationError(RuntimeError):
-    """Raised when the integrated state stops being finite."""
+    """Raised when the integrated state stops being finite or its norm blows up."""
 
     def __init__(self, message: str, time: float) -> None:
         super().__init__(message)
@@ -127,7 +128,9 @@ def integrate(atom: TwoLevelAtom, pulse: PulseSpec, config: IntegrationConfig) -
 
     Returns a trajectory whose first state is exactly the supplied initial
     condition.  Raises :class:`IntegrationError` with the grid time of the
-    first non-finite state if the state overflows or turns NaN.
+    first non-finite state if the state overflows or turns NaN, and with
+    the grid time of the largest defect if |a1|^2 + |a2|^2 strays from 1 by
+    more than MAX_NORM_DEFECT anywhere.
     """
     n = step_count(pulse, config)
     h = (config.t_end - config.t_start) / n
@@ -151,17 +154,8 @@ def integrate(atom: TwoLevelAtom, pulse: PulseSpec, config: IntegrationConfig) -
                 t_bad = config.t_start + (lo + 1 + int(np.argmin(finite))) * h
                 raise IntegrationError(f"non-finite amplitudes at t={t_bad}", time=t_bad)
             states[:, lo + 1:hi + 1] = chunk
-    del v  # 16 bytes per step, no longer needed
-    return Trajectory(times=grid_times(pulse, config), a1=states[0], a2=states[1])
-
-
-def check_norm(traj: Trajectory) -> None:
-    """Raise :class:`IntegrationError` if the trajectory's norm has blown up.
-
-    That is, if |a1|^2 + |a2|^2 strays from 1 by more than MAX_NORM_DEFECT
-    anywhere; the error carries the grid time of the largest defect.
-    """
-    with np.errstate(over="ignore"):
+        del v, chunk  # 16 bytes per step and the last chunk, no longer needed
+        traj = Trajectory(times=grid_times(pulse, config), a1=states[0], a2=states[1])
         defect = traj.norm_defect()
     worst = int(np.argmax(defect))
     if not defect[worst] <= MAX_NORM_DEFECT:
@@ -169,6 +163,7 @@ def check_norm(traj: Trajectory) -> None:
         raise IntegrationError(
             f"the norm drifted by {defect[worst]:.3g} at t={t_bad}, "
             f"past {MAX_NORM_DEFECT:g}; the step is too long for this pulse", time=t_bad)
+    return traj
 
 
 def _step_matrices(v: np.ndarray, w: float, h: float) -> np.ndarray:

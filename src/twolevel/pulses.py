@@ -26,18 +26,15 @@ import numpy as np
 from .core import (
     HarmonicSum,
     PulseSpec,
-    Trajectory,
     TwoLevelAtom,
     action,
     odd_harmonic_action,
 )
 from .analytic import _cos_derivatives, first_order_from_action, p2_derivatives
 from .integrator import (
-    MAX_NORM_DEFECT,
     MAX_STEPS,
     IntegrationConfig,
     IntegrationError,
-    check_norm,
     grid_times,
     integrate,
     populated_window,
@@ -50,7 +47,6 @@ __all__ = [
     "MAX_GENERATIONS",
     "MODEL_RANKING_MIN_RATIO",
     "MODEL_RANKING_MIN_BUDGET",
-    "MAX_NORM_DEFECT",
     "ShapingObjective",
     "OptimizerConfig",
     "OptimizationResult",
@@ -216,18 +212,6 @@ def ranks_on_model(objective: ShapingObjective) -> bool:
             and MODEL_RANKING_MIN_BUDGET * eps * eps <= objective.p_cr)
 
 
-def _rk4_populations(atom: TwoLevelAtom, pulse: PulseSpec,
-                     grid: IntegrationConfig) -> Trajectory | None:
-    """RK4 trajectory of the pulse, None if it overflows or its norm drifts
-    by more than MAX_NORM_DEFECT."""
-    try:
-        trajectory = integrate(atom, pulse, grid)
-        check_norm(trajectory)
-    except IntegrationError:
-        return None
-    return trajectory
-
-
 def _row_sums(rows: np.ndarray) -> np.ndarray:
     """Python's ``sum`` of every row, left to right from 0: bit for bit the
     sum a pulse's own scalar code takes, on every Python version (3.12
@@ -268,12 +252,14 @@ def _model_rows(rows: np.ndarray, harmonics: tuple[int, ...], omega: float, omeg
 def _rk4_rows(atom: TwoLevelAtom, rows: np.ndarray, harmonics: tuple[int, ...], omega: float,
               grid: IntegrationConfig, times: np.ndarray) -> np.ndarray:
     """RK4 P2 of every coefficient row on ``times``, the grid of ``grid``,
-    integrated one pulse at a time; a row is NaN where :func:`_rk4_populations`
-    gives None."""
+    integrated one pulse at a time; a row is NaN where :func:`integrate`
+    raises :class:`IntegrationError` (overflow, or a blown-up norm)."""
     p2 = np.empty((len(rows), times.size))
     for row, out in zip(rows.tolist(), p2):
-        trajectory = _rk4_populations(atom, HarmonicSum(omega, tuple(zip(harmonics, row))), grid)
-        out[:] = math.nan if trajectory is None else trajectory.p2
+        try:
+            out[:] = integrate(atom, HarmonicSum(omega, tuple(zip(harmonics, row))), grid).p2
+        except IntegrationError:
+            out[:] = math.nan
     return p2
 
 
@@ -311,7 +297,10 @@ def _fitness(genomes: np.ndarray, harmonics: tuple[int, ...], objective: Shaping
             rows, p2 = rows[finite], p2[finite]
             usable[usable] = finite
         widths = populated_windows(times, p2, objective.p_cr)
-        norms = np.sqrt(_row_sums(rows * rows))
+        # A coefficient past 1e154 (omega near 1e250, say) has an infinite norm,
+        # and such rows tie on it.
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(_row_sums(rows * rows))
         for i, width, norm in zip(np.flatnonzero(usable).tolist(), widths.tolist(),
                                   norms.tolist()):
             fitness[i] = _rank(width, norm)
@@ -406,13 +395,11 @@ def run_optimizer(objective: ShapingObjective, config: OptimizerConfig) -> Optim
         winner = normalize_for_transfer(
             HarmonicSum(omega, tuple(zip(harmonics, population[elite].tolist()))), t_peak)
         if ranked_on_model:
-            trajectory = _rk4_populations(objective.atom, winner, grid)
-            measured = 0.0
-            if trajectory is not None:
-                try:
-                    measured = populated_window(trajectory, objective.p_cr)
-                except ValueError:  # P2 never reaches 1 - p_cr
-                    pass
+            try:
+                measured = populated_window(integrate(objective.atom, winner, grid),
+                                            objective.p_cr)
+            except (IntegrationError, ValueError):  # blown up, or P2 never reaches 1 - p_cr
+                measured = 0.0
     if measured <= 0.0:
         raise ValueError(
             f"no candidate reached P2 >= {1.0 - objective.p_cr}; "

@@ -33,13 +33,13 @@ from twolevel.integrator import (
     IntegrationConfig,
     IntegrationError,
     grid_times,
+    integrate,
     populated_window,
     step_count,
 )
 from twolevel.pulses import (
     HALF_PI,
     OptimizationResult,
-    _rk4_populations,
     normalize_for_transfer,
     ranks_on_model,
 )
@@ -152,8 +152,9 @@ def p2_derivative_faa_di_bruno(pulse, t: float, n: int) -> float:
 def rk4_reference(atom, pulse, config) -> Trajectory:
     """Classic RK4 on (Re a1, Im a1, Re a2, Im a2), one scalar step at a time.
 
-    Same grid, initial state and IntegrationError contract as
-    :func:`twolevel.integrator.integrate`; only the arithmetic differs.
+    Same grid, initial state and non-finite IntegrationError as
+    :func:`twolevel.integrator.integrate`, but no norm bound: a blown-up
+    trajectory comes back as it is.
     """
     n = step_count(pulse, config)
     h = (config.t_end - config.t_start) / n
@@ -362,6 +363,14 @@ def _better(a, b) -> bool:
     return a[2] < b[2]
 
 
+def _rk4_trajectory(atom, pulse, grid):
+    """:func:`twolevel.integrator.integrate`, or None where it raises IntegrationError."""
+    try:
+        return integrate(atom, pulse, grid)
+    except IntegrationError:
+        return None
+
+
 def run_optimizer_reference(objective, config) -> OptimizationResult:
     """The GA of :func:`twolevel.pulses.run_optimizer`, one candidate at a time.
 
@@ -381,7 +390,7 @@ def run_optimizer_reference(objective, config) -> OptimizationResult:
     def populations(pulse):
         if ranked_on_model:
             return _model_populations(omega21, pulse, grid)
-        return _rk4_populations(objective.atom, pulse, grid)
+        return _rk4_trajectory(objective.atom, pulse, grid)
 
     def evaluate(genome):
         return _evaluate(genome, harmonics, objective, t_peak, populations)
@@ -422,7 +431,7 @@ def run_optimizer_reference(objective, config) -> OptimizationResult:
     winner = scores[best_index()]
     measured = winner[0]
     if ranked_on_model and measured > 0.0:
-        trajectory = _rk4_populations(objective.atom, winner[1], grid)
+        trajectory = _rk4_trajectory(objective.atom, winner[1], grid)
         measured = 0.0 if trajectory is None else _window(trajectory, objective.p_cr)
     if measured <= 0.0:
         raise ValueError(

@@ -202,6 +202,18 @@ class TestLeakage:
         with pytest.raises(ValueError):
             leakage_at_peak(0.1, 0.0)
 
+    # t^4 and omega21^2 overflow in the power, chi^2 * t^4 in the product.
+    @pytest.mark.parametrize("args", [(1.0, 1.0, 1e100), (1e200, 1.0, 1.0), (1e150, 1e150, 1.0)])
+    def test_estimate_overflow_is_value_error(self, args):
+        with pytest.raises(ValueError, match="not a finite double"):
+            leakage_estimate(*args)
+
+    # The ratio omega21/omega overflows in its square, or in the quotient.
+    @pytest.mark.parametrize("omega21, omega", [(1.0, 1e-200), (1e200, 1e-200)])
+    def test_peak_overflow_is_value_error(self, omega21, omega):
+        with pytest.raises(ValueError, match="not a finite double"):
+            leakage_at_peak(omega21, omega)
+
 
 class TestPopulationsFromAction:
     def test_half_pi_action_transfers_completely(self):

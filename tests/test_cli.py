@@ -291,6 +291,17 @@ class TestDesign:
         assert result.returncode == 0
         assert "verdict: invalid" in result.stdout
 
+    @pytest.mark.parametrize("verify", [[], ["--verify"]], ids=["report", "verify"])
+    def test_overflowing_leakage_bound_exits_two(self, tmp_path, verify):
+        # A window this long needs omega so far below the Lamb shift that
+        # (omega21/omega)^2 overflows a double.
+        result = run_cli(["design", "--ts", "1e200", "--pcr", "0.5"] + verify, tmp_path)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert [line for line in result.stderr.splitlines() if "error:" in line] == [
+            "twolevel: error: the series leakage bound is not a finite double"]
+
     def test_bad_arguments_exit_two(self, tmp_path):
         assert run_cli(["design", "--ts", "-5", "--pcr", "1e-4"], tmp_path).returncode == 2
         assert run_cli(["design", "--ts", "50", "--pcr", "2"], tmp_path).returncode == 2

@@ -2,8 +2,8 @@
 
 For each command, and for each of its options in turn, Hypothesis draws an
 argument list of small valid values in which that option holds a bad one
-(nan, +-inf, 0, a negative, 1e400, a malformed pulse file, a missing or an
-existing directory), and runs it through ``twolevel.cli.main`` in a fresh
+(nan, +-inf, 0, a negative, 1e400, a huge or tiny finite number, a
+malformed pulse file, a missing or an existing directory), and runs it through ``twolevel.cli.main`` in a fresh
 temporary directory, where a RuntimeWarning is an error.  The valid values
 keep every accepted run small: at most 2.5 periods of 1000 steps (doubled
 by ``--error-estimate``) and a GA of at most 8 candidates over 2
@@ -27,8 +27,9 @@ from twolevel.pulses import MAX_GENERATIONS, MAX_POPULATION
 from test_cli import MALFORMED_PULSES
 
 #: Edge values for every numeric option: most are rejected, a few (0 or a
-#: negative start, splitting, chi or seed) are accepted.
-EDGE = ["nan", "inf", "-inf", "0", "-1", "1e400"]
+#: negative start, splitting, chi or seed, and large or tiny finite values
+#: of several options) are accepted.
+EDGE = ["nan", "inf", "-inf", "0", "-1", "1e400", "1e250", "1e-250"]
 
 PULSE_FILES = {
     "cosine.json": '{"type": "cosine", "chi": 1.57, "omega": 1}',

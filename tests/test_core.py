@@ -118,16 +118,19 @@ class TestPulseDerivative:
         assert got == pytest.approx(expected, rel=1e-6, abs=1e-8)
 
     def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            Cosine(chi=1.0, omega=1.0).derivative(0.0, -1)
+        for pulse in (Cosine(chi=1.0, omega=1.0), GaussianApprox(area=1.0, center=0.0, width=1.0)):
+            for method in (pulse.derivative, pulse.derivative_bound):
+                with pytest.raises(ValueError, match=">= 0"):
+                    method(0.3, -1)
 
     @pytest.mark.parametrize(
         "pulse", [Cosine(chi=1.0, omega=1.0), GaussianApprox(area=1.0, center=0.0, width=1.0)]
     )
     @pytest.mark.parametrize("order", [1.9, 2.5, True, float("nan")])
     def test_non_integral_order_rejected(self, pulse, order):
-        with pytest.raises(ValueError):
-            pulse.derivative(0.3, order)
+        for method in (pulse.derivative, pulse.derivative_bound):
+            with pytest.raises(ValueError):
+                method(0.3, order)
 
     def test_integral_float_order_accepted(self):
         pulse = Cosine(chi=1.0, omega=1.0)

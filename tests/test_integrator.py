@@ -188,6 +188,39 @@ class TestIntegrate:
             rk4_reference(DEGENERATE, pulse, cfg)
         assert 0 <= k - round(oracle.value.time / h) <= 1
 
+    def test_blown_up_norm_signaled_at_largest_defect(self):
+        # max|V| h of about 4.5 on the 1000-step grid: the states stay finite
+        # while the norm grows past 1e200, most at the end of the period.
+        pulse = HarmonicSum(omega=1.0, coefficients=((1, 179.17104484994596),
+                                                     (3, 542.2255235302226)))
+        atom = TwoLevelAtom(omega21=0.01)
+        cfg = IntegrationConfig(0.0, 2 * math.pi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError, match=r"norm drifted by .* past 0\.001") as excinfo:
+                integrate(atom, pulse, cfg)
+        assert excinfo.value.time == 6.283185307179586
+        # The loop oracle applies no bound, and its states are finite.
+        with np.errstate(over="ignore"):
+            assert rk4_reference(atom, pulse, cfg).norm_defect().max() > 1e200
+
+    def test_norm_bound_is_inclusive(self, monkeypatch):
+        # A coarse grid drifts measurably; a bound equal to its largest drift
+        # passes the trajectory, and the next double below refuses it there.
+        pulse = normalized_cosine(1.0)
+        cfg = IntegrationConfig(0.0, 2 * math.pi, steps_per_period=100)
+        traj = integrate(DEGENERATE, pulse, cfg)
+        defect = traj.norm_defect()
+        worst = int(np.argmax(defect))
+        assert defect[worst] > 1e-9
+        monkeypatch.setattr(twolevel.integrator, "MAX_NORM_DEFECT", float(defect[worst]))
+        assert np.array_equal(integrate(DEGENERATE, pulse, cfg).a2, traj.a2)
+        monkeypatch.setattr(twolevel.integrator, "MAX_NORM_DEFECT",
+                            float(np.nextafter(defect[worst], 0.0)))
+        with pytest.raises(IntegrationError) as excinfo:
+            integrate(DEGENERATE, pulse, cfg)
+        assert excinfo.value.time == traj.times[worst]
+
     def test_explicit_step_overrides_period_grid(self):
         cfg = IntegrationConfig(0.0, 1.0, step=0.25)
         traj = integrate(DEGENERATE, Cosine(chi=1.0, omega=1.0), cfg)

@@ -19,7 +19,13 @@ from twolevel.core import (
 )
 from twolevel.analytic import first_order_from_action, first_order_populations
 from twolevel.hydrogen import lamb_shift
-from twolevel.integrator import IntegrationConfig, grid_times, integrate, populated_window
+from twolevel.integrator import (
+    IntegrationConfig,
+    IntegrationError,
+    grid_times,
+    integrate,
+    populated_window,
+)
 from twolevel.pulses import (
     MAX_GENERATIONS,
     MAX_POPULATION,
@@ -38,6 +44,7 @@ from _oracles import (
     _normalized,
     action_by_quadrature,
     first_order_reference,
+    rk4_reference,
     run_optimizer_reference,
 )
 
@@ -307,7 +314,8 @@ class TestOptimizer:
         # This near-cancelling genome normalizes to about (179.2, 542.2), with
         # max|V| h of about 4.5 on the 1000-step grid.  RK4's states stay
         # finite but its norm grows past 1e200, and its P2 reads above
-        # 1 - p_cr over the whole period.
+        # 1 - p_cr over the whole period.  integrate refuses it at the grid
+        # time of the largest defect, the end of the period.
         atom = TwoLevelAtom(omega21=0.01)
         objective = ShapingObjective(p_cr=1e-3, omega=1.0, atom=atom)
         grid = IntegrationConfig(0.0, 2 * math.pi)
@@ -315,9 +323,12 @@ class TestOptimizer:
         pulse = normalize_for_transfer(
             HarmonicSum(omega=1.0, coefficients=((1, 178.7), (3, 540.8))), math.pi / 2)
         with np.errstate(over="ignore"):
-            trajectory = integrate(atom, pulse, grid)
+            trajectory = rk4_reference(atom, pulse, grid)
             assert trajectory.norm_defect().max() > 1e200
             assert populated_window(trajectory, objective.p_cr) > 0.99 * 2 * math.pi
+        with pytest.raises(IntegrationError, match="norm drifted") as excinfo:
+            integrate(atom, pulse, grid)
+        assert excinfo.value.time == 2 * math.pi
         times = grid_times(pulse, grid)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
