@@ -111,9 +111,11 @@ def design_frequency(request: DesignRequest) -> float:
     Inverting the quartic peak approximation at leakage p_cr and half-width
     t_s/2 gives omega * (t_s/2) = (16 p_cr / pi^2)^(1/4), i.e.
     omega = (4/sqrt(pi)) * p_cr^(1/4) / t_s.  By construction
-    quartic_peak_approx(omega, t_s/2) == 1 - p_cr.
+    quartic_peak_approx(omega, t_s/2) == 1 - p_cr.  ValueError where it
+    overflows a double, as it does for a window of a few subnormal a.u.
     """
-    return 4.0 * request.p_cr**0.25 / (math.sqrt(math.pi) * request.t_s)
+    return _finite(lambda: 4.0 * request.p_cr**0.25 / (math.sqrt(math.pi) * request.t_s),
+                   "the designed frequency")
 
 
 def leakage_estimate(omega21: float, chi: float, t: float) -> float:

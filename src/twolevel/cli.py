@@ -248,6 +248,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     # Every integration finishes, and is checked, before the first file is written.
     trajs = [integrate(atom, pulse, cfg) for _, pulse, cfg in jobs]
+    if args.error_estimate:
+        estimate = step_halving_error(atom, pulse, cfg, coarse=trajs[0])
     _write_trajectories([(path, traj, job_pulse if args.analytic else None)
                          for (path, job_pulse, _), traj in zip(jobs, trajs)])
     manifest = _write_manifest(manifest_path, args, [str(path) for path, _, _ in jobs])
@@ -255,7 +257,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"wrote {len(jobs)} trajectories and {manifest}")
         return 0
     if args.error_estimate:
-        estimate = step_halving_error(atom, pulse, cfg, coarse=trajs[0])
         print(f"step-halving error estimate = {_fmt(estimate)}")
     print(f"wrote {out_path} ({len(trajs[0])} rows) and {manifest}")
     return 0

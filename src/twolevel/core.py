@@ -87,9 +87,11 @@ class TwoLevelAtom:
 
 # --- pulse families -----------------------------------------------------------
 #
-# Every family provides value(t), action(t), derivative(t, order), the scales
-# period and action_scale, scaled(s) and to_dict(), and derivative_bound(t,
-# order): the magnitude sum of the terms derivative adds, its rounding scale.
+# Two families: HarmonicSum, whose one-term member Cosine(chi, omega) builds,
+# and GaussianApprox.  Each provides value(t), action(t), derivative(t, order),
+# the scales period and action_scale, scaled(s) and to_dict(), and
+# derivative_bound(t, order): the magnitude sum of the terms derivative adds,
+# its rounding scale.
 
 def _check_omega(omega: float) -> float:
     omega = _check_finite("omega", omega)
@@ -110,8 +112,9 @@ def _check_order(order) -> int:
 
 
 def _finite(compute, what: str) -> float:
-    """``compute()``, a derivative, its bound or a series bound, named by
-    ``what``; ValueError where it overflows a double (or comes out nan)."""
+    """``compute()``, a derivative, its bound, a series bound or the designed
+    frequency, named by ``what``; ValueError where it overflows a double (or
+    comes out nan)."""
     try:
         value = compute()
     except (OverflowError, ZeroDivisionError):
@@ -138,8 +141,30 @@ def odd_harmonic_action(omega: float, harmonics, chi, t):
     return -total
 
 
-class _OddHarmonics:
-    """V21(t) = -sum_k chi_k cos(k omega t) over ``omega`` and ``coefficients``."""
+@dataclass(frozen=True)
+class HarmonicSum:
+    """Sum of odd harmonics of a base frequency.
+
+    V21(t) = -sum_k chi_k * cos(k * omega * t) over the listed (k, chi_k)
+    pairs.  Restricting k to odd integers keeps every member's magnitude
+    peaked at t = pi / (2 omega), the same instant as the plain cosine, which
+    is what makes the transfer normalization one-dimensional.
+    """
+
+    omega: float
+    coefficients: tuple[tuple[int, float], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "omega", _check_omega(self.omega))
+        coeffs = []
+        for k, c in self.coefficients:
+            k = _check_index(k)
+            coeffs.append((k, _check_finite(f"coefficient for k={k}", c)))
+        if not coeffs:
+            raise ValueError("HarmonicSum needs at least one (k, chi_k) pair")
+        if len({k for k, _ in coeffs}) != len(coeffs):
+            raise ValueError("duplicate harmonic index")
+        object.__setattr__(self, "coefficients", tuple(coeffs))
 
     def value(self, t):
         return -sum(c * np.cos(k * self.omega * t) for k, c in self.coefficients)
@@ -170,65 +195,22 @@ class _OddHarmonics:
     def action_scale(self) -> float:
         return sum(abs(c) / (k * self.omega) for k, c in self.coefficients)
 
-
-@dataclass(frozen=True)
-class Cosine(_OddHarmonics):
-    """Monochromatic drive V21(t) = -chi * cos(omega * t).
-
-    ``chi`` is the Rabi frequency (field amplitude times dipole projection),
-    ``omega`` the field angular frequency; both in Hartree.  It is the
-    one-term harmonic sum with coefficients ((1, chi),).
-    """
-
-    chi: float
-    omega: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "chi", _check_finite("chi", self.chi))
-        object.__setattr__(self, "omega", _check_omega(self.omega))
-
-    @property
-    def coefficients(self) -> tuple[tuple[int, float], ...]:
-        return ((1, self.chi),)
-
-    def scaled(self, s: float) -> Cosine:
-        return Cosine(chi=self.chi * s, omega=self.omega)
-
-    def to_dict(self) -> dict:
-        return {"type": "cosine", "chi": self.chi, "omega": self.omega}
-
-
-@dataclass(frozen=True)
-class HarmonicSum(_OddHarmonics):
-    """Sum of odd harmonics of a base frequency.
-
-    V21(t) = -sum_k chi_k * cos(k * omega * t) over the listed (k, chi_k)
-    pairs.  Restricting k to odd integers keeps every member's magnitude
-    peaked at t = pi / (2 omega), the same instant as the plain cosine, which
-    is what makes the transfer normalization one-dimensional.
-    """
-
-    omega: float
-    coefficients: tuple[tuple[int, float], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "omega", _check_omega(self.omega))
-        coeffs = []
-        for k, c in self.coefficients:
-            k = _check_index(k)
-            coeffs.append((k, _check_finite(f"coefficient for k={k}", c)))
-        if not coeffs:
-            raise ValueError("HarmonicSum needs at least one (k, chi_k) pair")
-        if len({k for k, _ in coeffs}) != len(coeffs):
-            raise ValueError("duplicate harmonic index")
-        object.__setattr__(self, "coefficients", tuple(coeffs))
-
     def scaled(self, s: float) -> HarmonicSum:
         return HarmonicSum(self.omega, tuple((k, c * s) for k, c in self.coefficients))
 
     def to_dict(self) -> dict:
         coefficients = [[k, c] for k, c in self.coefficients]
         return {"type": "harmonic_sum", "omega": self.omega, "coefficients": coefficients}
+
+
+def Cosine(chi: float, omega: float) -> HarmonicSum:
+    """Monochromatic drive V21(t) = -chi * cos(omega * t).
+
+    ``chi`` is the Rabi frequency (field amplitude times dipole projection),
+    ``omega`` the field angular frequency; both in Hartree.  It is the
+    one-term harmonic sum with coefficients ((1, chi),).
+    """
+    return HarmonicSum(omega, ((1, _check_finite("chi", chi)),))
 
 
 def _hermite_e(n: int, x: float, sign: float = -1.0) -> float:
@@ -310,7 +292,7 @@ class GaussianApprox:
         return {"type": "gaussian", "area": self.area, "center": self.center, "width": self.width}
 
 
-PulseSpec = Union[Cosine, HarmonicSum, GaussianApprox]
+PulseSpec = Union[HarmonicSum, GaussianApprox]
 
 
 # Module-level spellings of value and action: perfbench/tracer.py wraps them.
@@ -390,9 +372,11 @@ class Trajectory:
 # --- JSON wire format -------------------------------------------------------
 #
 # Tagged by a "type" field: "cosine" | "harmonic_sum" | "gaussian".  A pulse
-# serializes with its own to_dict().  Complex numbers never appear in the
-# pulse schema; trajectory output keeps real and imaginary parts in separate
-# columns.  pulse_from_dict is the one parser of outside input (--pulse-json).
+# serializes with its own to_dict(); a "cosine" reads as the one-term harmonic
+# sum and so writes back as "harmonic_sum".  Complex numbers never appear in
+# the pulse schema; trajectory output keeps real and imaginary parts in
+# separate columns.  pulse_from_dict is the one parser of outside input
+# (--pulse-json).
 
 def pulse_from_dict(data: dict) -> PulseSpec:
     """Inverse of ``pulse.to_dict()``; raises ValueError on malformed input."""

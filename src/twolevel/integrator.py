@@ -100,7 +100,10 @@ class IntegrationConfig:
 def step_count(pulse: PulseSpec, config: IntegrationConfig) -> int:
     """Number of equal steps on the grid.
 
-    ValueError if the step exceeds the span or the grid exceeds MAX_STEPS.
+    ValueError if the step exceeds the span, the grid exceeds MAX_STEPS, or
+    the step is no larger than the spacing of doubles at the grid end of
+    largest magnitude, where its times could not increase.  Within MAX_STEPS
+    a larger step always gives strictly increasing grid times.
     """
     step = config.step
     if step is None:
@@ -111,7 +114,12 @@ def step_count(pulse: PulseSpec, config: IntegrationConfig) -> int:
     n = span / step
     if not n <= MAX_STEPS:
         raise ValueError(f"the grid needs {n:.3g} steps, more than the limit of {MAX_STEPS}")
-    return round(n)
+    n = round(n)
+    t = max(config.t_start, config.t_end, key=abs)
+    if not span / n > math.ulp(t):
+        raise ValueError(f"the step {span / n:.6g} does not resolve the time t={t:.6g}, "
+                         f"where doubles are {math.ulp(t):.6g} apart")
+    return n
 
 
 def grid_times(pulse: PulseSpec, config: IntegrationConfig) -> np.ndarray:

@@ -50,7 +50,7 @@ def check(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"{criterion}: {detail}"
 
 
-def normalized_cosine(omega: float) -> Cosine:
+def normalized_cosine(omega: float) -> HarmonicSum:
     return Cosine(chi=0.5 * math.pi * omega, omega=omega)
 
 

@@ -163,6 +163,11 @@ class TestDesignFrequency:
         assert high > low
         assert high / low == pytest.approx((1e-2 / 1e-4) ** 0.25, rel=1e-12)
 
+    def test_overflow_is_value_error(self):
+        # 1e-320 a.u. is subnormal, and 1/t_s overflows a double.
+        with pytest.raises(ValueError, match="the designed frequency is not a finite double"):
+            design_frequency(DesignRequest(t_s=1e-320, p_cr=0.5))
+
     def test_request_validation(self):
         with pytest.raises(ValueError):
             DesignRequest(t_s=0.0, p_cr=0.5)

@@ -191,6 +191,37 @@ class TestSimulate:
         assert "--error-estimate applies to a single run" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_unresolved_grid_is_usage_error_before_integration(self, tmp_path, monkeypatch,
+                                                               capsys):
+        # At t = 1e20 doubles are 16384 apart, far more than the 3912 a.u. step.
+        calls = []
+
+        def counting(atom, pulse, config):
+            calls.append(config)
+            return twolevel.integrator.integrate(atom, pulse, config)
+
+        monkeypatch.setattr(twolevel.cli, "integrate", counting)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "keep.txt").write_text("kept")
+        with pytest.raises(SystemExit) as exc_info:
+            twolevel.cli.main(["simulate", "--ratio", "10", "--start=1e20", "--out", "x.csv"])
+        assert exc_info.value.code == 2
+        assert calls == []
+        assert "does not resolve the time t=1e+20" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["keep.txt"]
+
+    def test_unresolved_error_estimate_grid_writes_nothing(self, tmp_path, monkeypatch,
+                                                           capsys):
+        # At t = 1e19 doubles are 2048 apart: the 3912 a.u. step resolves
+        # them, the halved step of the estimate does not.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc_info:
+            twolevel.cli.main(["simulate", "--ratio", "10", "--start=1e19", "--error-estimate",
+                               "--out", "x.csv"])
+        assert exc_info.value.code == 2
+        assert "the step 1955.84 does not resolve the time t=1e+19" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_pulse_is_usage_error(self, tmp_path):
         result = run_cli(["simulate", "--out", "x.csv"], tmp_path)
         assert result.returncode == 2
@@ -301,6 +332,16 @@ class TestDesign:
         assert "Traceback" not in result.stderr
         assert [line for line in result.stderr.splitlines() if "error:" in line] == [
             "twolevel: error: the series leakage bound is not a finite double"]
+
+    @pytest.mark.parametrize("verify", [[], ["--verify"]], ids=["report", "verify"])
+    def test_overflowing_frequency_exits_two(self, tmp_path, verify):
+        # The error names the frequency, not a chi the user never gave.
+        result = run_cli(["design", "--ts", "1e-320", "--pcr", "0.5"] + verify, tmp_path)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert [line for line in result.stderr.splitlines() if "error:" in line] == [
+            "twolevel: error: the designed frequency is not a finite double"]
 
     def test_bad_arguments_exit_two(self, tmp_path):
         assert run_cli(["design", "--ts", "-5", "--pcr", "1e-4"], tmp_path).returncode == 2

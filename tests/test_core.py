@@ -42,7 +42,16 @@ class TestPulseValue:
     def test_cosine_bounded_by_chi(self):
         pulse = Cosine(chi=0.83, omega=1.7)
         t = np.linspace(0.0, 40.0, 5000)
-        assert np.all(np.abs(pulse_value(pulse, t)) <= pulse.chi + 1e-15)
+        chi = pulse.coefficients[0][1]
+        assert np.all(np.abs(pulse_value(pulse, t)) <= chi + 1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(chi=st.floats(allow_nan=False, allow_infinity=False),
+           omega=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    def test_cosine_is_one_term_harmonic_sum(self, chi, omega):
+        pulse = HarmonicSum(omega, ((1, chi),))
+        assert Cosine(chi, omega) == pulse
+        assert pulse_from_dict({"type": "cosine", "chi": chi, "omega": omega}) == pulse
 
     def test_gaussian_peak_value(self):
         g = GaussianApprox(area=2.0, center=1.0, width=0.5)
@@ -278,9 +287,10 @@ class TestWireFormat:
         assert pulse_from_dict(json.loads(json.dumps(pulse.to_dict()))) == pulse
 
     def test_tags(self):
-        assert Cosine(chi=1.0, omega=1.0).to_dict()["type"] == "cosine"
+        # A cosine is the one-term harmonic sum; the "cosine" tag still parses.
+        assert Cosine(chi=1.0, omega=1.0).to_dict()["type"] == "harmonic_sum"
         assert (
-            HarmonicSum(omega=1.0, coefficients=((1, 1.0),)).to_dict()["type"]
+            pulse_from_dict({"type": "cosine", "chi": 1.0, "omega": 1.0}).to_dict()["type"]
             == "harmonic_sum"
         )
         assert GaussianApprox(area=1.0, center=0.0, width=1.0).to_dict()["type"] == "gaussian"
@@ -347,6 +357,6 @@ class TestWireFormat:
         assert type(pulse.omega) is float
         assert all(type(k) is int and type(c) is float for k, c in pulse.coefficients)
         cosine = Cosine(chi=np.float32(2), omega=1)
-        assert (type(cosine.chi), type(cosine.omega)) == (float, float)
+        assert (type(cosine.coefficients[0][1]), type(cosine.omega)) == (float, float)
         gaussian = GaussianApprox(area=1, center=np.int64(0), width="2")
         assert (type(gaussian.area), type(gaussian.center), type(gaussian.width)) == (float,) * 3

@@ -26,6 +26,7 @@ from twolevel.integrator import (
     MAX_STEPS,
     IntegrationConfig,
     IntegrationError,
+    grid_times,
     integrate,
     max_population_deviation,
     populated_window,
@@ -40,7 +41,7 @@ from _oracles import populated_window_reference, rk4_reference
 DEGENERATE = TwoLevelAtom(omega21=0.0)
 
 
-def normalized_cosine(omega: float) -> Cosine:
+def normalized_cosine(omega: float) -> HarmonicSum:
     return Cosine(chi=0.5 * math.pi * omega, omega=omega)
 
 
@@ -82,6 +83,32 @@ class TestConfig:
             step_count(pulse, cfg)
         with pytest.raises(ValueError, match="steps"):
             integrate(DEGENERATE, pulse, cfg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(t_start=st.floats(-1e20, 1e20), steps=st.integers(1, 2000),
+           resolution=st.floats(0.25, 4.0))
+    @example(t_start=1e20, steps=1000, resolution=1.0)
+    @example(t_start=-1e20, steps=1000, resolution=1.0 + 1e-9)
+    def test_accepted_grid_times_increase(self, t_start, steps, resolution):
+        # Steps near the spacing of doubles at t_start: every grid that
+        # step_count accepts has strictly increasing times.
+        step = resolution * math.ulp(t_start)
+        t_end = t_start + steps * step
+        assume(step > 0.0 and t_end > t_start)
+        cfg = IntegrationConfig(t_start, t_end, step=step)
+        pulse = Cosine(chi=1.0, omega=1.0)
+        try:
+            step_count(pulse, cfg)
+        except ValueError:
+            return
+        assert np.all(np.diff(grid_times(pulse, cfg)) > 0.0)
+
+    def test_unresolved_grid_rejected(self):
+        # Doubles near 1e20 are 16384 apart.
+        cfg = IntegrationConfig(1e20, 1e20 + 1e6, step=1e3)
+        with pytest.raises(ValueError, match=r"does not resolve the time t=1e\+20, where "
+                                             "doubles are 16384 apart"):
+            step_count(Cosine(chi=1.0, omega=1.0), cfg)
 
 
 class TestIntegrate:

@@ -91,7 +91,7 @@ class TestNormalizeForTransfer:
 
     def test_sign_preserved(self):
         got = normalize_for_transfer(Cosine(chi=-1.0, omega=1.0), math.pi / 2)
-        assert got.chi == pytest.approx(-math.pi / 2, rel=1e-15)
+        assert got.coefficients[0][1] == pytest.approx(-math.pi / 2, rel=1e-15)
 
 
 class TestFlatnessOrder:
