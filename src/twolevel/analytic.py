@@ -10,12 +10,12 @@ design rule derived from it, the truncated-series leakage bounds for finite
 omega21, and the exact derivatives of P2 of every order used for pulse
 flattening (one Taylor-coefficient recurrence) all live here as pure functions.
 
-For finite omega21, :func:`first_order_populations` adds the first-order
-interaction-picture term on a time grid.  It reduces to sin^2 A at
-omega21 = 0, where it skips the correction's integrals, which add exactly
-+0.0 there.  :func:`first_order_from_action` computes it for many pulses
-at once from their actions, one row each; the optimizer ranks a whole
-generation of candidates on it while omega/omega21 is large.
+For finite omega21, :func:`first_order_from_action` adds the first-order
+interaction-picture term on a time grid, for one pulse or many at once
+from their actions, one row each.  It reduces to sin^2 A at omega21 = 0,
+where it skips the correction's integrals, which add exactly +0.0 there.
+The optimizer ranks a whole generation of candidates on it while
+omega/omega21 is large.
 """
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ from .core import AmplitudeState, PulseSpec, _check_order, _finite, action
 
 __all__ = [
     "DesignRequest",
-    "ModelPopulations",
     "degenerate_amplitudes",
     "transfer_populations",
     "quartic_peak_approx",
@@ -36,7 +35,6 @@ __all__ = [
     "leakage_estimate",
     "leakage_at_peak",
     "populations_from_action",
-    "first_order_populations",
     "first_order_from_action",
     "p2_derivatives",
     "delta_pulse_populations",
@@ -144,14 +142,16 @@ def leakage_at_peak(omega21: float, omega: float) -> float:
                    "the series leakage bound")
 
 
-def populations_from_action(pulse: PulseSpec, t):
+def populations_from_action(pulse: PulseSpec, t, t0: float = 0.0):
     """Populations (P1, P2) = (cos^2 A, sin^2 A) for an arbitrary pulse shape.
 
-    ``A`` is the closed-form action from :func:`twolevel.core.action`.  For
-    the cosine drive normalized to chi = (pi/2) omega this reduces exactly to
-    :func:`transfer_populations`.
+    ``A`` is the action from the preparation time ``t0``, when the state is
+    in level 1: A(t) - A(t0), with A from :func:`twolevel.core.action`.  For
+    the cosine drive normalized to chi = (pi/2) omega and t0 = 0 this reduces
+    exactly to :func:`transfer_populations`.
     """
     a = np.asarray(action(pulse, t), dtype=float)
+    a -= action(pulse, t0)
     p1 = np.cos(a) ** 2
     p2 = np.sin(a) ** 2
     if np.ndim(t) == 0:
@@ -159,21 +159,9 @@ def populations_from_action(pulse: PulseSpec, t):
     return p1, p2
 
 
-@dataclass(frozen=True)
-class ModelPopulations:
-    """Model populations (P1, P2) sampled on the grid ``times``.
-
-    Carries the ``times`` and ``p2`` that
-    :func:`twolevel.integrator.populated_window` reads, as a trajectory does.
-    """
-
-    times: np.ndarray
-    p1: np.ndarray
-    p2: np.ndarray
-
-
-def first_order_populations(pulse: PulseSpec, omega21: float, t) -> ModelPopulations:
-    """Populations to first order in the splitting, on the grid ``t``.
+def first_order_from_action(a: np.ndarray, omega21: float,
+                            times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Populations (P1, P2) to first order in the splitting, on the grid ``times``.
 
     In the frame of the degenerate propagator exp(-i A sigma_x) the splitting
     term reads (omega21/2)(1 - cos 2A sigma_z - sin 2A sigma_y).  One
@@ -187,33 +175,23 @@ def first_order_populations(pulse: PulseSpec, omega21: float, t) -> ModelPopulat
     S(t_peak) = (pi/2) H_0(pi) / omega (Struve function, Abramowitz & Stegun
     12.1.7), a peak leakage of 0.16540 (omega21/omega)^2.
 
-    ``t`` is an increasing 1-d grid that starts at 0; C and S are cumulative
-    trapezoid sums over it.  :func:`first_order_from_action` does the work.
+    ``times`` is an increasing 1-d grid that starts at 0, else ValueError;
+    C and S are cumulative trapezoid sums over it.  ``a`` is the action on
+    it, with shape (..., n) for the n grid points, one pulse per row, and
+    ``p1`` and ``p2`` come back in that shape; every row equals the
+    populations of its pulse alone bit for bit.  ``a`` may be overwritten:
+    it is one of the five arrays of its shape that the computation holds at
+    most.  At omega21 = 0 the correction term is +0.0 wherever the action is
+    finite, so the populations are computed as (cos^2 A, sin^2 A) directly,
+    bit for bit the same, without C and S.
     """
-    times = np.asarray(t, dtype=float)
     if times.ndim != 1 or times.size < 2 or times[0] != 0.0:
         raise ValueError("t must be a 1-d grid of at least two points starting at 0")
-    return first_order_from_action(np.array(action(pulse, times), dtype=float), omega21, times)
-
-
-def first_order_from_action(a: np.ndarray, omega21: float, times: np.ndarray) -> ModelPopulations:
-    """:func:`first_order_populations` for the action ``a`` on the grid ``times``.
-
-    ``a`` has shape (..., n) for the n grid points, one pulse per row, and
-    ``p1`` and ``p2`` come back in that shape; every row equals the
-    populations of its pulse alone bit for bit.  ``times`` is as in
-    :func:`first_order_populations` and is not checked here.  ``a`` may be
-    overwritten: it is one of the five arrays of its shape that the
-    computation holds at most.  At omega21 = 0 the correction term is +0.0
-    wherever the action is finite, so the populations are computed as
-    (cos^2 A, sin^2 A) directly, bit for bit the same, without C and S.
-    """
     a = np.ascontiguousarray(a, dtype=float)
     cos_a = np.cos(a)
     sin_a = np.sin(a, out=a)
     if omega21 == 0.0:
-        return ModelPopulations(times=times, p1=np.multiply(cos_a, cos_a, out=cos_a),
-                                p2=np.multiply(sin_a, sin_a, out=sin_a))
+        return np.multiply(cos_a, cos_a, out=cos_a), np.multiply(sin_a, sin_a, out=sin_a)
     half_steps = np.empty_like(times)
     half_steps[0] = 0.0
     np.multiply(0.5, np.diff(times), out=half_steps[1:])
@@ -247,7 +225,7 @@ def first_order_from_action(a: np.ndarray, omega21: float, times: np.ndarray) ->
     p1 += leak
     p2 = np.multiply(sin_a, sin_a, out=sin_a)
     p2 -= leak
-    return ModelPopulations(times=times, p1=p1, p2=p2)
+    return p1, p2
 
 
 def _cos_derivatives(v, s0: float, c0: float, sign: float) -> list[float]:

@@ -54,9 +54,9 @@ from .hydrogen import (
     z_matrix_element,
 )
 from .integrator import (
-    MAX_STEPS,
     IntegrationConfig,
     IntegrationError,
+    half_step_grid,
     integrate,
     populated_window,
     step_count,
@@ -94,8 +94,9 @@ def _write_trajectory_csv(path: Path, traj: Trajectory, analytic_pulse: PulseSpe
     """Write the trajectory as CSV: the header, then one line per time step.
 
     A line holds t, P1, P2 and the real and imaginary parts of a1 and a2,
-    and with an analytic pulse also the degenerate-limit P1 and P2 (one array
-    call for the whole trajectory).  Each line is the row's values formatted
+    and with an analytic pulse also the degenerate-limit P1 and P2 of the
+    state prepared in level 1 at the first grid time (one array call for the
+    whole trajectory).  Each line is the row's values formatted
     with ``'%.17g'`` and joined by commas, byte for byte.
     :func:`twolevel._csvtext.format_block` makes the text, ``_CSV_CHUNK_ROWS``
     rows at a time, so the memory held at once stays fixed whatever the
@@ -108,7 +109,7 @@ def _write_trajectory_csv(path: Path, traj: Trajectory, analytic_pulse: PulseSpe
     columns = [traj.times, traj.p1, traj.p2, traj.a1.real, traj.a1.imag, traj.a2.real, traj.a2.imag]
     if analytic_pulse is not None:
         header += ",P1_analytic,P2_analytic"
-        columns += populations_from_action(analytic_pulse, traj.times)
+        columns += populations_from_action(analytic_pulse, traj.times, traj.times[0])
     with path.open("wb") as fh:
         fh.write(header.encode() + b"\n")
         for start in range(0, len(traj), _CSV_CHUNK_ROWS):
@@ -205,6 +206,16 @@ def _wavelength_in_m(value: float, args: argparse.Namespace) -> float:
 
 # --- simulate ----------------------------------------------------------------
 
+def _check_one_pulse_source(args: argparse.Namespace) -> None:
+    """ValueError naming the pulse sources given, if there is more than one."""
+    sources = {"--pulse-json": [args.pulse_json], "--chi/--omega": [args.chi, args.omega],
+               "--ratio": [args.ratio], "--wavelength": [args.wavelength],
+               "--sweep": [args.sweep]}
+    given = [name for name, values in sources.items() if any(v is not None for v in values)]
+    if len(given) > 1:
+        raise ValueError(f"give one pulse source, not {' and '.join(given)}")
+
+
 def _resolve_pulse(args: argparse.Namespace, omega21: float) -> PulseSpec:
     if args.pulse_json is not None:
         try:
@@ -230,6 +241,7 @@ def _resolve_pulse(args: argparse.Namespace, omega21: float) -> PulseSpec:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _check_one_pulse_source(args)
     out_path = _out_path(args.out)
     # Every spec, grid and output path is checked before any integration.
     atom = _atom(args)
@@ -240,8 +252,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         pulse = _resolve_pulse(args, atom.omega21)
         cfg = _grid_config(args, pulse)
-        if args.error_estimate and 2 * step_count(pulse, cfg) > MAX_STEPS:
-            raise ValueError(f"--error-estimate doubles the grid past {MAX_STEPS} steps")
+        if args.error_estimate:
+            try:
+                half_step_grid(pulse, cfg)
+            except ValueError as exc:
+                raise ValueError(f"--error-estimate: {exc}") from None
         jobs = [(out_path, pulse, cfg)]
     manifest_path = out_path.with_suffix(".manifest.json")
     _check_outputs([path for path, _, _ in jobs] + [manifest_path])
@@ -423,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--steps-per-period", type=int, default=1000)
     sim.add_argument("--step", type=float, default=None, help="explicit RK4 step in a.u.")
     sim.add_argument("--analytic", action="store_true",
-                     help="append degenerate-limit reference populations")
+                     help="append degenerate-limit reference populations "
+                          "of the state prepared at --start")
     sim.add_argument("--error-estimate", action="store_true",
                      help="report the step-halving grid-error estimate (not with --sweep)")
     sim.add_argument("--sweep", default=None,

@@ -37,6 +37,7 @@ __all__ = [
     "step_count",
     "grid_times",
     "integrate",
+    "half_step_grid",
     "step_halving_error",
     "max_population_deviation",
     "populated_window",
@@ -226,6 +227,16 @@ def _propagate(p: np.ndarray, x: list[complex]) -> np.ndarray:
     return y.reshape(2, m * b)[:, :n]
 
 
+def half_step_grid(pulse: PulseSpec, config: IntegrationConfig) -> IntegrationConfig:
+    """The grid of ``config`` at half its step, which :func:`step_halving_error`
+    integrates; ValueError where :func:`step_count` rejects either grid."""
+    n = step_count(pulse, config)
+    fine = IntegrationConfig(t_start=config.t_start, t_end=config.t_end, initial=config.initial,
+                             step=(config.t_end - config.t_start) / (2 * n))
+    step_count(pulse, fine)
+    return fine
+
+
 def step_halving_error(atom: TwoLevelAtom, pulse: PulseSpec, config: IntegrationConfig,
                        *, coarse: Trajectory) -> float:
     """Grid-error report: max amplitude change when the step is halved.
@@ -240,14 +251,7 @@ def step_halving_error(atom: TwoLevelAtom, pulse: PulseSpec, config: Integration
     n = step_count(pulse, config)
     if len(coarse) != n + 1:
         raise ValueError(f"coarse trajectory has {len(coarse)} points, the grid {n + 1}")
-    span = config.t_end - config.t_start
-    fine_cfg = IntegrationConfig(
-        t_start=config.t_start,
-        t_end=config.t_end,
-        initial=config.initial,
-        step=span / (2 * n),
-    )
-    fine = integrate(atom, pulse, fine_cfg)
+    fine = integrate(atom, pulse, half_step_grid(pulse, config))
     return max(
         float(np.max(np.abs(coarse.a1 - fine.a1[::2]))),
         float(np.max(np.abs(coarse.a2 - fine.a2[::2]))),
@@ -281,11 +285,11 @@ def max_population_deviation(
 def populated_window(traj, p_cr: float) -> float:
     """Full width of the longest contiguous window where 1 - P2 <= p_cr.
 
-    ``traj`` is any object with equal-length ``times`` and finite ``p2``
-    arrays: a :class:`Trajectory` or a model such as
-    :class:`twolevel.analytic.ModelPopulations`.  It is the one-row case of
-    :func:`populated_windows`.  Raises ValueError when no grid point reaches
-    P2 >= 1 - p_cr.
+    ``traj`` is a :class:`Trajectory`, or any object with equal-length
+    ``times`` and finite ``p2`` arrays.  It is the one-row case of
+    :func:`populated_windows`, which windows a model curve such as
+    :func:`twolevel.analytic.first_order_from_action`'s.  Raises ValueError
+    when no grid point reaches P2 >= 1 - p_cr.
     """
     p2 = traj.p2
     (width,) = populated_windows(traj.times, p2[None], p_cr).tolist()

@@ -139,9 +139,9 @@ class OptimizationResult:
     """Best pulse found, its windows, and the per-generation record.
 
     ``best_window`` and ``history`` are in the ranking measure: the window of
-    :func:`twolevel.analytic.first_order_populations` where the splitting is
-    weak against the drive and the budget (see :func:`ranks_on_model`), else
-    the RK4 window.
+    the first-order model (:func:`twolevel.analytic.first_order_from_action`)
+    where the splitting is weak against the drive and the budget (see
+    :func:`ranks_on_model`), else the RK4 window.
     ``measured_window`` is the winner's window on an RK4 trajectory of the
     same grid, equal to ``best_window`` when the ranking was on RK4.
     """
@@ -246,7 +246,7 @@ def _model_rows(rows: np.ndarray, harmonics: tuple[int, ...], omega: float, omeg
     a row is not finite where the model overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         return first_order_from_action(
-            odd_harmonic_action(omega, harmonics, rows.T[:, :, None], times), omega21, times).p2
+            odd_harmonic_action(omega, harmonics, rows.T[:, :, None], times), omega21, times)[1]
 
 
 def _rk4_rows(atom: TwoLevelAtom, rows: np.ndarray, harmonics: tuple[int, ...], omega: float,

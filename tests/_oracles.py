@@ -27,7 +27,7 @@ import warnings
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from twolevel.analytic import ModelPopulations, first_order_populations, populations_from_action
+from twolevel.analytic import populations_from_action
 from twolevel.core import GaussianApprox, HarmonicSum, PulseSpec, Trajectory, pulse_value
 from twolevel.integrator import (
     IntegrationConfig,
@@ -35,6 +35,7 @@ from twolevel.integrator import (
     grid_times,
     integrate,
     populated_window,
+    populated_windows,
     step_count,
 )
 from twolevel.pulses import (
@@ -265,7 +266,8 @@ def csv_reference(path, traj, analytic_pulse) -> None:
 
     Same header, columns and trailing newline as
     :func:`twolevel.cli._write_trajectory_csv`; the analytic columns come
-    from one scalar ``populations_from_action`` call per row.
+    from one scalar ``populations_from_action`` call per row, for the state
+    prepared at the first grid time.
     """
     header = "t,P1,P2,re_a1,im_a1,re_a2,im_a2"
     if analytic_pulse is not None:
@@ -276,13 +278,14 @@ def csv_reference(path, traj, analytic_pulse) -> None:
         fields = [format(float(x), ".17g") for x in row]
         if analytic_pulse is not None:
             fields += [format(x, ".17g")
-                       for x in populations_from_action(analytic_pulse, float(row[0]))]
+                       for x in populations_from_action(analytic_pulse, float(row[0]),
+                                                        float(traj.times[0]))]
         lines.append(",".join(fields))
     path.write_text("\n".join(lines) + "\n")
 
 
 def first_order_reference(pulse, omega21, t):
-    """(P1, P2) of :func:`twolevel.analytic.first_order_populations` for one
+    """(P1, P2) of :func:`twolevel.analytic.first_order_from_action` for one
     pulse, the formula written out with a fresh array for every step."""
     times = np.asarray(t, dtype=float)
     a = np.asarray(pulse.action(times), dtype=float)
@@ -299,13 +302,15 @@ def first_order_reference(pulse, omega21, t):
 
 
 def _model_populations(omega21, pulse, grid):
-    """First-order populations on the RK4 grid, None if they are not finite."""
+    """First-order (times, P2) on the RK4 grid, None if P2 is not finite."""
+    times = grid_times(pulse, grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        model = first_order_populations(pulse, omega21, grid_times(pulse, grid))
-    return model if np.isfinite(model.p2).all() else None
+        _, p2 = first_order_reference(pulse, omega21, times)
+    return (times, p2) if np.isfinite(p2).all() else None
 
 
-Curve = Trajectory | ModelPopulations
+#: A curve is the pair (times, P2).
+Curve = tuple[np.ndarray, np.ndarray]
 Score = tuple[float, PulseSpec | None, float]
 
 #: The score of a genome that cannot be normalized or whose populations are unusable.
@@ -329,10 +334,8 @@ def _score(pulse: PulseSpec, curve: Curve | None, p_cr: float) -> Score:
     ``curve`` is None, and the window is 0.0 if P2 never reaches 1 - p_cr."""
     if curve is None:
         return _UNUSABLE
-    try:
-        width = populated_window(curve, p_cr)
-    except ValueError:
-        width = 0.0
+    times, p2 = curve
+    width = float(populated_windows(times, p2[None], p_cr)[0])
     norm = math.sqrt(sum(c * c for _, c in pulse.coefficients))
     return width, pulse, norm
 
@@ -375,9 +378,8 @@ def run_optimizer_reference(objective, config) -> OptimizationResult:
     """The GA of :func:`twolevel.pulses.run_optimizer`, one candidate at a time.
 
     Each child is scored as soon as it is drawn, and on the model side each
-    candidate's populations come from its own
-    :func:`twolevel.analytic.first_order_populations` call.  Same random
-    draws, results and ValueError contract.
+    candidate's populations come from its own :func:`first_order_reference`
+    call.  Same random draws, results and ValueError contract.
     """
     rng = np.random.default_rng(config.seed)
     harmonics = tuple(2 * i + 1 for i in range(config.n_harmonics))
@@ -390,7 +392,8 @@ def run_optimizer_reference(objective, config) -> OptimizationResult:
     def populations(pulse):
         if ranked_on_model:
             return _model_populations(omega21, pulse, grid)
-        return _rk4_trajectory(objective.atom, pulse, grid)
+        trajectory = _rk4_trajectory(objective.atom, pulse, grid)
+        return None if trajectory is None else (trajectory.times, trajectory.p2)
 
     def evaluate(genome):
         return _evaluate(genome, harmonics, objective, t_peak, populations)

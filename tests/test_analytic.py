@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import struve
 
+import twolevel.analytic
 from twolevel.analytic import (
     _cos_derivatives,
     DesignRequest,
@@ -16,7 +17,6 @@ from twolevel.analytic import (
     design_frequency,
     detuning_sensitivity,
     first_order_from_action,
-    first_order_populations,
     leakage_at_peak,
     leakage_estimate,
     p2_derivatives,
@@ -25,7 +25,7 @@ from twolevel.analytic import (
     transfer_populations,
 )
 from twolevel.core import Cosine, GaussianApprox, HarmonicSum, TwoLevelAtom, action
-from twolevel.integrator import IntegrationConfig, integrate, populated_window
+from twolevel.integrator import IntegrationConfig, integrate, populated_window, populated_windows
 from twolevel.pulses import normalize_for_transfer, second_derivative_nulled_pulse
 
 from _oracles import central_derivative, p2_derivative_faa_di_bruno
@@ -231,6 +231,20 @@ class TestPopulationsFromAction:
         pulse = Cosine(chi=1.0, omega=1.0)
         assert populations_from_action(pulse, 0.0) == (1.0, 0.0)
 
+    @pytest.mark.parametrize("pulse", [
+        Cosine(chi=0.5 * math.pi, omega=1.0),
+        GaussianApprox(area=-1.5, center=2.0, width=0.3),
+    ], ids=["cosine", "gaussian"])
+    def test_state_prepared_at_t0(self, pulse):
+        t = np.linspace(-1.0, 4.0, 51)
+        for t0 in (-1.0, 0.5, 2.0):
+            assert populations_from_action(pulse, t0, t0) == (1.0, 0.0)
+            shifted = np.sin(action(pulse, t) - action(pulse, t0)) ** 2
+            assert np.max(np.abs(populations_from_action(pulse, t, t0)[1] - shifted)) <= 1e-15
+        # A(0) is +-0.0, so preparing at t0 = 0 moves no bit.
+        assert populations_from_action(pulse, t)[1].tobytes() == (
+            np.sin(action(pulse, t)) ** 2).tobytes()
+
     def test_reduces_to_transfer_populations(self):
         omega = 0.8
         pulse = Cosine(chi=0.5 * math.pi * omega, omega=omega)
@@ -261,8 +275,8 @@ def assert_peak_leakage_matches_rk4(pulse, ratio: float) -> None:
     """RK4 leakage 1 - P2 at t_peak = pi/(2 omega) within 0.1 (omega21/omega)^2
     relative of the first-order model's."""
     traj = rk4_at(pulse, ratio, 0.5 * math.pi / pulse.omega)
-    model = first_order_populations(pulse, pulse.omega / ratio, traj.times)
-    measured, predicted = 1.0 - traj.p2[-1], model.p1[-1]
+    p1, _ = first_order_from_action(action(pulse, traj.times), pulse.omega / ratio, traj.times)
+    measured, predicted = 1.0 - traj.p2[-1], p1[-1]
     assert abs(measured - predicted) <= 0.1 / ratio**2 * predicted
 
 
@@ -274,16 +288,21 @@ class TestFirstOrderPopulations:
     ], ids=["cosine", "harmonic-sum", "gaussian"])
     def test_degenerate_limit_is_sin_squared(self, pulse):
         t = np.linspace(0.0, 5.0, 1001)
-        model = first_order_populations(pulse, 0.0, t)
         a = action(pulse, t)
-        assert np.max(np.abs(model.p2 - np.sin(a) ** 2)) <= 1e-15
-        assert np.max(np.abs(model.p1 - np.cos(a) ** 2)) <= 1e-15
+        p1, p2 = first_order_from_action(action(pulse, t), 0.0, t)
+        assert np.max(np.abs(p2 - np.sin(a) ** 2)) <= 1e-15
+        assert np.max(np.abs(p1 - np.cos(a) ** 2)) <= 1e-15
 
     @pytest.mark.parametrize("t", [np.linspace(0.1, 1.0, 11), np.zeros((2, 3)), np.zeros(1)],
                              ids=["late-start", "2-d", "one-point"])
     def test_rejects_grid_that_does_not_start_at_zero(self, t):
         with pytest.raises(ValueError, match="starting at 0"):
-            first_order_populations(Cosine(chi=1.0, omega=1.0), 0.1, t)
+            first_order_from_action(np.zeros_like(t), 0.1, t)
+
+    def test_is_the_one_spelling_of_the_model(self):
+        for name in ("ModelPopulations", "first_order_populations"):
+            assert not hasattr(twolevel.analytic, name)
+            assert name not in twolevel.analytic.__all__
 
     def test_non_finite_row_leaves_the_next_row_alone(self):
         # The trapezoid pair sums run across row ends; a row of nan must not
@@ -292,11 +311,11 @@ class TestFirstOrderPopulations:
         t = np.linspace(0.0, 2 * math.pi, 1001)
         a = np.stack([np.full_like(t, np.inf), action(pulse, t)])
         with np.errstate(invalid="ignore"):
-            rows = first_order_from_action(a, 0.03, t)
-        alone = first_order_populations(pulse, 0.03, t)
-        assert np.isnan(rows.p2[0]).all()
-        assert rows.p1[1].tobytes() == alone.p1.tobytes()
-        assert rows.p2[1].tobytes() == alone.p2.tobytes()
+            rows_p1, rows_p2 = first_order_from_action(a, 0.03, t)
+        p1, p2 = first_order_from_action(action(pulse, t), 0.03, t)
+        assert np.isnan(rows_p2[0]).all()
+        assert rows_p1[1].tobytes() == p1.tobytes()
+        assert rows_p2[1].tobytes() == p2.tobytes()
 
     def test_matches_the_formula_with_quadrature_integrals(self):
         # P1 = cos^2 A + (omega21^2/4) [(t - C) cos A - S sin A]^2, with C and
@@ -305,21 +324,21 @@ class TestFirstOrderPopulations:
         pulse = HarmonicSum(omega=1.0, coefficients=((1, 1.4), (3, 0.3)))
         omega21 = 0.3
         t = np.linspace(0.0, 2 * math.pi, 4001)
-        model = first_order_populations(pulse, omega21, t)
+        p1, p2 = first_order_from_action(action(pulse, t), omega21, t)
         for i in range(0, 4001, 250):
             a = float(action(pulse, t[i]))
             c = quad(lambda x: math.cos(2 * action(pulse, x)), 0.0, t[i], epsabs=1e-13)[0]
             s = quad(lambda x: math.sin(2 * action(pulse, x)), 0.0, t[i], epsabs=1e-13)[0]
             leak = omega21**2 / 4 * ((t[i] - c) * math.cos(a) - s * math.sin(a)) ** 2
-            assert model.p1[i] - math.cos(a) ** 2 == pytest.approx(leak, rel=1e-4, abs=1e-12)
-            assert math.sin(a) ** 2 - model.p2[i] == pytest.approx(leak, rel=1e-4, abs=1e-12)
+            assert p1[i] - math.cos(a) ** 2 == pytest.approx(leak, rel=1e-4, abs=1e-12)
+            assert math.sin(a) ** 2 - p2[i] == pytest.approx(leak, rel=1e-4, abs=1e-12)
 
     def test_cosine_peak_leakage_is_struve_constant(self):
         # S(t_peak) = (pi/2) H_0(pi) / omega (Abramowitz & Stegun 12.1.7).
         omega, omega21 = 2.0, 0.02
         pulse = Cosine(chi=0.5 * math.pi * omega, omega=omega)
         t = np.linspace(0.0, 0.5 * math.pi / omega, 5001)
-        leakage = first_order_populations(pulse, omega21, t).p1[-1]
+        leakage = first_order_from_action(action(pulse, t), omega21, t)[0][-1]
         constant = (0.5 * math.pi * struve(0, math.pi)) ** 2 / 4.0
         assert leakage == pytest.approx(constant * (omega21 / omega) ** 2, rel=1e-6)
 
@@ -346,8 +365,8 @@ class TestFirstOrderPopulations:
     def test_cosine_window_matches_rk4_at_ratio_100(self):
         pulse = Cosine(chi=0.5 * math.pi, omega=1.0)
         traj = rk4_at(pulse, 100, 2 * math.pi)
-        model = first_order_populations(pulse, 0.01, traj.times)
-        assert populated_window(model, 1e-3) == pytest.approx(
+        _, p2 = first_order_from_action(action(pulse, traj.times), 0.01, traj.times)
+        assert populated_windows(traj.times, p2[None], 1e-3)[0] == pytest.approx(
             populated_window(traj, 1e-3), rel=1e-3)
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI checks: file contracts, exit codes, reproducibility."""
 import csv
 import importlib.util
+import itertools
 import json
 import math
 import subprocess
@@ -27,6 +28,16 @@ MALFORMED_PULSES = {
     "chi-overflow": '{"type": "cosine", "chi": 1' + "0" * 400 + ', "omega": 1}',
     "index-fraction": '{"type": "harmonic_sum", "omega": 1, "coefficients": [[1.5, 1.57]]}',
     "index-bool": '{"type": "harmonic_sum", "omega": 1, "coefficients": [[true, 1.57]]}',
+}
+
+
+#: Each way of naming the pulse of a simulate run, with its arguments.
+PULSE_SOURCES = {
+    "--pulse-json": ["--pulse-json", "p.json"],
+    "--chi/--omega": ["--chi", "1", "--omega", "1"],
+    "--ratio": ["--ratio", "10"],
+    "--wavelength": ["--wavelength", "3e-6"],
+    "--sweep": ["--sweep", "10"],
 }
 
 
@@ -221,6 +232,65 @@ class TestSimulate:
         assert exc_info.value.code == 2
         assert "the step 1955.84 does not resolve the time t=1e+19" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            # At t = 1e19 the halved 1956 a.u. step does not resolve the times.
+            (["--ratio", "10", "--start=1e19"],
+             "the step 1955.84 does not resolve the time t=1e+19"),
+            # 6e6 steps, doubled past MAX_STEPS.
+            (["--ratio", "10", "--periods", "6000"], "the grid needs 1.2e+07 steps"),
+        ],
+        ids=["unresolved", "over-max-steps"],
+    )
+    def test_error_estimate_grid_is_usage_error_before_integration(
+            self, tmp_path, monkeypatch, capsys, args, message):
+        calls = []
+
+        def counting(integrate):
+            def wrapper(atom, pulse, config):
+                calls.append(config)
+                return integrate(atom, pulse, config)
+            return wrapper
+
+        for module in (twolevel.cli, twolevel.integrator):
+            monkeypatch.setattr(module, "integrate", counting(module.integrate))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "keep.txt").write_text("kept")
+        with pytest.raises(SystemExit) as exc_info:
+            twolevel.cli.main(["simulate", *args, "--error-estimate", "--out", "x.csv"])
+        assert exc_info.value.code == 2
+        assert calls == []
+        assert f"--error-estimate: {message}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["keep.txt"]
+
+    @pytest.mark.parametrize("first, second", list(itertools.combinations(PULSE_SOURCES, 2)),
+                             ids=[f"{a}-{b}" for a, b in itertools.combinations(PULSE_SOURCES, 2)])
+    def test_conflicting_pulse_sources_are_usage_error_before_integration(
+            self, tmp_path, monkeypatch, capsys, first, second):
+        (tmp_path / "p.json").write_text('{"type": "cosine", "chi": 1.57, "omega": 1}')
+        args = ["simulate", *PULSE_SOURCES[first], *PULSE_SOURCES[second], "--out", "x.csv"]
+        assert exit_code_without_integration(args, tmp_path, monkeypatch) == 2
+        assert f"give one pulse source, not {first} and {second}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["p.json"]
+
+    # From level 1 at --start, RK4 at 1000 steps per period tracks
+    # sin^2(A(t) - A(start)) to 1.3e-10 at omega21 = 0; the sweep's splitting
+    # of 1e-6 omega adds at most (omega21 t)^2 ~ 4e-11 over the period.
+    @pytest.mark.parametrize("start", ["0", "1.5707963267948966", "-1", "0.5"])
+    @pytest.mark.parametrize("pulse, out", [
+        (["--omega21", "0", "--chi", "1.5707963267948966", "--omega", "1"], "x.csv"),
+        (["--omega21", "1e-6", "--sweep", "1e6"], "x_ratio1e+06.csv"),
+    ], ids=["single", "sweep"])
+    def test_analytic_reference_is_prepared_at_start(self, tmp_path, monkeypatch, start,
+                                                     pulse, out):
+        monkeypatch.chdir(tmp_path)
+        assert twolevel.cli.main(["simulate", *pulse, "--start", start, "--analytic",
+                                  "--out", "x.csv"]) == 0
+        rows = read_csv(tmp_path / out)
+        assert (float(rows[0]["P1_analytic"]), float(rows[0]["P2_analytic"])) == (1.0, 0.0)
+        assert max(abs(float(r["P2"]) - float(r["P2_analytic"])) for r in rows) <= 1e-9
 
     def test_missing_pulse_is_usage_error(self, tmp_path):
         result = run_cli(["simulate", "--out", "x.csv"], tmp_path)

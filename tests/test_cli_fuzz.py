@@ -7,8 +7,10 @@ malformed pulse file, a missing or an existing directory), and runs it through `
 temporary directory, where a RuntimeWarning is an error.  The valid values
 keep every accepted run small: at most 2.5 periods of 1000 steps (doubled
 by ``--error-estimate``) and a GA of at most 8 candidates over 2
-generations.  A run that does not exit 0 must leave the directory as it
-found it.
+generations.  A simulate list names at most one pulse source, the bad
+option's own if it is one, so that the bad value reaches its own check
+rather than the check for conflicting sources.  A run that does not exit 0
+must leave the directory as it found it.
 """
 import contextlib
 import io
@@ -85,6 +87,9 @@ FLAGS = {
     "optimize": ["--ev"],
     "info": [],
 }
+#: simulate's pulse sources; --chi and --omega together are one.
+PULSE_SOURCES = [{"--pulse-json"}, {"--chi", "--omega"}, {"--ratio"}, {"--wavelength"},
+                 {"--sweep"}]
 # Required by the parser, or (for the GA) a search of 16 candidates over 20
 # generations when left out.
 ALWAYS = {"--ts", "--pcr", "--population", "--generations"}
@@ -93,9 +98,14 @@ ALWAYS = {"--ts", "--pcr", "--population", "--generations"}
 @st.composite
 def argument_lists(draw, command, bad_option):
     """Small valid values for some options; ``bad_option`` gets a bad one."""
+    excluded = set()
+    if command == "simulate":
+        own = [source for source in PULSE_SOURCES if bad_option in source]
+        source = own[0] if own else draw(st.sampled_from([set(), *PULSE_SOURCES]))
+        excluded = set().union(*PULSE_SOURCES) - source
     chosen = {}
     for option, (valid, _) in OPTIONS[command].items():
-        if valid and (option in ALWAYS or draw(st.booleans())):
+        if valid and option not in excluded and (option in ALWAYS or draw(st.booleans())):
             chosen[option] = draw(st.sampled_from(valid))
     if bad_option is not None:
         chosen[bad_option] = draw(st.sampled_from(OPTIONS[command][bad_option][1]))

@@ -17,7 +17,7 @@ from twolevel.core import (
     action,
     odd_harmonic_action,
 )
-from twolevel.analytic import first_order_from_action, first_order_populations
+from twolevel.analytic import first_order_from_action
 from twolevel.hydrogen import lamb_shift
 from twolevel.integrator import (
     IntegrationConfig,
@@ -422,14 +422,14 @@ class TestGenerationInOneArrayPass:
         rows = np.array(chi)[:, :n_harmonics]
         batch = [HarmonicSum(omega, tuple(zip(harmonics, row))) for row in rows.tolist()]
         times = grid_times(batch[0], IntegrationConfig(0.0, 2 * math.pi / omega))
-        model = first_order_from_action(
+        model_p1, model_p2 = first_order_from_action(
             odd_harmonic_action(omega, harmonics, rows.T[:, :, None], times), omega21, times)
         p2_rows = pulses._model_rows(rows, harmonics, omega, omega21, times)
-        for pulse, row_p1, row_p2, p2_row in zip(batch, model.p1, model.p2, p2_rows, strict=True):
-            alone = first_order_populations(pulse, omega21, times)
+        for pulse, row_p1, row_p2, p2_row in zip(batch, model_p1, model_p2, p2_rows, strict=True):
+            alone_p1, alone_p2 = first_order_from_action(action(pulse, times), omega21, times)
             p1, p2 = first_order_reference(pulse, omega21, times)
-            assert row_p1.tobytes() == alone.p1.tobytes() == p1.tobytes()
-            assert row_p2.tobytes() == p2_row.tobytes() == alone.p2.tobytes() == p2.tobytes()
+            assert row_p1.tobytes() == alone_p1.tobytes() == p1.tobytes()
+            assert row_p2.tobytes() == p2_row.tobytes() == alone_p2.tobytes() == p2.tobytes()
 
     @staticmethod
     def assert_normalized_like_each_pulse_alone(genomes, harmonics, omega):
