@@ -196,25 +196,7 @@ def _atom(args: argparse.Namespace) -> TwoLevelAtom:
     return TwoLevelAtom(omega21=omega21)
 
 
-def _wavelength_in_m(value: float, args: argparse.Namespace) -> float:
-    if args.um:
-        return value * 1e-6
-    if args.cm:
-        return value * 1e-2
-    return value
-
-
 # --- simulate ----------------------------------------------------------------
-
-def _check_one_pulse_source(args: argparse.Namespace) -> None:
-    """ValueError naming the pulse sources given, if there is more than one."""
-    sources = {"--pulse-json": [args.pulse_json], "--chi/--omega": [args.chi, args.omega],
-               "--ratio": [args.ratio], "--wavelength": [args.wavelength],
-               "--sweep": [args.sweep]}
-    given = [name for name, values in sources.items() if any(v is not None for v in values)]
-    if len(given) > 1:
-        raise ValueError(f"give one pulse source, not {' and '.join(given)}")
-
 
 def _resolve_pulse(args: argparse.Namespace, omega21: float) -> PulseSpec:
     if args.pulse_json is not None:
@@ -222,9 +204,7 @@ def _resolve_pulse(args: argparse.Namespace, omega21: float) -> PulseSpec:
             return pulse_from_dict(json.loads(Path(args.pulse_json).read_text()))
         except (OSError, ValueError) as exc:
             raise ValueError(f"cannot load pulse JSON: {exc}") from None
-    if args.chi is not None or args.omega is not None:
-        if args.chi is None or args.omega is None:
-            raise ValueError("--chi and --omega must be given together")
+    if args.chi is not None:
         return Cosine(
             chi=_energy_in_au(args.chi, args.ev),
             omega=_energy_in_au(args.omega, args.ev),
@@ -235,19 +215,17 @@ def _resolve_pulse(args: argparse.Namespace, omega21: float) -> PulseSpec:
             raise ValueError("--ratio needs a positive omega21")
         return Cosine(chi=0.5 * math.pi * omega, omega=omega)
     if args.wavelength is not None:
-        omega = wavelength_to_omega(_wavelength_in_m(args.wavelength, args))
+        unit = 1e-6 if args.um else 1e-2 if args.cm else 1.0
+        omega = wavelength_to_omega(args.wavelength * unit)
         return Cosine(chi=0.5 * math.pi * omega, omega=omega)
     raise ValueError("give a pulse: --pulse-json, --chi/--omega, --ratio, or --wavelength")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    _check_one_pulse_source(args)
     out_path = _out_path(args.out)
     # Every spec, grid and output path is checked before any integration.
     atom = _atom(args)
     if args.sweep is not None:
-        if args.error_estimate:
-            raise ValueError("--error-estimate applies to a single run, not to --sweep")
         jobs = _sweep_jobs(args, atom.omega21, out_path)
     else:
         pulse = _resolve_pulse(args, atom.omega21)
@@ -415,6 +393,40 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 # --- parser ------------------------------------------------------------------
 
+#: Which options of a command go together, by parser dest: groups of which
+#: at most one member is set ("chi/omega" is if either is), each with its
+#: error text, and options read only when one of their partners is set.  An
+#: option is set when its parsed value differs from its parser's default.
+OPTION_RULES = {
+    "simulate": ([("give one pulse source, not {} and {}",
+                   ["pulse_json", "chi/omega", "ratio", "wavelength", "sweep"]),
+                  ("{} applies to a single run, not to {}", ["error_estimate", "sweep"]),
+                  ("give {} or {}, not both", ["step", "steps_per_period"]),
+                  ("give {} or {}, not both", ["um", "cm"])],
+                 {"ev": ["omega21", "chi", "omega"], "um": ["wavelength"],
+                  "cm": ["wavelength"], "chi": ["omega"], "omega": ["chi"]}),
+    "design": ([], {"steps_per_period": ["verify"]}),
+}
+
+
+def _check_option_rules(args: argparse.Namespace) -> None:
+    """ValueError naming an option that ``OPTION_RULES`` refuses."""
+    def is_set(name: str) -> bool:
+        return any(getattr(args, d) != args._parser.get_default(d) for d in name.split("/"))
+
+    def option(name: str) -> str:
+        return "/".join("--" + d.replace("_", "-") for d in name.split("/"))
+
+    groups, partners = OPTION_RULES.get(args.command, ([], {}))
+    for text, members in groups:
+        given = [option(name) for name in members if is_set(name)]
+        if len(given) > 1:
+            raise ValueError(text.format(given[0], " and ".join(given[1:])))
+    for name, needs in partners.items():
+        if is_set(name) and not any(map(is_set, needs)):
+            raise ValueError(f"{option(name)} is read only with {' or '.join(map(option, needs))}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twolevel",
@@ -444,20 +456,21 @@ def build_parser() -> argparse.ArgumentParser:
                      help="report the step-halving grid-error estimate (not with --sweep)")
     sim.add_argument("--sweep", default=None,
                      help="comma-separated omega/omega21 ratios; one CSV per ratio")
-    sim.add_argument("--ev", action="store_true", help="energy inputs are in eV")
-    unit = sim.add_mutually_exclusive_group()
-    unit.add_argument("--um", action="store_true", help="--wavelength is in micrometers")
-    unit.add_argument("--cm", action="store_true", help="--wavelength is in centimeters")
+    sim.add_argument("--ev", action="store_true",
+                     help="--omega21, --chi and --omega are in eV (read only with one of them)")
+    sim.add_argument("--um", action="store_true", help="micrometers; read only with --wavelength")
+    sim.add_argument("--cm", action="store_true", help="centimeters; read only with --wavelength")
     sim.add_argument("--out", default="trajectory.csv", help="output CSV path")
-    sim.set_defaults(func=cmd_simulate)
+    sim.set_defaults(func=cmd_simulate, _parser=sim)
 
     des = sub.add_parser("design", help="choose a drive frequency for a duration/leakage budget")
     des.add_argument("--ts", type=float, required=True, help="requested window width in a.u.")
     des.add_argument("--pcr", type=float, required=True, help="leakage budget in (0, 1)")
     des.add_argument("--verify", action="store_true",
                      help="integrate the designed drive and report the measured window")
-    des.add_argument("--steps-per-period", type=int, default=1000)
-    des.set_defaults(func=cmd_design)
+    des.add_argument("--steps-per-period", type=int, default=1000,
+                     help="RK4 steps per period of the --verify run (read only with it)")
+    des.set_defaults(func=cmd_design, _parser=des)
 
     opt = sub.add_parser("optimize", help="GA search for a wider flat-top pulse")
     opt.add_argument("--pcr", type=float, required=True, help="leakage budget in (0, 1)")
@@ -472,10 +485,10 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--seed", type=int, default=0)
     opt.add_argument("--ev", action="store_true", help="energy inputs are in eV")
     opt.add_argument("--out", default="optimize", help="output file prefix")
-    opt.set_defaults(func=cmd_optimize)
+    opt.set_defaults(func=cmd_optimize, _parser=opt)
 
     inf = sub.add_parser("info", help="print hydrogen constants and field regimes")
-    inf.set_defaults(func=cmd_info)
+    inf.set_defaults(func=cmd_info, _parser=inf)
     return parser
 
 
@@ -485,6 +498,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(effective_argv)
     args._argv = effective_argv
     try:
+        _check_option_rules(args)
         return args.func(args)
     except ValueError as exc:
         parser.error(str(exc))

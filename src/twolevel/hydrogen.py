@@ -109,11 +109,11 @@ def next_level_gap() -> float:
 # --- orbitals and the dipole matrix element ---------------------------------
 
 # Each m = 0 orbital (Z = 1, infinite nuclear mass) as the coefficients c_i of
-# its radial polynomial, its normalization and l:
-# R(r) = norm * sum(c_i r^i) * e^(-r/2).
+# its radial polynomial, the inverse square n of its normalization and l:
+# R(r) = sum(c_i r^i) * e^(-r/2) / sqrt(n).
 _ORBITALS = {
-    "2s": ((2, -1), 1.0 / (2.0 * math.sqrt(2.0)), 0),
-    "2p": ((0, 1), 1.0 / (2.0 * math.sqrt(6.0)), 1),
+    "2s": ((2, -1), 8, 0),
+    "2p": ((0, 1), 24, 1),
 }
 
 
@@ -122,19 +122,20 @@ def z_matrix_element(bra: str, ket: str) -> float:
 
     The radial factor, the integral of R_a(r) R_b(r) r^3 dr, is a polynomial
     times e^(-r), and the integral of r^k e^(-r) dr is k!, so it equals
-    norm_a norm_b sum c_i c_j (i + j + 3)!.  The angular factor
+    sum c_i c_j (i + j + 3)! / sqrt(n_a n_b).  The angular factor
     2 pi * integral Y_a(x) x Y_b(x) dx over x = cos(theta) is
     sqrt(3)^l / (l + 2) for odd l = l_a + l_b and exactly 0 for even l.
+    Its square is one ratio of integers, rounded once: the 2s-2p element is -3 exactly.
     """
     if bra not in _ORBITALS or ket not in _ORBITALS:
         raise ValueError(f"orbital labels must be '2s' or '2p', got {bra!r}, {ket!r}")
-    (coeffs_a, norm_a, l_a), (coeffs_b, norm_b, l_b) = _ORBITALS[bra], _ORBITALS[ket]
+    (coeffs_a, n_a, l_a), (coeffs_b, n_b, l_b) = _ORBITALS[bra], _ORBITALS[ket]
     l = l_a + l_b
     if l % 2 == 0:
         return 0.0
     moments = sum(a * b * math.factorial(i + j + 3)
                   for i, a in enumerate(coeffs_a) for j, b in enumerate(coeffs_b))
-    return norm_a * norm_b * moments * math.sqrt(3.0) ** l / (l + 2)
+    return math.copysign(math.sqrt(moments**2 * 3**l / (n_a * n_b * (l + 2) ** 2)), moments)
 
 
 def dipole_2s2p() -> float:

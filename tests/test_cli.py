@@ -1,20 +1,29 @@
-"""End-to-end CLI checks: file contracts, exit codes, reproducibility."""
+"""End-to-end CLI checks: file contracts, exit codes, reproducibility.
+
+This module needs neither scipy nor hypothesis, so it also runs on the
+package's runtime dependencies alone (the smoke job in CI).
+"""
 import csv
 import importlib.util
 import itertools
 import json
 import math
+import os
+import shutil
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import twolevel.cli
 import twolevel.hydrogen
 import twolevel.integrator
 import twolevel.pulses
+from twolevel._csvtext import format_block
+from twolevel.cli import OPTION_RULES
 from twolevel.core import TwoLevelAtom
 from twolevel.hydrogen import dipole_2s2p
 from twolevel.pulses import MAX_GENERATIONS, MAX_POPULATION, ShapingObjective, ranks_on_model
@@ -41,9 +50,15 @@ PULSE_SOURCES = {
 }
 
 
-def run_cli(args, cwd):
+#: The options that each command's parser requires.
+REQUIRED = {"design": ["--ts", "50", "--pcr", "1e-4"], "optimize": ["--pcr", "1e-4"]}
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+def run_cli(args, cwd, **kwargs):
     return subprocess.run(
-        CLI + args, cwd=cwd, capture_output=True, text=True, timeout=300
+        CLI + args, cwd=cwd, capture_output=True, text=True, timeout=300, **kwargs
     )
 
 
@@ -138,6 +153,47 @@ class TestSimulate:
         assert (tmp_path / "sweep_ratio100.csv").exists()
         manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
         assert len(manifest["outputs"]) == 2
+
+    def test_sweep_repeats_its_bytes_and_warns_nothing(self, tmp_path):
+        # Python 3.12+ would warn about forking with a thread running.
+        env = dict(os.environ, PYTHONWARNINGS="always::DeprecationWarning")
+        for run in ("first", "again"):
+            (tmp_path / run).mkdir()
+            result = run_cli(["simulate", "--sweep", "10,100", "--analytic", "--out", "s.csv"],
+                             tmp_path / run, env=env)
+            assert result.returncode == 0, result.stderr
+            assert result.stderr == ""
+        first, again = tmp_path / "first", tmp_path / "again"
+        for name in ("s_ratio10.csv", "s_ratio100.csv", "s.manifest.json"):
+            assert (first / name).read_bytes() == (again / name).read_bytes()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="the platform cannot pin a process to one CPU")
+    def test_sweep_on_one_cpu_gives_the_same_bytes(self, tmp_path):
+        # On one CPU the sweep has one writer process, so nothing forks.
+        def one_cpu():
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+        for run, preexec_fn in (("cpus", None), ("one", one_cpu)):
+            (tmp_path / run).mkdir()
+            result = run_cli(["simulate", "--sweep", "10,20,50,100", "--analytic",
+                              "--out", "s.csv"], tmp_path / run, preexec_fn=preexec_fn)
+            assert result.returncode == 0, result.stderr
+        cpus, one = tmp_path / "cpus", tmp_path / "one"
+        for ratio in (10, 20, 50, 100):
+            name = f"s_ratio{ratio}.csv"
+            assert (cpus / name).read_bytes() == (one / name).read_bytes()
+
+    def test_cosine_pulse_file_gives_its_harmonic_sum_bytes(self, tmp_path, monkeypatch):
+        (tmp_path / "cos.json").write_text(
+            '{"type": "cosine", "chi": 1.5707963267948966, "omega": 1}')
+        (tmp_path / "sum.json").write_text(
+            '{"type": "harmonic_sum", "omega": 1, "coefficients": [[1, 1.5707963267948966]]}')
+        monkeypatch.chdir(tmp_path)
+        for name in ("cos", "sum"):
+            assert twolevel.cli.main(["simulate", "--omega21", "0.01", "--pulse-json",
+                                      f"{name}.json", "--analytic", "--out", f"{name}.csv"]) == 0
+        assert (tmp_path / "cos.csv").read_bytes() == (tmp_path / "sum.csv").read_bytes()
 
     def test_colliding_sweep_outputs_are_usage_error(self, tmp_path):
         result = run_cli(
@@ -558,6 +614,32 @@ class TestOptimize:
         assert "--population" in errors[0] and "--horizon" in errors[0]
         assert list(tmp_path.iterdir()) == []
 
+    def test_model_ranked_search_repeats_its_bytes_and_its_rk4_window(self, tmp_path):
+        args = ["optimize", "--omega21", "0", "--n-harmonics", "3", "--population", "6",
+                "--generations", "3", "--pcr", "1e-4", "--out", "ga"]
+        for run in ("first", "again"):
+            (tmp_path / run).mkdir()
+            result = run_cli(args, tmp_path / run)
+            assert result.returncode == 0, result.stderr
+        first, again = tmp_path / "first", tmp_path / "again"
+        for name in ("ga_pulse.json", "ga_history.csv", "ga.manifest.json"):
+            assert (first / name).read_bytes() == (again / name).read_bytes()
+        summary = json.loads((first / "ga_pulse.json").read_text())
+        history = summary["fitness_history"]
+        assert math.isclose(summary["measured_T_s"], summary["achieved_T_s"], rel_tol=1e-6)
+        assert all(b >= a for a, b in zip(history, history[1:]))
+
+    def test_rk4_ranked_search_reports_its_window_as_measured(self, tmp_path, monkeypatch):
+        # p_cr = 1e-4 is below 10 (omega21/omega)^2 = 1e-3, so every
+        # candidate is integrated and the two windows are one number.
+        objective = ShapingObjective(p_cr=1e-4, omega=1.0, atom=TwoLevelAtom(omega21=0.01))
+        assert not ranks_on_model(objective)
+        monkeypatch.chdir(tmp_path)
+        assert twolevel.cli.main(["optimize", "--omega21", "0.01", "--pcr", "1e-4",
+                                  "--population", "6", "--generations", "3", "--out", "ga"]) == 0
+        summary = json.loads((tmp_path / "ga_pulse.json").read_text())
+        assert summary["measured_T_s"] == summary["achieved_T_s"]
+
     def test_history_is_monotone(self, tmp_path):
         run_cli(
             ["optimize", "--pcr", "1e-4", "--omega21", "0", "--n-harmonics", "2",
@@ -570,7 +652,94 @@ class TestOptimize:
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 
+class TestOptionRules:
+    @pytest.mark.parametrize("command", sorted(OPTION_RULES))
+    def test_every_name_is_a_dest_of_its_command(self, command):
+        dests = vars(twolevel.cli.build_parser().parse_args([command, *REQUIRED.get(command, [])]))
+        groups, partners = OPTION_RULES[command]
+        names = [name for _, members in groups for name in members]
+        names += [name for option, others in partners.items() for name in [option, *others]]
+        for name in names:
+            assert set(name.split("/")) <= set(dests), name
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["simulate", "--ratio", "10", "--ev"],
+             "--ev is read only with --omega21 or --chi or --omega"),
+            (["simulate", "--ratio", "10", "--um"], "--um is read only with --wavelength"),
+            (["simulate", "--ratio", "10", "--cm"], "--cm is read only with --wavelength"),
+            (["simulate", "--chi", "1"], "--chi is read only with --omega"),
+            (["simulate", "--omega", "1"], "--omega is read only with --chi"),
+            (["simulate", "--ratio", "10", "--step", "0.1", "--steps-per-period", "5000",
+              "--periods", "0.01"], "give --step or --steps-per-period, not both"),
+            (["simulate", "--ratio", "10", "--step", "0.1", "--steps", "5000",
+              "--periods", "0.01"], "give --step or --steps-per-period, not both"),
+            (["design", "--ts", "50", "--pcr", "1e-4", "--steps-per-period", "5000"],
+             "--steps-per-period is read only with --verify"),
+        ],
+        ids=["ev-without-energy", "um-without-wavelength", "cm-without-wavelength",
+             "chi-alone", "omega-alone", "step-and-steps-per-period", "step-and-abbreviation",
+             "design-steps-without-verify"],
+    )
+    def test_unread_option_is_usage_error_before_any_other_check(
+            self, tmp_path, monkeypatch, capsys, args, message):
+        # A simulate --out into a missing directory shows that the rule is
+        # checked before the outputs are.
+        out = ["--out", "missing/x.csv"] if args[0] == "simulate" else []
+        assert exit_code_without_integration(args + out, tmp_path, monkeypatch) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if "error:" in line] == [
+            f"twolevel: error: {message}"]
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestCsvText:
+    def test_formatter_writes_percent_17g_at_every_binary_exponent(self):
+        # numpy 1.x and 2.x promote uint64 with Python ints differently, and
+        # the array formatter must give Python's bytes on either: 64 seeded
+        # mantissas at every binary exponent from -1074 (subnormal) to 1023,
+        # both signs, then nan, +-inf and +-0.
+        rng = np.random.default_rng(22)
+        exponent = np.repeat(np.arange(-1074, 1024), 64)
+        bits = np.minimum(exponent + 1074, 52)
+        fraction = rng.integers(0, 2**52, exponent.size, dtype=np.uint64)
+        leading = np.uint64(1) << bits.astype(np.uint64)
+        mantissa = fraction % leading + leading
+        x = np.ldexp(mantissa.astype(float), exponent - bits)
+        assert np.array_equal(np.frexp(x)[1] - 1, exponent)
+        x = np.concatenate([x, -x, [np.nan, np.inf, -np.inf, 0.0, -0.0]])
+        for columns in (1, 9):
+            block = x[:x.size // columns * columns].reshape(-1, columns)
+            row_format = ",".join(["%.17g"] * columns) + "\n"
+            for start in range(0, len(block), 512):
+                rows = block[start:start + 512]
+                expected = "".join(row_format % tuple(row) for row in rows.tolist()).encode()
+                assert format_block(rows) == expected, rows
+
+
+class TestDemos:
+    @pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
+    def test_runs_without_matplotlib_and_writes_nothing_to_stderr(self, tmp_path, demo):
+        # None in sys.modules makes `import matplotlib` raise ImportError.
+        code = ("import runpy, sys; sys.modules['matplotlib'] = None; "
+                "sys.argv = sys.argv[1:]; runpy.run_path(sys.argv[0], run_name='__main__')")
+        result = subprocess.run([sys.executable, "-c", code, str(demo)], cwd=tmp_path,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+
+
 class TestImport:
+    @pytest.mark.skipif(shutil.which("twolevel") is None,
+                        reason="the package's console script is not installed")
+    def test_console_script_runs_the_cli(self, tmp_path):
+        script = subprocess.run(["twolevel", "info"], cwd=tmp_path, capture_output=True,
+                                text=True, timeout=60)
+        assert script.returncode == 0, script.stderr
+        assert script.stdout == run_cli(["info"], tmp_path).stdout
+
     def test_cli_import_loads_no_scipy(self):
         code = (
             "import sys, twolevel.cli; "
@@ -600,6 +769,8 @@ class TestInfo:
         assert result.returncode == 0
         out = result.stdout
         assert "3.000000" in out
+        assert "  dipole <2s|z|2p0>       = -3 a.u. (|d| = 3.000000)\n" in out
+        assert "  <2s|z|2s> (selection)   = 0 a.u.\n" in out
         lamb_line = next(l for l in out.splitlines() if "Lamb" in l)
         ev = float(lamb_line.split("=")[2].replace("eV", "").strip())
         assert ev == pytest.approx(4.37e-6, rel=1e-9)

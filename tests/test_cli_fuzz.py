@@ -1,32 +1,44 @@
-"""In-process CLI fuzzing: every argument list exits 0, 2 or 3.
+"""In-process CLI fuzzing: every argument list exits 0, 2 or 3, and every
+option that a run sets is read or refused.
 
 For each command, and for each of its options in turn, Hypothesis draws an
 argument list of small valid values in which that option holds a bad one
 (nan, +-inf, 0, a negative, 1e400, a huge or tiny finite number, a
-malformed pulse file, a missing or an existing directory), and runs it through ``twolevel.cli.main`` in a fresh
-temporary directory, where a RuntimeWarning is an error.  The valid values
-keep every accepted run small: at most 2.5 periods of 1000 steps (doubled
-by ``--error-estimate``) and a GA of at most 8 candidates over 2
-generations.  A simulate list names at most one pulse source, the bad
-option's own if it is one, so that the bad value reaches its own check
-rather than the check for conflicting sources.  A run that does not exit 0
-must leave the directory as it found it.
+malformed pulse file, a missing or an existing directory), and runs it
+through ``twolevel.cli.main`` in a fresh temporary directory, where a
+RuntimeWarning is an error.  The valid values keep every accepted run
+small: at most 2.5 periods of 1000 steps, or about 10^4 steps of 1000 a.u.
+(2.5 periods of the slowest drive), doubled by ``--error-estimate``, and a
+GA of at most 8 candidates over 2 generations.  The lists follow
+``cli.OPTION_RULES``: of each group they name one member at most, the bad
+option's own if it is in one, and an option read only with a partner has
+one, so that the bad value reaches its own check rather than a check of
+the rules.  A run that does not exit 0 must leave the directory as it
+found it.
+
+Then, for each option, Hypothesis draws a valid run without it that exits
+0, and sets the option at a valid value: the run must exit 2 naming the
+option, or change its stdout or an output file.
 """
 import contextlib
+import functools
 import io
 import os
+import re
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import twolevel.cli
+from twolevel.cli import OPTION_RULES
 from twolevel.pulses import MAX_GENERATIONS, MAX_POPULATION
 
-from test_cli import MALFORMED_PULSES
+from test_cli import MALFORMED_PULSES, REQUIRED
 
 #: Edge values for every numeric option: most are rejected, a few (0 or a
 #: negative start, splitting, chi or seed, and large or tiny finite values
@@ -58,7 +70,7 @@ OPTIONS = {
         "--periods": (["1", "2.5"], EDGE),
         "--start": (["0", "-1", "0.5"], EDGE),
         "--steps-per-period": (["100", "1000"], EDGE),
-        "--step": ([], EDGE),
+        "--step": (["1000"], EDGE),
         "--sweep": (["10,100", "10"], ["1,nan", "a,b", ","] + EDGE),
         "--out": (["x.csv"], BAD_OUT),
     },
@@ -87,44 +99,87 @@ FLAGS = {
     "optimize": ["--ev"],
     "info": [],
 }
-#: simulate's pulse sources; --chi and --omega together are one.
-PULSE_SOURCES = [{"--pulse-json"}, {"--chi", "--omega"}, {"--ratio"}, {"--wavelength"},
-                 {"--sweep"}]
 # Required by the parser, or (for the GA) a search of 16 candidates over 20
 # generations when left out.
 ALWAYS = {"--ts", "--pcr", "--population", "--generations"}
 
 
+def options(name: str) -> list[str]:
+    """The options of an OPTION_RULES name: ``chi/omega`` is --chi and --omega."""
+    return ["--" + dest.replace("_", "-") for dest in name.split("/")]
+
+
+def valid_value(draw, command, option):
+    """A drawn valid value of a valued option, None for a flag."""
+    if option not in OPTIONS[command]:
+        return None
+    return draw(st.sampled_from(OPTIONS[command][option][0]))
+
+
 @st.composite
-def argument_lists(draw, command, bad_option):
-    """Small valid values for some options; ``bad_option`` gets a bad one."""
-    excluded = set()
-    if command == "simulate":
-        own = [source for source in PULSE_SOURCES if bad_option in source]
-        source = own[0] if own else draw(st.sampled_from([set(), *PULSE_SOURCES]))
-        excluded = set().union(*PULSE_SOURCES) - source
-    chosen = {}
+def argument_lists(draw, command, bad_option, left_out=None):
+    """Small valid values for some options; ``bad_option`` gets a bad one,
+    and ``left_out`` none."""
+    groups, partners = OPTION_RULES.get(command, ([], {}))
+    chosen, excluded = {}, {left_out}
+    # Of each group, one member or none; a member that an earlier group
+    # chose, or that holds the bad option, is this group's choice too.
+    for _, names in groups:
+        members = [options(name) for name in names]
+        own = [m for m in members if bad_option in m or set(m) <= set(chosen)]
+        allowed = [m for m in members if not set(m) & excluded]
+        member = own[0] if own else draw(st.sampled_from([None, *allowed]))
+        for m in members:
+            if m != member:
+                excluded.update(m)
+                continue
+            for option in m:
+                if option not in chosen:
+                    chosen[option] = valid_value(draw, command, option)
     for option, (valid, _) in OPTIONS[command].items():
-        if valid and option not in excluded and (option in ALWAYS or draw(st.booleans())):
+        if (valid and option not in excluded and option not in chosen
+                and (option in ALWAYS or draw(st.booleans()))):
             chosen[option] = draw(st.sampled_from(valid))
+    for flag in FLAGS[command]:
+        if flag not in excluded and flag not in chosen and draw(st.booleans()):
+            chosen[flag] = None
     if bad_option is not None:
         chosen[bad_option] = draw(st.sampled_from(OPTIONS[command][bad_option][1]))
-    argv = [command]
-    for option, value in chosen.items():
-        argv += [option, value]
-    return argv + [flag for flag in FLAGS[command] if draw(st.booleans())]
+    # An option read only with a partner gets one if it holds the bad value,
+    # and is left out otherwise.
+    while True:
+        unread = [(option, others) for name, others in partners.items()
+                  for option in options(name) if option in chosen
+                  and not any(o in chosen for other in others for o in options(other))]
+        if not unread:
+            break
+        for option, others in unread:
+            if option == bad_option:
+                partner = options(others[0])[0]
+                chosen[partner] = valid_value(draw, command, partner)
+            else:
+                chosen.pop(option, None)
+    return [command] + [arg for item in chosen.items() for arg in option_args(*item)]
 
 
-CASES = [(command, option) for command, options in OPTIONS.items() for option in [None, *options]]
+def option_args(option: str, value: str | None) -> list[str]:
+    """The arguments that give ``option`` its ``value``, None for a flag."""
+    return [option] if value is None else [option, value]
+
+
+CASES = [(command, option) for command, values in OPTIONS.items() for option in [None, *values]]
 
 
 def snapshot(root: Path) -> list[str]:
     return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
 
 
-def run_in_fresh_directory(argv: list[str]) -> tuple[int, list[str], list[str]]:
-    """Exit code and directory listings before and after one in-process run."""
+def run_in_fresh_directory(argv: list[str]) -> SimpleNamespace:
+    """One in-process run: its exit code, stdout and stderr, the directory
+    listings before and after it, and the bytes of each file it wrote but
+    its manifest, which echoes the command."""
     cwd = os.getcwd()
+    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name, text in PULSE_FILES.items():
@@ -133,8 +188,8 @@ def run_in_fresh_directory(argv: list[str]) -> tuple[int, list[str], list[str]]:
         before = snapshot(root)
         os.chdir(root)
         try:
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 try:
                     code = twolevel.cli.main(argv)
@@ -142,7 +197,11 @@ def run_in_fresh_directory(argv: list[str]) -> tuple[int, list[str], list[str]]:
                     code = exc.code
         finally:
             os.chdir(cwd)
-        return code, before, snapshot(root)
+        files = {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*")
+                 if p.is_file() and str(p.relative_to(root)) not in before
+                 and not p.name.endswith(".manifest.json")}
+        return SimpleNamespace(code=code, before=before, after=snapshot(root),
+                               out=out.getvalue(), err=err.getvalue(), files=files)
 
 
 @pytest.mark.parametrize("command, bad_option", CASES,
@@ -152,7 +211,47 @@ def run_in_fresh_directory(argv: list[str]) -> tuple[int, list[str], list[str]]:
 @given(data=st.data())
 def test_every_argument_list_exits_0_2_or_3(command, bad_option, data):
     argv = data.draw(argument_lists(command, bad_option), label="argv")
-    code, before, after = run_in_fresh_directory(argv)
-    assert code in (0, 2, 3)
-    if code != 0:
-        assert after == before
+    run = run_in_fresh_directory(argv)
+    assert run.code in (0, 2, 3)
+    if run.code != 0:
+        assert run.after == run.before
+
+
+@functools.lru_cache(maxsize=None)
+def parsed(command: str, *argv: str) -> dict:
+    """The parsed values of every option of ``command`` with ``argv``."""
+    return vars(twolevel.cli.build_parser().parse_args([command, *REQUIRED.get(command, []),
+                                                        *argv]))
+
+
+def set_values(command: str, option: str) -> list:
+    """The valid values of ``option`` that set it: None for a flag."""
+    dest = option[2:].replace("-", "_")
+    values = OPTIONS[command][option][0] if option in OPTIONS[command] else [None]
+    return [value for value in values
+            if parsed(command, *option_args(option, value))[dest] != parsed(command)[dest]]
+
+
+ADDED = [(command, option) for command in OPTIONS
+         for option in [*OPTIONS[command], *FLAGS[command]] if option not in ALWAYS]
+
+
+@pytest.mark.parametrize("command, option", ADDED,
+                         ids=[f"{command}{option}" for command, option in ADDED])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_option_set_is_read_or_refused(command, option, data):
+    """Setting ``option`` on a run that exits 0 either exits 2 naming the
+    option, or changes stdout or an output file.
+
+    The valid simulate energies are nonzero, because 0 is the same in eV and
+    in a.u.; an optimize run always reads --ev, for its --omega.
+    """
+    base = data.draw(argument_lists(command, None, left_out=option), label="base")
+    first = run_in_fresh_directory(base)
+    assume(first.code == 0)
+    value = data.draw(st.sampled_from(set_values(command, option)), label="value")
+    second = run_in_fresh_directory(base + option_args(option, value))
+    if second.code == 2 and re.search(re.escape(option) + r"(?![\w-])", second.err):
+        return
+    assert (second.out, second.files) != (first.out, first.files)

@@ -73,7 +73,7 @@ class TestDipole:
         assert dipole_2s2p() == pytest.approx(oracle_dipole(), abs=1e-9)
 
     def test_exact_to_the_last_digit(self):
-        assert abs(dipole_2s2p() + 3.0) <= 1e-15
+        assert dipole_2s2p() == -3.0
 
     def test_diagonal_element_vanishes(self):
         assert z_matrix_element("2s", "2s") == 0.0
