@@ -26,7 +26,7 @@ omega = 1.0
 atom = TwoLevelAtom(omega21=0.0)
 pulse = Cosine(chi=0.5 * math.pi * omega, omega=omega)
 
-traj = integrate(atom, pulse, IntegrationConfig(0.0, 2 * 2 * math.pi / omega))
+traj = integrate(atom, pulse, IntegrationConfig.per_period(0.0, 2 * pulse.period, pulse.period))
 _, p2_exact = transfer_populations(omega, traj.times)
 
 print("cosine drive with chi/omega = pi/2, two field periods")
@@ -42,7 +42,7 @@ for t_peak in peaks:
 
 # A sub-pi/2 ratio never completes the transfer: the action amplitude caps P2.
 weak = Cosine(chi=0.8 * 0.5 * math.pi * omega, omega=omega)
-weak_traj = integrate(atom, weak, IntegrationConfig(0.0, 2 * 2 * math.pi / omega))
+weak_traj = integrate(atom, weak, IntegrationConfig.per_period(0.0, 2 * weak.period, weak.period))
 print(f"  chi/omega = 0.8*(pi/2): max P2 = {np.max(weak_traj.p2):.6f}"
       f"  (cap sin^2(0.8 pi/2) = {math.sin(0.8 * math.pi / 2) ** 2:.6f})")
 

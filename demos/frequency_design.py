@@ -37,7 +37,7 @@ print(f"designed omega = {omega:.6e} a.u.")
 # Verify on the exact dynamics in the degenerate limit.
 atom = TwoLevelAtom(omega21=0.0)
 pulse = Cosine(chi=0.5 * math.pi * omega, omega=omega)
-traj = integrate(atom, pulse, IntegrationConfig(0.0, 2 * math.pi / omega))
+traj = integrate(atom, pulse, IntegrationConfig.per_period(0.0, pulse.period, pulse.period))
 measured = populated_window(traj, request.p_cr)
 print(f"measured window = {measured:.2f} a.u. "
       f"({100 * measured / request.t_s:.1f}% of requested)")

@@ -31,7 +31,7 @@ results = {}
 for ratio in (1.0, 10.0, 100.0):
     atom = TwoLevelAtom(omega21=omega / ratio)
     pulse = Cosine(chi=0.5 * math.pi * omega, omega=omega)
-    traj = integrate(atom, pulse, IntegrationConfig(0.0, 2 * math.pi / omega))
+    traj = integrate(atom, pulse, IntegrationConfig.per_period(0.0, pulse.period, pulse.period))
     dev = max_population_deviation(
         traj, lambda t: transfer_populations(omega, t), window
     )

@@ -31,7 +31,8 @@ from twolevel import (
 omega, p_cr = 1.0, 1e-4
 atom = TwoLevelAtom(omega21=0.0)
 t_peak = math.pi / (2 * omega)
-grid = IntegrationConfig(0.0, 2 * math.pi / omega)
+period = 2 * math.pi / omega
+grid = IntegrationConfig.per_period(0.0, period, period)
 
 
 def window_of(pulse) -> float:

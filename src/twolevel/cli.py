@@ -30,7 +30,6 @@ from . import __version__
 from .analytic import (
     DesignRequest,
     design_frequency,
-    leakage_at_peak,
     populations_from_action,
 )
 from .core import (
@@ -56,10 +55,8 @@ from .hydrogen import (
 from .integrator import (
     IntegrationConfig,
     IntegrationError,
-    half_step_grid,
     integrate,
     populated_window,
-    step_count,
     step_halving_error,
 )
 from .pulses import OptimizerConfig, ShapingObjective, run_optimizer
@@ -232,7 +229,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         cfg = _grid_config(args, pulse)
         if args.error_estimate:
             try:
-                half_step_grid(pulse, cfg)
+                cfg.halved()
             except ValueError as exc:
                 raise ValueError(f"--error-estimate: {exc}") from None
         jobs = [(out_path, pulse, cfg)]
@@ -278,10 +275,9 @@ def _sweep_jobs(args: argparse.Namespace, omega21: float,
 def _grid_config(args: argparse.Namespace, pulse: PulseSpec) -> IntegrationConfig:
     """The --start/--periods/--step grid; ValueError if invalid or over MAX_STEPS."""
     t_end = args.start + args.periods * pulse.period
-    config = IntegrationConfig(args.start, t_end, step=args.step,
-                               steps_per_period=args.steps_per_period)
-    step_count(pulse, config)
-    return config
+    if args.step is not None:
+        return IntegrationConfig(args.start, t_end, args.step)
+    return IntegrationConfig.per_period(args.start, t_end, pulse.period, args.steps_per_period)
 
 
 # --- design ------------------------------------------------------------------
@@ -291,8 +287,7 @@ def cmd_design(args: argparse.Namespace) -> int:
     omega = design_frequency(request)
     pulse = Cosine(chi=0.5 * math.pi * omega, omega=omega)
     period = pulse.period
-    cfg = IntegrationConfig(0.0, period, steps_per_period=args.steps_per_period)
-    step_count(pulse, cfg)
+    cfg = IntegrationConfig.per_period(0.0, period, period, args.steps_per_period)
     regime = field_for_transfer(omega)
     report = validity_report(omega)
     print(f"omega      = {_fmt(omega)} a.u. ({_fmt(hartree_to_ev(omega))} eV)")
@@ -314,7 +309,7 @@ def cmd_design(args: argparse.Namespace) -> int:
         print(f"measured T_s = {_fmt(measured_ts)} a.u. "
               f"({_fmt(measured_ts / request.t_s)} of requested)")
         print(f"measured peak leakage = {_fmt(measured_leak)} "
-              f"(series bound {_fmt(leakage_at_peak(atom.omega21, omega))})")
+              f"(series bound {_fmt(report.leakage_bound)})")
     return 0
 
 
@@ -501,12 +496,12 @@ def main(argv: list[str] | None = None) -> int:
         _check_option_rules(args)
         return args.func(args)
     except ValueError as exc:
-        parser.error(str(exc))
+        args._parser.error(str(exc))
     except IntegrationError as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        print(f"{args._parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 
 

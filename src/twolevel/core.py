@@ -318,11 +318,11 @@ class AmplitudeState:
     a1: complex
     a2: complex
 
-    # The unit-norm check of the closed-form degenerate_amplitudes reads it.
     @property
     def norm_defect(self) -> float:
-        """Absolute deviation of |a1|^2 + |a2|^2 from one."""
-        return abs(abs(self.a1) ** 2 + abs(self.a2) ** 2 - 1.0)
+        """Absolute deviation of |a1|^2 + |a2|^2 from one; inf where it overflows."""
+        r1, r2 = abs(self.a1), abs(self.a2)
+        return abs(r1 * r1 + r2 * r2 - 1.0)
 
 
 @dataclass(frozen=True)

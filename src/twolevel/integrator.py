@@ -22,7 +22,7 @@ one grid in one array pass, the GA's whole generation at once;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,10 +34,7 @@ __all__ = [
     "IntegrationConfig",
     "MAX_STEPS",
     "MAX_NORM_DEFECT",
-    "step_count",
-    "grid_times",
     "integrate",
-    "half_step_grid",
     "step_halving_error",
     "max_population_deviation",
     "populated_window",
@@ -45,7 +42,7 @@ __all__ = [
 ]
 
 
-#: Largest grid :func:`integrate` accepts; it peaks near 60 bytes per step.
+#: Largest grid :class:`IntegrationConfig` accepts; integrate peaks near 60 bytes per step.
 MAX_STEPS = 10**7
 
 #: A trajectory whose norm |a1|^2 + |a2|^2 strays from 1 by more than this
@@ -71,65 +68,72 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegrationConfig:
-    """Grid and initial condition for :func:`integrate`.
+    """The grid and initial condition of :func:`integrate`, checked when built.
 
-    Either give an explicit ``step`` or let the grid derive from
-    ``steps_per_period`` and the pulse's ``period`` (field period for
-    harmonic pulses, width for the Gaussian).  The span is always divided
-    into a whole number of equal steps.
+    The span is divided into ``n`` equal steps of length ``h``, ``n`` the
+    nearest whole number to span / step.  ValueError if the step exceeds the
+    span, the grid exceeds MAX_STEPS, the step is no larger than the spacing
+    of doubles at the grid end of largest magnitude, where its times could
+    not increase, or the initial norm strays from 1 by more than
+    MAX_NORM_DEFECT.  Within MAX_STEPS a larger step always gives strictly
+    increasing grid times.
     """
 
     t_start: float
     t_end: float
-    initial: AmplitudeState = field(
-        default_factory=lambda: AmplitudeState(1.0 + 0.0j, 0.0 + 0.0j)
-    )
-    step: float | None = None
-    steps_per_period: int = 1000
+    step: float
+    initial: AmplitudeState = AmplitudeState(1.0 + 0.0j, 0.0 + 0.0j)
+    n: int = field(init=False)
+    h: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
             raise ValueError("t_start and t_end must be finite")
         if self.t_end <= self.t_start:
             raise ValueError(f"t_end must exceed t_start, got [{self.t_start}, {self.t_end}]")
-        if self.step is not None and not self.step > 0.0:
+        if not self.step > 0.0:
             raise ValueError(f"step must be > 0, got {self.step}")
-        if self.steps_per_period < 100:
-            raise ValueError(f"steps_per_period must be >= 100, got {self.steps_per_period}")
+        span = self.t_end - self.t_start
+        if self.step > span:
+            raise ValueError(f"the step {self.step:.6g} exceeds the span {span:.6g}")
+        n = span / self.step
+        if not n <= MAX_STEPS:
+            raise ValueError(f"the grid needs {n:.3g} steps, more than the limit of {MAX_STEPS}")
+        n = round(n)
+        t = max(self.t_start, self.t_end, key=abs)
+        if not span / n > math.ulp(t):
+            raise ValueError(f"the step {span / n:.6g} does not resolve the time t={t:.6g}, "
+                             f"where doubles are {math.ulp(t):.6g} apart")
+        if not self.initial.norm_defect <= MAX_NORM_DEFECT:
+            raise ValueError(f"the norm of the initial state {self.initial} strays from 1 "
+                             f"by {self.initial.norm_defect:.3g}, past {MAX_NORM_DEFECT:g}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "h", span / n)
 
+    @classmethod
+    def per_period(cls, t_start: float, t_end: float, period: float,
+                   steps_per_period: int = 1000) -> IntegrationConfig:
+        """The grid of step ``period / steps_per_period``, with ``period`` the
+        pulse's (field period for harmonic pulses, width for the Gaussian);
+        ValueError below 100 steps per period."""
+        if steps_per_period < 100:
+            raise ValueError(f"steps_per_period must be >= 100, got {steps_per_period}")
+        return cls(t_start, t_end, period / steps_per_period)
 
-def step_count(pulse: PulseSpec, config: IntegrationConfig) -> int:
-    """Number of equal steps on the grid.
+    def times(self) -> np.ndarray:
+        """The ``n + 1`` grid times of :func:`integrate`, ending exactly at t_end."""
+        times = self.t_start + self.h * np.arange(self.n + 1)
+        times[-1] = self.t_end
+        return times
 
-    ValueError if the step exceeds the span, the grid exceeds MAX_STEPS, or
-    the step is no larger than the spacing of doubles at the grid end of
-    largest magnitude, where its times could not increase.  Within MAX_STEPS
-    a larger step always gives strictly increasing grid times.
-    """
-    step = config.step
-    if step is None:
-        step = pulse.period / config.steps_per_period
-    span = config.t_end - config.t_start
-    if step > span:
-        raise ValueError(f"the step {step:.6g} exceeds the span {span:.6g}")
-    n = span / step
-    if not n <= MAX_STEPS:
-        raise ValueError(f"the grid needs {n:.3g} steps, more than the limit of {MAX_STEPS}")
-    n = round(n)
-    t = max(config.t_start, config.t_end, key=abs)
-    if not span / n > math.ulp(t):
-        raise ValueError(f"the step {span / n:.6g} does not resolve the time t={t:.6g}, "
-                         f"where doubles are {math.ulp(t):.6g} apart")
-    return n
-
-
-def grid_times(pulse: PulseSpec, config: IntegrationConfig) -> np.ndarray:
-    """The ``step_count + 1`` grid times of :func:`integrate`, ending exactly at t_end."""
-    n = step_count(pulse, config)
-    h = (config.t_end - config.t_start) / n
-    times = config.t_start + h * np.arange(n + 1)
-    times[-1] = config.t_end
-    return times
+    def halved(self) -> IntegrationConfig:
+        """The ``2n``-step grid that :func:`step_halving_error` integrates,
+        whose even-numbered times are :meth:`times`; ValueError where it is
+        refused, or where subnormal steps round it onto other times."""
+        fine = replace(self, step=self.h / 2)
+        if fine.n != 2 * self.n or 2.0 * fine.h != self.h:
+            raise ValueError(f"the step {self.h:.6g} has no half on the doubles")
+        return fine
 
 
 def integrate(atom: TwoLevelAtom, pulse: PulseSpec, config: IntegrationConfig) -> Trajectory:
@@ -141,8 +145,7 @@ def integrate(atom: TwoLevelAtom, pulse: PulseSpec, config: IntegrationConfig) -
     the grid time of the largest defect if |a1|^2 + |a2|^2 strays from 1 by
     more than MAX_NORM_DEFECT anywhere.
     """
-    n = step_count(pulse, config)
-    h = (config.t_end - config.t_start) / n
+    n, h = config.n, config.h
     # Overflow is reported as IntegrationError below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         # Pulse values at the grid points and midpoints, evaluated in one shot.
@@ -164,7 +167,7 @@ def integrate(atom: TwoLevelAtom, pulse: PulseSpec, config: IntegrationConfig) -
                 raise IntegrationError(f"non-finite amplitudes at t={t_bad}", time=t_bad)
             states[:, lo + 1:hi + 1] = chunk
         del v, chunk  # 16 bytes per step and the last chunk, no longer needed
-        traj = Trajectory(times=grid_times(pulse, config), a1=states[0], a2=states[1])
+        traj = Trajectory(times=config.times(), a1=states[0], a2=states[1])
         defect = traj.norm_defect()
     worst = int(np.argmax(defect))
     if not defect[worst] <= MAX_NORM_DEFECT:
@@ -227,16 +230,6 @@ def _propagate(p: np.ndarray, x: list[complex]) -> np.ndarray:
     return y.reshape(2, m * b)[:, :n]
 
 
-def half_step_grid(pulse: PulseSpec, config: IntegrationConfig) -> IntegrationConfig:
-    """The grid of ``config`` at half its step, which :func:`step_halving_error`
-    integrates; ValueError where :func:`step_count` rejects either grid."""
-    n = step_count(pulse, config)
-    fine = IntegrationConfig(t_start=config.t_start, t_end=config.t_end, initial=config.initial,
-                             step=(config.t_end - config.t_start) / (2 * n))
-    step_count(pulse, fine)
-    return fine
-
-
 def step_halving_error(atom: TwoLevelAtom, pulse: PulseSpec, config: IntegrationConfig,
                        *, coarse: Trajectory) -> float:
     """Grid-error report: max amplitude change when the step is halved.
@@ -248,10 +241,9 @@ def step_halving_error(atom: TwoLevelAtom, pulse: PulseSpec, config: Integration
     grid's true error.  Purely a report; nothing is refined behind the
     caller's back.  ValueError if ``coarse`` is not on the configured grid.
     """
-    n = step_count(pulse, config)
-    if len(coarse) != n + 1:
-        raise ValueError(f"coarse trajectory has {len(coarse)} points, the grid {n + 1}")
-    fine = integrate(atom, pulse, half_step_grid(pulse, config))
+    if len(coarse) != config.n + 1:
+        raise ValueError(f"coarse trajectory has {len(coarse)} points, the grid {config.n + 1}")
+    fine = integrate(atom, pulse, config.halved())
     return max(
         float(np.max(np.abs(coarse.a1 - fine.a1[::2]))),
         float(np.max(np.abs(coarse.a2 - fine.a2[::2]))),

@@ -35,11 +35,9 @@ from .integrator import (
     MAX_STEPS,
     IntegrationConfig,
     IntegrationError,
-    grid_times,
     integrate,
     populated_window,
     populated_windows,
-    step_count,
 )
 
 __all__ = [
@@ -250,11 +248,11 @@ def _model_rows(rows: np.ndarray, harmonics: tuple[int, ...], omega: float, omeg
 
 
 def _rk4_rows(atom: TwoLevelAtom, rows: np.ndarray, harmonics: tuple[int, ...], omega: float,
-              grid: IntegrationConfig, times: np.ndarray) -> np.ndarray:
-    """RK4 P2 of every coefficient row on ``times``, the grid of ``grid``,
-    integrated one pulse at a time; a row is NaN where :func:`integrate`
-    raises :class:`IntegrationError` (overflow, or a blown-up norm)."""
-    p2 = np.empty((len(rows), times.size))
+              grid: IntegrationConfig) -> np.ndarray:
+    """RK4 P2 of every coefficient row on ``grid``, integrated one pulse at a
+    time; a row is NaN where :func:`integrate` raises
+    :class:`IntegrationError` (overflow, or a blown-up norm)."""
+    p2 = np.empty((len(rows), grid.n + 1))
     for row, out in zip(rows.tolist(), p2):
         try:
             out[:] = integrate(atom, HarmonicSum(omega, tuple(zip(harmonics, row))), grid).p2
@@ -336,25 +334,23 @@ def run_optimizer(objective: ShapingObjective, config: OptimizerConfig) -> Optim
     omega = objective.omega
     t_peak = HALF_PI / omega
     period = 2.0 * math.pi / omega
-    grid = IntegrationConfig(t_start=0.0, t_end=objective.horizon * period)
     # Every candidate has the base period, so all share one grid.
-    base = HarmonicSum(omega, ((1, 1.0),))
+    grid = IntegrationConfig.per_period(0.0, objective.horizon * period, period)
     # A generation's P2 rows hold population x grid points.  Bounding its
     # steps by MAX_STEPS, one integration's limit, admits MAX_POPULATION
     # candidates on the default one-period grid of 1000 steps.
-    steps = step_count(base, grid)
-    if config.population_size * steps > MAX_STEPS:
+    if config.population_size * grid.n > MAX_STEPS:
         raise ValueError(
             f"a generation of {config.population_size} candidates (--population) on "
-            f"{steps} steps each ({objective.horizon:g} periods, --horizon) needs "
-            f"{config.population_size * steps:.3g} grid steps, more than the limit of {MAX_STEPS}")
-    times = grid_times(base, grid)
+            f"{grid.n} steps each ({objective.horizon:g} periods, --horizon) needs "
+            f"{config.population_size * grid.n:.3g} grid steps, more than the limit of {MAX_STEPS}")
+    times = grid.times()
     ranked_on_model = ranks_on_model(objective)
 
     def p2_rows(rows: np.ndarray) -> np.ndarray:
         if ranked_on_model:
             return _model_rows(rows, harmonics, omega, objective.atom.omega21, times)
-        return _rk4_rows(objective.atom, rows, harmonics, omega, grid, times)
+        return _rk4_rows(objective.atom, rows, harmonics, omega, grid)
 
     def score(genomes: np.ndarray) -> list[Fitness]:
         return _fitness(genomes, harmonics, objective, t_peak, times, p2_rows)

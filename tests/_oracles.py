@@ -32,11 +32,9 @@ from twolevel.core import GaussianApprox, HarmonicSum, PulseSpec, Trajectory, pu
 from twolevel.integrator import (
     IntegrationConfig,
     IntegrationError,
-    grid_times,
     integrate,
     populated_window,
     populated_windows,
-    step_count,
 )
 from twolevel.pulses import (
     HALF_PI,
@@ -157,8 +155,7 @@ def rk4_reference(atom, pulse, config) -> Trajectory:
     :func:`twolevel.integrator.integrate`, but no norm bound: a blown-up
     trajectory comes back as it is.
     """
-    n = step_count(pulse, config)
-    h = (config.t_end - config.t_start) / n
+    n, h = config.n, config.h
     half_times = config.t_start + 0.5 * h * np.arange(2 * n + 1)
     v = np.asarray(pulse_value(pulse, half_times), dtype=float)
     if not np.all(np.isfinite(v)):
@@ -303,7 +300,7 @@ def first_order_reference(pulse, omega21, t):
 
 def _model_populations(omega21, pulse, grid):
     """First-order (times, P2) on the RK4 grid, None if P2 is not finite."""
-    times = grid_times(pulse, grid)
+    times = grid.times()
     with np.errstate(over="ignore", invalid="ignore"):
         _, p2 = first_order_reference(pulse, omega21, times)
     return (times, p2) if np.isfinite(p2).all() else None
@@ -385,7 +382,7 @@ def run_optimizer_reference(objective, config) -> OptimizationResult:
     harmonics = tuple(2 * i + 1 for i in range(config.n_harmonics))
     t_peak = HALF_PI / objective.omega
     period = 2.0 * math.pi / objective.omega
-    grid = IntegrationConfig(t_start=0.0, t_end=objective.horizon * period)
+    grid = IntegrationConfig.per_period(0.0, objective.horizon * period, period)
     omega21 = objective.atom.omega21
     ranked_on_model = ranks_on_model(objective)
 

@@ -59,7 +59,8 @@ def deviation_near_peak(ratio: float) -> tuple[float, float]:
     omega = 1.0
     atom = TwoLevelAtom(omega21=omega / ratio)
     started = time.perf_counter()
-    traj = integrate(atom, normalized_cosine(omega), IntegrationConfig(0.0, 2 * math.pi))
+    traj = integrate(atom, normalized_cosine(omega),
+                     IntegrationConfig.per_period(0.0, 2 * math.pi, 2 * math.pi / omega))
     elapsed = time.perf_counter() - started
     t0 = math.pi / 2
     quarter = math.pi / 2
@@ -95,7 +96,8 @@ def test_criterion_02_quadratic_leakage_scaling():
 
 def _degenerate_amp_error(steps_per_period: int) -> float:
     omega = 1.0
-    cfg = IntegrationConfig(0.0, 5 * 2 * math.pi, steps_per_period=steps_per_period)
+    cfg = IntegrationConfig.per_period(0.0, 5 * 2 * math.pi, 2 * math.pi / omega,
+                                       steps_per_period=steps_per_period)
     traj = integrate(DEGENERATE, normalized_cosine(omega), cfg)
     y = 0.5 * math.pi * np.sin(omega * traj.times)
     return max(
@@ -120,7 +122,7 @@ def test_criterion_03_degenerate_oracle_and_convergence():
 def test_criterion_04_norm_conservation():
     omega = 1.0
     atom = TwoLevelAtom(omega21=omega / 100.0)
-    cfg = IntegrationConfig(0.0, 10 * 2 * math.pi)
+    cfg = IntegrationConfig.per_period(0.0, 10 * 2 * math.pi, 2 * math.pi / omega)
     traj = integrate(atom, normalized_cosine(omega), cfg)
     drift = float(np.max(traj.norm_defect()))
     ok = drift <= 1e-10
@@ -158,7 +160,8 @@ def test_criterion_06_frequency_design_round_trip():
         request = DesignRequest(t_s=t_s, p_cr=p_cr)
         omega = design_frequency(request)
         traj = integrate(
-            DEGENERATE, normalized_cosine(omega), IntegrationConfig(0.0, 2 * math.pi / omega)
+            DEGENERATE, normalized_cosine(omega),
+            IntegrationConfig.per_period(0.0, 2 * math.pi / omega, 2 * math.pi / omega)
         )
         measured = populated_window(traj, p_cr)
         worst_width = max(worst_width, abs(measured - t_s) / t_s)
@@ -181,7 +184,8 @@ def test_criterion_07_detuning_sensitivity():
     for eps in (0.01, 0.05, 0.1):
         analytic_peak = detuning_sensitivity(eps)
         pulse = Cosine(chi=(0.5 * math.pi + eps) * omega, omega=omega)
-        traj = integrate(DEGENERATE, pulse, IntegrationConfig(0.0, 2 * math.pi))
+        traj = integrate(DEGENERATE, pulse,
+                         IntegrationConfig.per_period(0.0, 2 * math.pi, pulse.period))
         i0 = int(np.argmin(np.abs(traj.times - math.pi / 2)))
         rk4_peak = float(traj.p2[i0])
         err = max(abs(analytic_peak - (1 - eps**2)), abs(rk4_peak - (1 - eps**2)))
@@ -275,14 +279,16 @@ def test_criterion_11_optimizer_properties():
     monotone = all(b >= a for a, b in zip(first.history, first.history[1:]))
 
     baseline_traj = integrate(
-        DEGENERATE, normalized_cosine(omega), IntegrationConfig(0.0, 2 * math.pi / omega)
+        DEGENERATE, normalized_cosine(omega),
+        IntegrationConfig.per_period(0.0, 2 * math.pi / omega, 2 * math.pi / omega)
     )
     baseline = populated_window(baseline_traj, p_cr)
     beats_baseline = first.best_window >= baseline - 1e-12
 
     nulled = second_derivative_nulled_pulse(omega)
     nulled_order = flatness_order(nulled, math.pi / (2 * omega))
-    nulled_traj = integrate(DEGENERATE, nulled, IntegrationConfig(0.0, 2 * math.pi / omega))
+    nulled_traj = integrate(DEGENERATE, nulled,
+                            IntegrationConfig.per_period(0.0, 2 * math.pi / omega, nulled.period))
     nulled_window = populated_window(nulled_traj, p_cr)
     elapsed = time.perf_counter() - started
     ok = (

@@ -268,7 +268,8 @@ class TestPopulationsFromAction:
 def rk4_at(pulse, ratio: float, t_end: float):
     """RK4 at 20000 steps per period, omega21 = omega / ratio, from 0 to ``t_end``."""
     atom = TwoLevelAtom(omega21=pulse.omega / ratio)
-    return integrate(atom, pulse, IntegrationConfig(0.0, t_end, steps_per_period=20000))
+    return integrate(atom, pulse,
+                     IntegrationConfig.per_period(0.0, t_end, pulse.period, steps_per_period=20000))
 
 
 def assert_peak_leakage_matches_rk4(pulse, ratio: float) -> None:

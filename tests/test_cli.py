@@ -297,8 +297,11 @@ class TestSimulate:
              "the step 1955.84 does not resolve the time t=1e+19"),
             # 6e6 steps, doubled past MAX_STEPS.
             (["--ratio", "10", "--periods", "6000"], "the grid needs 1.2e+07 steps"),
+            # Three subnormal steps of 1.5e-323 round to 1e-323 when halved.
+            (["--omega21", "0", "--chi", "1", "--omega", "1", "--periods", "1e-322",
+              "--step", "1.5e-323"], "the step 1.4822e-323 has no half on the doubles"),
         ],
-        ids=["unresolved", "over-max-steps"],
+        ids=["unresolved", "over-max-steps", "subnormal-step"],
     )
     def test_error_estimate_grid_is_usage_error_before_integration(
             self, tmp_path, monkeypatch, capsys, args, message):
@@ -348,6 +351,13 @@ class TestSimulate:
         assert (float(rows[0]["P1_analytic"]), float(rows[0]["P2_analytic"])) == (1.0, 0.0)
         assert max(abs(float(r["P2"]) - float(r["P2_analytic"])) for r in rows) <= 1e-9
 
+    def test_usage_error_prints_the_command_usage(self, tmp_path):
+        result = run_cli(["simulate", "--ratio", "10", "--steps-per-period", "99"], tmp_path)
+        assert result.returncode == 2
+        assert result.stderr.startswith("usage: twolevel simulate [-h] ")
+        assert result.stderr.endswith(
+            "twolevel simulate: error: steps_per_period must be >= 100, got 99\n")
+
     def test_missing_pulse_is_usage_error(self, tmp_path):
         result = run_cli(["simulate", "--out", "x.csv"], tmp_path)
         assert result.returncode == 2
@@ -389,7 +399,7 @@ class TestSimulate:
         assert twolevel.cli.main(["simulate", "--ratio", "10",
                                   "--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
-        assert err == f"twolevel: error: no space left for {tmp_path / 'x.csv'}\n"
+        assert err == f"twolevel simulate: error: no space left for {tmp_path / 'x.csv'}\n"
 
     def test_error_estimate_reported(self, tmp_path):
         result = run_cli(
@@ -457,7 +467,7 @@ class TestDesign:
         assert result.stdout == ""
         assert "Traceback" not in result.stderr
         assert [line for line in result.stderr.splitlines() if "error:" in line] == [
-            "twolevel: error: the series leakage bound is not a finite double"]
+            "twolevel design: error: the series leakage bound is not a finite double"]
 
     @pytest.mark.parametrize("verify", [[], ["--verify"]], ids=["report", "verify"])
     def test_overflowing_frequency_exits_two(self, tmp_path, verify):
@@ -467,7 +477,7 @@ class TestDesign:
         assert result.stdout == ""
         assert "Traceback" not in result.stderr
         assert [line for line in result.stderr.splitlines() if "error:" in line] == [
-            "twolevel: error: the designed frequency is not a finite double"]
+            "twolevel design: error: the designed frequency is not a finite double"]
 
     def test_bad_arguments_exit_two(self, tmp_path):
         assert run_cli(["design", "--ts", "-5", "--pcr", "1e-4"], tmp_path).returncode == 2
@@ -691,7 +701,7 @@ class TestOptionRules:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert [line for line in captured.err.splitlines() if "error:" in line] == [
-            f"twolevel: error: {message}"]
+            f"twolevel {args[0]}: error: {message}"]
         assert list(tmp_path.iterdir()) == []
 
 

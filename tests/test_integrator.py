@@ -26,12 +26,10 @@ from twolevel.integrator import (
     MAX_STEPS,
     IntegrationConfig,
     IntegrationError,
-    grid_times,
     integrate,
     max_population_deviation,
     populated_window,
     populated_windows,
-    step_count,
     step_halving_error,
 )
 from twolevel.pulses import normalize_for_transfer
@@ -48,15 +46,24 @@ def normalized_cosine(omega: float) -> HarmonicSum:
 class TestConfig:
     def test_rejects_reversed_span(self):
         with pytest.raises(ValueError):
-            IntegrationConfig(t_start=1.0, t_end=1.0)
+            IntegrationConfig(t_start=1.0, t_end=1.0, step=1e-3)
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
             IntegrationConfig(t_start=0.0, t_end=1.0, step=0.0)
 
     def test_rejects_coarse_grid(self):
-        with pytest.raises(ValueError):
-            IntegrationConfig(t_start=0.0, t_end=1.0, steps_per_period=99)
+        with pytest.raises(ValueError, match="steps_per_period must be >= 100, got 99"):
+            IntegrationConfig.per_period(0.0, 1.0, 1.0, steps_per_period=99)
+        assert IntegrationConfig.per_period(0.0, 1.0, 1.0, steps_per_period=100).n == 100
+
+    @pytest.mark.parametrize("initial", [AmplitudeState(2.0, 0.0), AmplitudeState(math.nan, 0.0),
+                                         AmplitudeState(1e200, 0.0)])
+    def test_rejects_unnormalized_initial_state(self, initial):
+        # The grid spec refuses the state before integrate could blame the
+        # grid; a norm that overflows is refused, not raised as OverflowError.
+        with pytest.raises(ValueError, match=r"norm of the initial state AmplitudeState\(a1="):
+            IntegrationConfig(0.0, 2 * math.pi, 2 * math.pi / 1000, initial)
 
     def test_natural_period(self):
         assert Cosine(chi=1.0, omega=2.0).period == pytest.approx(math.pi)
@@ -64,63 +71,70 @@ class TestConfig:
 
     def test_step_count(self):
         pulse = Cosine(chi=1.0, omega=2.0)
-        cfg = IntegrationConfig(0.0, 3 * math.pi, steps_per_period=250)
-        assert step_count(pulse, cfg) == 750
-        assert step_count(pulse, IntegrationConfig(0.0, 1.0, step=0.3)) == 3
-        assert step_count(pulse, IntegrationConfig(0.0, 1.0, step=1.0)) == 1
+        cfg = IntegrationConfig.per_period(0.0, 3 * math.pi, pulse.period, steps_per_period=250)
+        assert cfg.n == 750
+        assert IntegrationConfig(0.0, 1.0, step=0.3).n == 3
+        assert IntegrationConfig(0.0, 1.0, step=1.0).n == 1
 
     @pytest.mark.parametrize("step", [1.0 + 1e-12, 1e9])
     def test_step_over_span_rejected(self, step):
-        cfg = IntegrationConfig(0.0, 1.0, step=step)
         with pytest.raises(ValueError, match="exceeds the span"):
-            step_count(Cosine(chi=1.0, omega=1.0), cfg)
+            IntegrationConfig(0.0, 1.0, step=step)
 
     @pytest.mark.parametrize("step", [1e-320, 1.0 / (MAX_STEPS + 10)])
     def test_oversized_grid_rejected_before_allocation(self, step):
-        cfg = IntegrationConfig(0.0, 1.0, step=step)
-        pulse = Cosine(chi=1.0, omega=1.0)
+        # No grid past MAX_STEPS exists for integrate to allocate.
         with pytest.raises(ValueError, match="steps"):
-            step_count(pulse, cfg)
-        with pytest.raises(ValueError, match="steps"):
-            integrate(DEGENERATE, pulse, cfg)
+            IntegrationConfig(0.0, 1.0, step=step)
 
     @settings(max_examples=300, deadline=None)
     @given(t_start=st.floats(-1e20, 1e20), steps=st.integers(1, 2000),
            resolution=st.floats(0.25, 4.0))
     @example(t_start=1e20, steps=1000, resolution=1.0)
     @example(t_start=-1e20, steps=1000, resolution=1.0 + 1e-9)
+    @example(t_start=0.0, steps=2, resolution=3.0)  # a subnormal step with no exact half
     def test_accepted_grid_times_increase(self, t_start, steps, resolution):
         # Steps near the spacing of doubles at t_start: every grid that
-        # step_count accepts has strictly increasing times.
+        # IntegrationConfig accepts has n + 1 strictly increasing times
+        # ending at t_end, and its halved grid, where accepted, puts every
+        # other time on them.
         step = resolution * math.ulp(t_start)
         t_end = t_start + steps * step
         assume(step > 0.0 and t_end > t_start)
-        cfg = IntegrationConfig(t_start, t_end, step=step)
-        pulse = Cosine(chi=1.0, omega=1.0)
         try:
-            step_count(pulse, cfg)
+            cfg = IntegrationConfig(t_start, t_end, step=step)
         except ValueError:
             return
-        assert np.all(np.diff(grid_times(pulse, cfg)) > 0.0)
+        times = cfg.times()
+        assert np.all(np.diff(times) > 0.0)
+        assert len(times) == cfg.n + 1
+        assert times[-1] == t_end
+        try:
+            fine = cfg.halved()
+        except ValueError:
+            return
+        assert fine.n == 2 * cfg.n
+        assert np.array_equal(fine.times()[::2][:-1], times[:-1])
 
     def test_unresolved_grid_rejected(self):
         # Doubles near 1e20 are 16384 apart.
-        cfg = IntegrationConfig(1e20, 1e20 + 1e6, step=1e3)
         with pytest.raises(ValueError, match=r"does not resolve the time t=1e\+20, where "
                                              "doubles are 16384 apart"):
-            step_count(Cosine(chi=1.0, omega=1.0), cfg)
+            IntegrationConfig(1e20, 1e20 + 1e6, step=1e3)
 
 
 class TestIntegrate:
     def test_first_state_is_initial_condition(self):
         initial = AmplitudeState(0.6 + 0.0j, 0.8j)
-        cfg = IntegrationConfig(0.0, 1.0, initial=initial)
-        traj = integrate(DEGENERATE, Cosine(chi=1.0, omega=1.0), cfg)
+        pulse = Cosine(chi=1.0, omega=1.0)
+        cfg = IntegrationConfig(0.0, 1.0, pulse.period / 1000, initial)
+        traj = integrate(DEGENERATE, pulse, cfg)
         assert (traj.a1[0], traj.a2[0]) == (initial.a1, initial.a2)
 
     def test_grid_contract(self):
-        cfg = IntegrationConfig(0.0, 2 * math.pi, steps_per_period=1000)
-        traj = integrate(DEGENERATE, Cosine(chi=1.0, omega=1.0), cfg)
+        pulse = Cosine(chi=1.0, omega=1.0)
+        cfg = IntegrationConfig.per_period(0.0, 2 * math.pi, pulse.period, steps_per_period=1000)
+        traj = integrate(DEGENERATE, pulse, cfg)
         assert len(traj) == 1001
         assert traj.times[0] == 0.0
         assert traj.times[-1] == 2 * math.pi
@@ -135,7 +149,7 @@ class TestIntegrate:
     def test_degenerate_limit_matches_analytic(self):
         omega = 1.0
         pulse = normalized_cosine(omega)
-        cfg = IntegrationConfig(0.0, 2 * math.pi / omega)
+        cfg = IntegrationConfig.per_period(0.0, 2 * math.pi / omega, pulse.period)
         traj = integrate(DEGENERATE, pulse, cfg)
         _, p2_ref = transfer_populations(omega, traj.times)
         assert np.max(np.abs(traj.p2 - p2_ref)) <= 1e-8
@@ -143,7 +157,8 @@ class TestIntegrate:
     def test_degenerate_amplitudes_five_periods(self):
         omega = 1.0
         pulse = normalized_cosine(omega)
-        cfg = IntegrationConfig(0.0, 5 * 2 * math.pi / omega, steps_per_period=1000)
+        cfg = IntegrationConfig.per_period(0.0, 5 * 2 * math.pi / omega, pulse.period,
+                                           steps_per_period=1000)
         traj = integrate(DEGENERATE, pulse, cfg)
         y = 0.5 * math.pi * np.sin(omega * traj.times)
         err = max(
@@ -166,8 +181,9 @@ class TestIntegrate:
     def test_norm_conservation_ten_periods(self):
         omega = 1.0
         atom = TwoLevelAtom(omega21=omega / 100.0)
-        cfg = IntegrationConfig(0.0, 10 * 2 * math.pi / omega)
-        traj = integrate(atom, normalized_cosine(omega), cfg)
+        pulse = normalized_cosine(omega)
+        cfg = IntegrationConfig.per_period(0.0, 10 * 2 * math.pi / omega, pulse.period)
+        traj = integrate(atom, pulse, cfg)
         assert np.max(traj.norm_defect()) <= 1e-10
 
     def test_fourth_order_convergence(self):
@@ -176,7 +192,7 @@ class TestIntegrate:
         span = 5 * 2 * math.pi / omega
 
         def max_err(spp: int) -> float:
-            cfg = IntegrationConfig(0.0, span, steps_per_period=spp)
+            cfg = IntegrationConfig.per_period(0.0, span, pulse.period, steps_per_period=spp)
             traj = integrate(DEGENERATE, pulse, cfg)
             y = 0.5 * math.pi * np.sin(omega * traj.times)
             return max(
@@ -188,13 +204,13 @@ class TestIntegrate:
         assert 12.0 <= ratio <= 20.0
 
     def test_nonfinite_state_signaled_with_time(self):
-        cfg = IntegrationConfig(0.0, 2 * math.pi)
-        h = 2 * math.pi / step_count(Cosine(chi=1e308, omega=1.0), cfg)
+        pulse = Cosine(chi=1e308, omega=1.0)
+        cfg = IntegrationConfig.per_period(0.0, 2 * math.pi, pulse.period)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IntegrationError) as excinfo:
-                integrate(DEGENERATE, Cosine(chi=1e308, omega=1.0), cfg)
-        assert excinfo.value.time == cfg.t_start + h
+                integrate(DEGENERATE, pulse, cfg)
+        assert excinfo.value.time == cfg.t_start + cfg.h
 
     def test_overflow_in_later_chunk_reports_its_grid_time(self):
         # A kick of area 1e6 overflows RK4 near t = 5.7, inside the second
@@ -221,7 +237,7 @@ class TestIntegrate:
         pulse = HarmonicSum(omega=1.0, coefficients=((1, 179.17104484994596),
                                                      (3, 542.2255235302226)))
         atom = TwoLevelAtom(omega21=0.01)
-        cfg = IntegrationConfig(0.0, 2 * math.pi)
+        cfg = IntegrationConfig.per_period(0.0, 2 * math.pi, pulse.period)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IntegrationError, match=r"norm drifted by .* past 0\.001") as excinfo:
@@ -235,7 +251,7 @@ class TestIntegrate:
         # A coarse grid drifts measurably; a bound equal to its largest drift
         # passes the trajectory, and the next double below refuses it there.
         pulse = normalized_cosine(1.0)
-        cfg = IntegrationConfig(0.0, 2 * math.pi, steps_per_period=100)
+        cfg = IntegrationConfig.per_period(0.0, 2 * math.pi, pulse.period, steps_per_period=100)
         traj = integrate(DEGENERATE, pulse, cfg)
         defect = traj.norm_defect()
         worst = int(np.argmax(defect))
@@ -256,7 +272,8 @@ class TestIntegrate:
     def test_step_halving_error_tracks_true_error(self):
         omega = 1.0
         pulse = normalized_cosine(omega)
-        cfg = IntegrationConfig(0.0, 5 * 2 * math.pi / omega, steps_per_period=1000)
+        cfg = IntegrationConfig.per_period(0.0, 5 * 2 * math.pi / omega, pulse.period,
+                                           steps_per_period=1000)
         traj = integrate(DEGENERATE, pulse, cfg)
         y = 0.5 * math.pi * np.sin(omega * traj.times)
         true_err = max(
@@ -270,13 +287,13 @@ class TestIntegrate:
 
     def test_step_halving_error_reuses_a_given_coarse_trajectory(self, monkeypatch):
         pulse = normalized_cosine(1.0)
-        cfg = IntegrationConfig(0.0, 2 * math.pi, steps_per_period=1000)
+        cfg = IntegrationConfig.per_period(0.0, 2 * math.pi, pulse.period, steps_per_period=1000)
         coarse = integrate(DEGENERATE, pulse, cfg)
         grids = []
         monkeypatch.setattr(twolevel.integrator, "integrate",
                             lambda atom, p, c: grids.append(c) or integrate(atom, p, c))
         step_halving_error(DEGENERATE, pulse, cfg, coarse=coarse)
-        assert [step_count(pulse, c) for c in grids] == [2000]
+        assert [c.n for c in grids] == [2000]
         other = integrate(DEGENERATE, pulse, IntegrationConfig(0.0, 2 * math.pi, step=0.01))
         with pytest.raises(ValueError, match="coarse trajectory"):
             step_halving_error(DEGENERATE, pulse, cfg, coarse=other)
@@ -303,7 +320,7 @@ class TestKernelMatchesScalarLoop:
         atom = TwoLevelAtom(omega21=omega21)
         cfg = IntegrationConfig(0.0, n * self.H, step=self.H)
         pulse = normalized_cosine(1.0)
-        assert step_count(pulse, cfg) == n
+        assert cfg.n == n
         traj = integrate(atom, pulse, cfg)
         ref = rk4_reference(atom, pulse, cfg)
         assert np.array_equal(traj.times, ref.times)
@@ -348,7 +365,8 @@ def test_random_harmonic_sum_follows_closed_form(coefficients):
         )
     except ValueError:
         assume(False)
-    cfg = IntegrationConfig(0.0, 2 * math.pi / omega, steps_per_period=1000)
+    cfg = IntegrationConfig.per_period(0.0, 2 * math.pi / omega, pulse.period,
+                                       steps_per_period=1000)
     h = 2 * math.pi / omega / 1000
     grid = np.linspace(0.0, 2 * math.pi / omega, 2001)
     # The plain cosine sits at max|V| h = pi^2/1000, about 0.01.
@@ -422,8 +440,9 @@ def test_measured_fourth_order_convergence(case):
 def test_kernel_memory_is_bounded_per_step():
     """Peak traced allocation of a 2*10^5-step run stays at or below 120 B/step."""
     n = 200_000
-    cfg = IntegrationConfig(0.0, n * 2 * math.pi / 1000, steps_per_period=1000)
     pulse = normalized_cosine(1.0)
+    cfg = IntegrationConfig.per_period(0.0, n * 2 * math.pi / 1000, pulse.period,
+                                       steps_per_period=1000)
     tracemalloc.start()
     try:
         traj = integrate(DEGENERATE, pulse, cfg)
@@ -436,8 +455,9 @@ def test_kernel_memory_is_bounded_per_step():
 
 class TestMaxPopulationDeviation:
     def _traj(self):
-        cfg = IntegrationConfig(0.0, 2 * math.pi)
-        return integrate(DEGENERATE, normalized_cosine(1.0), cfg)
+        pulse = normalized_cosine(1.0)
+        cfg = IntegrationConfig.per_period(0.0, 2 * math.pi, pulse.period)
+        return integrate(DEGENERATE, pulse, cfg)
 
     def test_self_comparison_is_zero(self):
         traj = self._traj()
@@ -476,8 +496,9 @@ class TestFiniteSplittingDeviations:
     def deviation_near_peak(ratio: float) -> float:
         omega = 1.0
         atom = TwoLevelAtom(omega21=omega / ratio)
-        cfg = IntegrationConfig(0.0, 2 * math.pi / omega)
-        traj = integrate(atom, normalized_cosine(omega), cfg)
+        pulse = normalized_cosine(omega)
+        cfg = IntegrationConfig.per_period(0.0, 2 * math.pi / omega, pulse.period)
+        traj = integrate(atom, pulse, cfg)
         t0 = math.pi / (2 * omega)
         quarter = math.pi / (2 * omega)
         return max_population_deviation(
@@ -493,37 +514,41 @@ class TestFiniteSplittingDeviations:
 
 class TestPopulatedWindow:
     def test_full_span_when_budget_is_one(self):
-        cfg = IntegrationConfig(0.0, 2 * math.pi)
-        traj = integrate(DEGENERATE, normalized_cosine(1.0), cfg)
+        pulse = normalized_cosine(1.0)
+        cfg = IntegrationConfig.per_period(0.0, 2 * math.pi, pulse.period)
+        traj = integrate(DEGENERATE, pulse, cfg)
         assert populated_window(traj, 1.0) == pytest.approx(2 * math.pi)
 
     def test_threshold_never_reached(self):
         # chi/omega = 0.9 * pi/2 caps P2 at sin^2(0.45 pi) ~ 0.9755.
         pulse = Cosine(chi=0.9 * 0.5 * math.pi, omega=1.0)
-        cfg = IntegrationConfig(0.0, 2 * math.pi)
+        cfg = IntegrationConfig.per_period(0.0, 2 * math.pi, pulse.period)
         traj = integrate(DEGENERATE, pulse, cfg)
         with pytest.raises(ValueError):
             populated_window(traj, 0.01)
 
     def test_rejects_bad_budget(self):
-        cfg = IntegrationConfig(0.0, 2 * math.pi)
-        traj = integrate(DEGENERATE, normalized_cosine(1.0), cfg)
+        pulse = normalized_cosine(1.0)
+        cfg = IntegrationConfig.per_period(0.0, 2 * math.pi, pulse.period)
+        traj = integrate(DEGENERATE, pulse, cfg)
         with pytest.raises(ValueError):
             populated_window(traj, 0.0)
 
     def test_design_round_trip(self):
         request = DesignRequest(t_s=50.0, p_cr=1e-4)
         omega = design_frequency(request)
-        cfg = IntegrationConfig(0.0, 2 * math.pi / omega)
-        traj = integrate(DEGENERATE, normalized_cosine(omega), cfg)
+        pulse = normalized_cosine(omega)
+        cfg = IntegrationConfig.per_period(0.0, 2 * math.pi / omega, pulse.period)
+        traj = integrate(DEGENERATE, pulse, cfg)
         measured = populated_window(traj, request.p_cr)
         assert abs(measured - request.t_s) <= 0.2 * request.t_s
 
     def test_matches_quartic_window_prediction(self):
         omega = 1.0
         p_cr = 1e-3
-        cfg = IntegrationConfig(0.0, 2 * math.pi / omega)
-        traj = integrate(DEGENERATE, normalized_cosine(omega), cfg)
+        pulse = normalized_cosine(omega)
+        cfg = IntegrationConfig.per_period(0.0, 2 * math.pi / omega, pulse.period)
+        traj = integrate(DEGENERATE, pulse, cfg)
         predicted = 2.0 * (16.0 * p_cr / math.pi**2) ** 0.25 / omega
         assert populated_window(traj, p_cr) == pytest.approx(predicted, rel=0.05)
 

@@ -22,7 +22,6 @@ from twolevel.hydrogen import lamb_shift
 from twolevel.integrator import (
     IntegrationConfig,
     IntegrationError,
-    grid_times,
     integrate,
     populated_window,
 )
@@ -53,7 +52,7 @@ DEGENERATE = TwoLevelAtom(omega21=0.0)
 
 def cosine_baseline_window(omega: float, p_cr: float) -> float:
     pulse = Cosine(chi=0.5 * math.pi * omega, omega=omega)
-    cfg = IntegrationConfig(0.0, 2 * math.pi / omega)
+    cfg = IntegrationConfig.per_period(0.0, 2 * math.pi / omega, pulse.period)
     return populated_window(integrate(DEGENERATE, pulse, cfg), p_cr)
 
 
@@ -146,7 +145,7 @@ class TestFlatnessOrder:
     def test_nulled_pulse_widens_window(self):
         omega, p_cr = 1.0, 1e-4
         pulse = second_derivative_nulled_pulse(omega)
-        cfg = IntegrationConfig(0.0, 2 * math.pi / omega)
+        cfg = IntegrationConfig.per_period(0.0, 2 * math.pi / omega, pulse.period)
         nulled = populated_window(integrate(DEGENERATE, pulse, cfg), p_cr)
         assert nulled > cosine_baseline_window(omega, p_cr)
 
@@ -229,7 +228,8 @@ class TestOptimizer:
             population_size=6, generations=3, mutation_scale=0.3, seed=5, n_harmonics=3
         )
         result = run_optimizer(self.OBJECTIVE, config)
-        rk4 = integrate(DEGENERATE, result.best_pulse, IntegrationConfig(0.0, 2 * math.pi))
+        rk4 = integrate(DEGENERATE, result.best_pulse,
+                        IntegrationConfig.per_period(0.0, 2 * math.pi, result.best_pulse.period))
         assert result.measured_window == populated_window(rk4, self.OBJECTIVE.p_cr)
         assert result.measured_window == pytest.approx(result.best_window, rel=1e-6)
         assert result.best_window == result.history[-1]
@@ -318,7 +318,7 @@ class TestOptimizer:
         # time of the largest defect, the end of the period.
         atom = TwoLevelAtom(omega21=0.01)
         objective = ShapingObjective(p_cr=1e-3, omega=1.0, atom=atom)
-        grid = IntegrationConfig(0.0, 2 * math.pi)
+        grid = IntegrationConfig.per_period(0.0, 2 * math.pi, 2 * math.pi)
         genome = np.array([178.7, 540.8])
         pulse = normalize_for_transfer(
             HarmonicSum(omega=1.0, coefficients=((1, 178.7), (3, 540.8))), math.pi / 2)
@@ -329,12 +329,11 @@ class TestOptimizer:
         with pytest.raises(IntegrationError, match="norm drifted") as excinfo:
             integrate(atom, pulse, grid)
         assert excinfo.value.time == 2 * math.pi
-        times = grid_times(pulse, grid)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             [fitness] = pulses._fitness(
-                genome[None], (1, 3), objective, math.pi / 2, times,
-                lambda rows: pulses._rk4_rows(atom, rows, (1, 3), 1.0, grid, times))
+                genome[None], (1, 3), objective, math.pi / 2, grid.times(),
+                lambda rows: pulses._rk4_rows(atom, rows, (1, 3), 1.0, grid))
         assert fitness == (0.0, -math.inf)
 
     def test_nonfinite_model_scores_zero_without_warnings(self, monkeypatch):
@@ -421,7 +420,7 @@ class TestGenerationInOneArrayPass:
         harmonics = tuple(range(1, 2 * n_harmonics, 2))
         rows = np.array(chi)[:, :n_harmonics]
         batch = [HarmonicSum(omega, tuple(zip(harmonics, row))) for row in rows.tolist()]
-        times = grid_times(batch[0], IntegrationConfig(0.0, 2 * math.pi / omega))
+        times = IntegrationConfig.per_period(0.0, 2 * math.pi / omega, batch[0].period).times()
         model_p1, model_p2 = first_order_from_action(
             odd_harmonic_action(omega, harmonics, rows.T[:, :, None], times), omega21, times)
         p2_rows = pulses._model_rows(rows, harmonics, omega, omega21, times)
@@ -500,7 +499,7 @@ class TestGenerationInOneArrayPass:
         # omega21 = 0; the rest is a fraction of one (ufunc buffers, the
         # windows, the winner's pulse).
         objective = ShapingObjective(p_cr=1e-4, omega=1.0, atom=DEGENERATE)
-        times = grid_times(Cosine(chi=1.0, omega=1.0), IntegrationConfig(0.0, 2 * math.pi))
+        times = IntegrationConfig.per_period(0.0, 2 * math.pi, 2 * math.pi).times()
         rng = np.random.default_rng(5)
         genomes = np.array([np.array([1.0, 0.0, 0.0]) + 0.2 * rng.standard_normal(3)
                             for _ in range(15)])
