@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AmplitudeState, PulseSpec, _check_order, _finite, action
+from .core import AmplitudeState, PulseSpec, _check_order, _check_positive, _finite, action
 
 __all__ = [
     "DesignRequest",
@@ -54,8 +54,7 @@ class DesignRequest:
     p_cr: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.t_s) and self.t_s > 0.0):
-            raise ValueError(f"t_s must be finite and > 0, got {self.t_s}")
+        object.__setattr__(self, "t_s", _check_positive("t_s", self.t_s))
         if not (0.0 < self.p_cr < 1.0):
             raise ValueError(f"p_cr must lie in (0, 1), got {self.p_cr}")
 
@@ -66,8 +65,7 @@ def degenerate_amplitudes(chi: float, omega: float, t: float) -> AmplitudeState:
     a1 = cos[(chi/omega) sin(omega t)], a2 = i sin[(chi/omega) sin(omega t)];
     the pair is unit-norm by the Pythagorean identity.
     """
-    if omega <= 0.0:
-        raise ValueError(f"omega must be > 0, got {omega}")
+    omega = _check_positive("omega", omega)
     y = (chi / omega) * math.sin(omega * t)
     return AmplitudeState(complex(math.cos(y)), 1j * math.sin(y))
 
@@ -79,8 +77,7 @@ def transfer_populations(omega: float, t):
     repeats with period pi/omega, half the field period.  Accepts scalar or
     array ``t``.
     """
-    if omega <= 0.0:
-        raise ValueError(f"omega must be > 0, got {omega}")
+    omega = _check_positive("omega", omega)
     y = 0.5 * math.pi * np.sin(omega * np.asarray(t, dtype=float))
     p2 = np.sin(y) ** 2
     p1 = np.cos(y) ** 2
@@ -136,8 +133,7 @@ def leakage_at_peak(omega21: float, omega: float) -> float:
     :mod:`twolevel.integrator`).  ValueError where it overflows a double,
     as it does for a drive far below the splitting.
     """
-    if omega <= 0.0:
-        raise ValueError(f"omega must be > 0, got {omega}")
+    omega = _check_positive("omega", omega)
     return _finite(lambda: 0.25 * (0.5 * math.pi) ** 6 * (omega21 / omega) ** 2,
                    "the series leakage bound")
 

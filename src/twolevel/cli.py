@@ -37,6 +37,7 @@ from .core import (
     PulseSpec,
     Trajectory,
     TwoLevelAtom,
+    _check_positive,
     pulse_from_dict,
 )
 from .hydrogen import (
@@ -195,6 +196,16 @@ def _atom(args: argparse.Namespace) -> TwoLevelAtom:
 
 # --- simulate ----------------------------------------------------------------
 
+def _transfer_cosine(option: str, ratio: float, omega21: float) -> PulseSpec:
+    """The complete-transfer cosine at omega = ratio * omega21, the ratio
+    given by ``option``; ValueError naming it unless both are > 0."""
+    ratio = _check_positive(option, ratio)
+    if not omega21 > 0.0:
+        raise ValueError(f"{option} needs a positive omega21")
+    omega = ratio * omega21
+    return Cosine(chi=0.5 * math.pi * omega, omega=omega)
+
+
 def _resolve_pulse(args: argparse.Namespace, omega21: float) -> PulseSpec:
     if args.pulse_json is not None:
         try:
@@ -207,10 +218,7 @@ def _resolve_pulse(args: argparse.Namespace, omega21: float) -> PulseSpec:
             omega=_energy_in_au(args.omega, args.ev),
         )
     if args.ratio is not None:
-        omega = args.ratio * omega21
-        if omega <= 0.0:
-            raise ValueError("--ratio needs a positive omega21")
-        return Cosine(chi=0.5 * math.pi * omega, omega=omega)
+        return _transfer_cosine("--ratio", args.ratio, omega21)
     if args.wavelength is not None:
         unit = 1e-6 if args.um else 1e-2 if args.cm else 1.0
         omega = wavelength_to_omega(args.wavelength * unit)
@@ -259,15 +267,14 @@ def _sweep_jobs(args: argparse.Namespace, omega21: float,
         ratios = [float(r) for r in args.sweep.split(",") if r.strip()]
     except ValueError:
         raise ValueError("--sweep expects a comma-separated list of ratios") from None
-    if not ratios or omega21 <= 0.0:
-        raise ValueError("--sweep needs at least one ratio and a positive omega21")
+    if not ratios:
+        raise ValueError("--sweep needs at least one ratio")
     jobs = []
     for ratio in ratios:
         path = out_path.with_name(f"{out_path.stem}_ratio{ratio:g}{out_path.suffix}")
         if any(path == other for other, _, _ in jobs):
             raise ValueError(f"--sweep ratios {args.sweep!r} give the output {path} twice")
-        omega = ratio * omega21
-        pulse = Cosine(chi=0.5 * math.pi * omega, omega=omega)
+        pulse = _transfer_cosine("--sweep ratio", ratio, omega21)
         jobs.append((path, pulse, _grid_config(args, pulse)))
     return jobs
 

@@ -49,6 +49,14 @@ def _check_finite(name: str, value: float) -> float:
     return number
 
 
+def _check_positive(name: str, value: float) -> float:
+    """``float(value)``; ValueError naming ``name`` unless it is finite and > 0."""
+    number = _check_finite(name, value)
+    if number <= 0.0:
+        raise ValueError(f"{name} must be > 0, got {number}")
+    return number
+
+
 def _check_index(k) -> int:
     """A harmonic index as an int; ValueError unless it is a positive odd integer."""
     number = _check_finite("harmonic index", k)
@@ -92,13 +100,6 @@ class TwoLevelAtom:
 # the scales period and action_scale, scaled(s) and to_dict(), and
 # derivative_bound(t, order): the magnitude sum of the terms derivative adds,
 # its rounding scale.
-
-def _check_omega(omega: float) -> float:
-    omega = _check_finite("omega", omega)
-    if omega <= 0.0:
-        raise ValueError(f"omega must be > 0, got {omega}")
-    return omega
-
 
 def _check_order(order) -> int:
     """A derivative order as an int; ValueError unless it is an integer >= 0."""
@@ -155,7 +156,7 @@ class HarmonicSum:
     coefficients: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "omega", _check_omega(self.omega))
+        object.__setattr__(self, "omega", _check_positive("omega", self.omega))
         coeffs = []
         for k, c in self.coefficients:
             k = _check_index(k)
@@ -247,10 +248,7 @@ class GaussianApprox:
     def __post_init__(self) -> None:
         object.__setattr__(self, "area", _check_finite("area", self.area))
         object.__setattr__(self, "center", _check_finite("center", self.center))
-        width = _check_finite("width", self.width)
-        if width <= 0.0:
-            raise ValueError(f"width must be > 0, got {width}")
-        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "width", _check_positive("width", self.width))
 
     def value(self, t):
         x = (t - self.center) / self.width

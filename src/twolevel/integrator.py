@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import AmplitudeState, PulseSpec, Trajectory, TwoLevelAtom, pulse_value
+from .core import AmplitudeState, PulseSpec, Trajectory, TwoLevelAtom, _check_positive, pulse_value
 
 __all__ = [
     "IntegrationError",
@@ -91,8 +91,7 @@ class IntegrationConfig:
             raise ValueError("t_start and t_end must be finite")
         if self.t_end <= self.t_start:
             raise ValueError(f"t_end must exceed t_start, got [{self.t_start}, {self.t_end}]")
-        if not self.step > 0.0:
-            raise ValueError(f"step must be > 0, got {self.step}")
+        object.__setattr__(self, "step", _check_positive("step", self.step))
         span = self.t_end - self.t_start
         if self.step > span:
             raise ValueError(f"the step {self.step:.6g} exceeds the span {span:.6g}")
@@ -115,7 +114,9 @@ class IntegrationConfig:
                    steps_per_period: int = 1000) -> IntegrationConfig:
         """The grid of step ``period / steps_per_period``, with ``period`` the
         pulse's (field period for harmonic pulses, width for the Gaussian);
-        ValueError below 100 steps per period."""
+        ValueError unless the period is finite and > 0, or below 100 steps
+        per period."""
+        period = _check_positive("period", period)
         if steps_per_period < 100:
             raise ValueError(f"steps_per_period must be >= 100, got {steps_per_period}")
         return cls(t_start, t_end, period / steps_per_period)

@@ -27,6 +27,7 @@ from .core import (
     HarmonicSum,
     PulseSpec,
     TwoLevelAtom,
+    _check_positive,
     action,
     odd_harmonic_action,
 )
@@ -98,8 +99,7 @@ class ShapingObjective:
     def __post_init__(self) -> None:
         if not 0.0 < self.p_cr < 1.0:
             raise ValueError(f"p_cr must lie in (0, 1), got {self.p_cr}")
-        if not self.omega > 0.0:
-            raise ValueError(f"omega must be > 0, got {self.omega}")
+        object.__setattr__(self, "omega", _check_positive("omega", self.omega))
         if not self.horizon >= 1.0:
             raise ValueError(f"horizon must be >= 1 period, got {self.horizon}")
 
@@ -124,10 +124,8 @@ class OptimizerConfig:
             raise ValueError(f"generations must be >= 1, got {self.generations}")
         if self.generations > MAX_GENERATIONS:
             raise ValueError(f"generations must be <= {MAX_GENERATIONS}, got {self.generations}")
-        if not self.mutation_scale > 0.0:
-            raise ValueError(f"mutation_scale must be > 0, got {self.mutation_scale}")
-        if not math.isfinite(self.mutation_scale):
-            raise ValueError(f"mutation_scale must be finite, got {self.mutation_scale}")
+        object.__setattr__(self, "mutation_scale",
+                           _check_positive("mutation_scale", self.mutation_scale))
         if not 1 <= self.n_harmonics <= 8:
             raise ValueError(f"n_harmonics must lie in 1..8, got {self.n_harmonics}")
 
@@ -193,10 +191,8 @@ def second_derivative_nulled_pulse(omega: float) -> HarmonicSum:
     returned pulse is transfer-normalized, giving chi_1 = (9/16) pi omega.
     Its first surviving P2 derivative is of order eight.
     """
-    if not omega > 0.0:
-        raise ValueError(f"omega must be > 0, got {omega}")
     raw = HarmonicSum(omega=omega, coefficients=((1, 1.0), (3, 1.0 / 3.0)))
-    return normalize_for_transfer(raw, HALF_PI / omega)
+    return normalize_for_transfer(raw, HALF_PI / raw.omega)
 
 
 def ranks_on_model(objective: ShapingObjective) -> bool:

@@ -705,6 +705,37 @@ class TestOptionRules:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestBadNumbers:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["simulate", "--ratio", "0"], "--ratio must be > 0, got 0.0"),
+            (["simulate", "--ratio=-1"], "--ratio must be > 0, got -1.0"),
+            (["simulate", "--ratio", "nan"], "--ratio must be finite, got nan"),
+            (["simulate", "--ratio", "inf"], "--ratio must be finite, got inf"),
+            (["simulate", "--sweep", "10,0"], "--sweep ratio must be > 0, got 0.0"),
+            (["simulate", "--sweep", "10,nan"], "--sweep ratio must be finite, got nan"),
+            (["simulate", "--sweep", "10,inf"], "--sweep ratio must be finite, got inf"),
+            (["simulate", "--wavelength", "1e400"], "wavelength must be finite, got inf"),
+            (["simulate", "--chi", "1", "--omega", "1e-320"], "period must be finite, got inf"),
+            (["optimize", "--pcr", "1e-4", "--omega", "inf"], "omega must be finite, got inf"),
+            (["optimize", "--pcr", "1e-4", "--omega", "1e-320"],
+             "period must be finite, got inf"),
+        ],
+        ids=["ratio-zero", "ratio-negative", "ratio-nan", "ratio-inf", "sweep-zero",
+             "sweep-nan", "sweep-inf", "wavelength-inf", "simulate-period-inf",
+             "optimize-omega-inf", "optimize-period-inf"],
+    )
+    def test_bad_number_is_refused_by_name_before_integration(
+            self, tmp_path, monkeypatch, capsys, args, message):
+        assert exit_code_without_integration(args, tmp_path, monkeypatch) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if "error:" in line] == [
+            f"twolevel {args[0]}: error: {message}"]
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCsvText:
     def test_formatter_writes_percent_17g_at_every_binary_exponent(self):
         # numpy 1.x and 2.x promote uint64 with Python ints differently, and

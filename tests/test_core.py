@@ -19,7 +19,55 @@ from twolevel.core import (
     pulse_value,
 )
 
+from twolevel.analytic import (
+    DesignRequest,
+    degenerate_amplitudes,
+    leakage_at_peak,
+    transfer_populations,
+)
+from twolevel.hydrogen import (
+    field_for_transfer,
+    omega_to_wavelength,
+    validity_report,
+    wavelength_to_omega,
+)
+from twolevel.integrator import IntegrationConfig
+from twolevel.pulses import OptimizerConfig, ShapingObjective, second_derivative_nulled_pulse
+
 from _oracles import action_by_quadrature, central_derivative
+
+#: Every library site of the finite-and-positive rule: a call taking the
+#: value to check, and the name its ValueError gives.
+POSITIVE_SITES = {
+    "HarmonicSum.omega": (lambda v: HarmonicSum(v, ((1, 1.0),)), "omega"),
+    "Cosine.omega": (lambda v: Cosine(chi=1.0, omega=v), "omega"),
+    "GaussianApprox.width": (lambda v: GaussianApprox(area=1.0, center=0.0, width=v), "width"),
+    "DesignRequest.t_s": (lambda v: DesignRequest(t_s=v, p_cr=1e-4), "t_s"),
+    "degenerate_amplitudes": (lambda v: degenerate_amplitudes(1.0, v, 1.0), "omega"),
+    "transfer_populations": (lambda v: transfer_populations(v, 0.5), "omega"),
+    "leakage_at_peak": (lambda v: leakage_at_peak(1e-7, v), "omega"),
+    "wavelength_to_omega": (wavelength_to_omega, "wavelength"),
+    "omega_to_wavelength": (omega_to_wavelength, "omega"),
+    "field_for_transfer": (field_for_transfer, "omega"),
+    "validity_report": (validity_report, "omega"),
+    "ShapingObjective.omega": (
+        lambda v: ShapingObjective(p_cr=1e-4, omega=v, atom=TwoLevelAtom(0.0)), "omega"),
+    "OptimizerConfig.mutation_scale": (lambda v: OptimizerConfig(mutation_scale=v),
+                                       "mutation_scale"),
+    "second_derivative_nulled_pulse": (second_derivative_nulled_pulse, "omega"),
+    "IntegrationConfig.step": (lambda v: IntegrationConfig(0.0, 1.0, v), "step"),
+    "IntegrationConfig.per_period": (lambda v: IntegrationConfig.per_period(0.0, 1.0, v),
+                                     "period"),
+}
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf, "x"],
+                         ids=["zero", "negative", "nan", "inf", "-inf", "text"])
+@pytest.mark.parametrize("site", sorted(POSITIVE_SITES))
+def test_positive_rule_refuses_by_name(site, value):
+    call, name = POSITIVE_SITES[site]
+    with pytest.raises(ValueError, match=rf"^{name} must be (> 0|finite|a finite number), got "):
+        call(value)
 
 
 class TestPulseValue:

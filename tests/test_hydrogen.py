@@ -3,6 +3,8 @@ conversions, field regimes."""
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from twolevel.analytic import leakage_at_peak
@@ -10,7 +12,6 @@ from twolevel.hydrogen import (
     BOHR_RADIUS_M,
     INTENSITY_AU_W_CM2,
     SPEED_OF_LIGHT_AU,
-    FieldRegime,
     dipole_2s2p,
     ev_to_hartree,
     field_for_transfer,
@@ -130,16 +131,21 @@ class TestFieldForTransfer:
         with pytest.raises(ValueError):
             field_for_transfer(0.0)
 
-    def test_regime_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            FieldRegime(omega=1.0, wavelength_m=1.0, e0=1.0, intensity_w_cm2=INTENSITY_AU_W_CM2)
-        with pytest.raises(ValueError):
-            FieldRegime(
-                omega=1.0,
-                wavelength_m=2 * math.pi * SPEED_OF_LIGHT_AU * BOHR_RADIUS_M,
-                e0=1.0,
-                intensity_w_cm2=1.0,
-            )
+    @settings(max_examples=200, deadline=None)
+    @given(omega=st.floats(1e-12, 1e3))
+    def test_regime_is_consistent_over_frequencies(self, omega):
+        # lambda omega = 2 pi c and I = E0^2 I_au hold for every regime built.
+        regime = field_for_transfer(omega)
+        assert regime.omega == omega
+        assert (regime.wavelength_m / BOHR_RADIUS_M) * omega == pytest.approx(
+            2 * math.pi * SPEED_OF_LIGHT_AU, rel=1e-12)
+        assert regime.intensity_w_cm2 == pytest.approx(
+            regime.e0**2 * INTENSITY_AU_W_CM2, rel=1e-12)
+
+    @pytest.mark.parametrize("omega", [4.7e-306, 1e-320])
+    def test_overflowing_wavelength_is_refused(self, omega):
+        with pytest.raises(ValueError, match="the wavelength is not a finite double"):
+            field_for_transfer(omega)
 
 
 class TestValidityReport:
