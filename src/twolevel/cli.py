@@ -37,6 +37,7 @@ from .core import (
     PulseSpec,
     Trajectory,
     TwoLevelAtom,
+    _check_finite,
     _check_positive,
     pulse_from_dict,
 )
@@ -281,10 +282,12 @@ def _sweep_jobs(args: argparse.Namespace, omega21: float,
 
 def _grid_config(args: argparse.Namespace, pulse: PulseSpec) -> IntegrationConfig:
     """The --start/--periods/--step grid; ValueError if invalid or over MAX_STEPS."""
-    t_end = args.start + args.periods * pulse.period
+    start = _check_finite("--start", args.start)
+    periods = _check_positive("--periods", args.periods)
+    t_end = start + periods * pulse.period
     if args.step is not None:
-        return IntegrationConfig(args.start, t_end, args.step)
-    return IntegrationConfig.per_period(args.start, t_end, pulse.period, args.steps_per_period)
+        return IntegrationConfig(start, t_end, args.step)
+    return IntegrationConfig.per_period(start, t_end, pulse.period, args.steps_per_period)
 
 
 # --- design ------------------------------------------------------------------

@@ -86,8 +86,9 @@ def omega_to_wavelength(omega: float) -> float:
 
 
 def field_to_intensity(e0: float) -> float:
-    """Peak intensity in W/cm^2 for a field amplitude in atomic units."""
-    return e0 * e0 * INTENSITY_AU_W_CM2
+    """Peak intensity in W/cm^2 for a field amplitude in atomic units;
+    ValueError where it overflows a double, above about 7e145 a.u."""
+    return _finite(lambda: e0 * e0 * INTENSITY_AU_W_CM2, "the intensity")
 
 
 def intensity_to_field(intensity_w_cm2: float) -> float:

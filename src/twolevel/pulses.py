@@ -18,6 +18,7 @@ as a pulse object.  The search is deterministic for a fixed seed.
 from __future__ import annotations
 
 import math
+import random
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ from .core import (
     HarmonicSum,
     PulseSpec,
     TwoLevelAtom,
+    _check_finite,
     _check_positive,
     action,
     odd_harmonic_action,
@@ -100,7 +102,7 @@ class ShapingObjective:
         if not 0.0 < self.p_cr < 1.0:
             raise ValueError(f"p_cr must lie in (0, 1), got {self.p_cr}")
         object.__setattr__(self, "omega", _check_positive("omega", self.omega))
-        if not self.horizon >= 1.0:
+        if not _check_finite("horizon", self.horizon) >= 1.0:
             raise ValueError(f"horizon must be >= 1 period, got {self.horizon}")
 
 
@@ -128,6 +130,9 @@ class OptimizerConfig:
                            _check_positive("mutation_scale", self.mutation_scale))
         if not 1 <= self.n_harmonics <= 8:
             raise ValueError(f"n_harmonics must lie in 1..8, got {self.n_harmonics}")
+        # random.Random would seed -1 like 1.
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -317,15 +322,16 @@ def run_optimizer(objective: ShapingObjective, config: OptimizerConfig) -> Optim
     Tournament selection (size 2), blend crossover and Gaussian mutation;
     the single elite survivor makes the best fitness monotone non-decreasing
     across generations.  All random draws come from one sequentially
-    consumed generator, and a generation's children are all drawn before
-    any is scored, so a fixed seed reproduces the run bit for bit.
+    consumed ``random.Random(seed)``, and a generation's children are all
+    drawn before any is scored, so a fixed seed reproduces the run bit for
+    bit on a given Python version.
 
     Raises ValueError before the first generation when its candidates'
     grid steps together exceed MAX_STEPS, and when no candidate ever
     reaches P2 >= 1 - p_cr, in the ranking measure or on the winner's RK4
     trajectory.
     """
-    rng = np.random.default_rng(config.seed)
+    rng = random.Random(config.seed)
     harmonics = tuple(2 * i + 1 for i in range(config.n_harmonics))
     omega = objective.omega
     t_peak = HALF_PI / omega
@@ -354,13 +360,17 @@ def run_optimizer(objective: ShapingObjective, config: OptimizerConfig) -> Optim
     def best() -> int:
         return max(range(len(fitness)), key=fitness.__getitem__)
 
+    def mutation() -> np.ndarray:
+        # gauss has no default arguments before Python 3.11.
+        return config.mutation_scale * np.array([rng.gauss(0.0, 1.0) for _ in range(n_genes)])
+
     n_genes = config.n_harmonics
     population = np.zeros((config.population_size, n_genes))
     population[:, 0] = 1.0  # every row starts as the cosine
     # An overflowing draw makes a non-finite genome, which scores as unusable.
     with np.errstate(over="ignore", invalid="ignore"):
         for genome in population[1:]:
-            genome += config.mutation_scale * rng.standard_normal(n_genes)
+            genome += mutation()
     fitness = score(population)
 
     elite = best()
@@ -370,12 +380,12 @@ def run_optimizer(objective: ShapingObjective, config: OptimizerConfig) -> Optim
         children[0] = population[elite]
         with np.errstate(over="ignore", invalid="ignore"):
             for child in children[1:]:
-                picks = rng.integers(0, config.population_size, size=4)
+                picks = [rng.randrange(config.population_size) for _ in range(4)]
                 mother = picks[0] if fitness[picks[0]] > fitness[picks[1]] else picks[1]
                 father = picks[2] if fitness[picks[2]] > fitness[picks[3]] else picks[3]
                 blend = rng.random()
                 child[:] = blend * population[mother] + (1.0 - blend) * population[father]
-                child += config.mutation_scale * rng.standard_normal(n_genes)
+                child += mutation()
         population = children
         fitness = [fitness[elite]] + score(population[1:])
         elite = best()

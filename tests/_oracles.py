@@ -22,6 +22,7 @@ buffers in place.
 from __future__ import annotations
 
 import math
+import random
 import warnings
 
 import numpy as np
@@ -378,7 +379,7 @@ def run_optimizer_reference(objective, config) -> OptimizationResult:
     candidate's populations come from its own :func:`first_order_reference`
     call.  Same random draws, results and ValueError contract.
     """
-    rng = np.random.default_rng(config.seed)
+    rng = random.Random(config.seed)
     harmonics = tuple(2 * i + 1 for i in range(config.n_harmonics))
     t_peak = HALF_PI / objective.omega
     period = 2.0 * math.pi / objective.omega
@@ -396,11 +397,15 @@ def run_optimizer_reference(objective, config) -> OptimizationResult:
         return _evaluate(genome, harmonics, objective, t_peak, populations)
 
     n_genes = config.n_harmonics
+
+    def normals():
+        return np.array([rng.gauss(0.0, 1.0) for _ in range(n_genes)])
+
     cosine_seed = np.zeros(n_genes)
     cosine_seed[0] = 1.0
     population = [cosine_seed]
     for _ in range(config.population_size - 1):
-        population.append(cosine_seed + config.mutation_scale * rng.standard_normal(n_genes))
+        population.append(cosine_seed + config.mutation_scale * normals())
     scores = [evaluate(g) for g in population]
 
     def best_index():
@@ -416,12 +421,12 @@ def run_optimizer_reference(objective, config) -> OptimizationResult:
         next_population = [population[elite]]
         next_scores = [scores[elite]]
         while len(next_population) < config.population_size:
-            picks = rng.integers(0, config.population_size, size=4)
+            picks = [rng.randrange(config.population_size) for _ in range(4)]
             mother = picks[0] if _better(scores[picks[0]], scores[picks[1]]) else picks[1]
             father = picks[2] if _better(scores[picks[2]], scores[picks[3]]) else picks[3]
             blend = rng.random()
             child = blend * population[mother] + (1.0 - blend) * population[father]
-            child = child + config.mutation_scale * rng.standard_normal(n_genes)
+            child = child + config.mutation_scale * normals()
             next_population.append(child)
             next_scores.append(evaluate(child))
         population = next_population

@@ -540,17 +540,27 @@ class TestOptimize:
 
     @pytest.mark.parametrize(
         "pcr, seed",
-        [("3.285269400020924e-05", "707434077"), ("4.389954813217139e-05", "905577790")],
+        [("3.9611280060992176e-05", "902395275"), ("1.3188307366840103e-05", "772501771")],
     )
-    def test_overflowing_candidate_does_not_end_search(self, tmp_path, pcr, seed):
-        # Each run meets a candidate whose action nearly cancels at the peak;
-        # normalized, it overflows RK4 and must score as unusable.
-        result = run_cli(
+    def test_overflowing_candidate_does_not_end_search(self, tmp_path, monkeypatch, pcr, seed):
+        # Each run meets a candidate whose action nearly cancels at the peak,
+        # so that transfer normalization scales a coefficient past 100 (to
+        # about 1540 and 2000 here).  The search goes on past it, and its
+        # winner is normalized.
+        largest = []
+        normalized_rows = twolevel.pulses._normalized_rows
+
+        def recording(*args):
+            usable, rows = normalized_rows(*args)
+            largest.append(np.abs(rows[usable]).max(initial=0.0))
+            return usable, rows
+
+        monkeypatch.setattr(twolevel.pulses, "_normalized_rows", recording)
+        monkeypatch.chdir(tmp_path)
+        assert twolevel.cli.main(
             ["optimize", "--omega21", "0", "--n-harmonics", "3", "--generations", "40",
-             "--pcr", pcr, "--seed", seed, "--out", "ga"],
-            tmp_path,
-        )
-        assert result.returncode == 0, result.stderr
+             "--pcr", pcr, "--seed", seed, "--out", "ga"]) == 0
+        assert max(largest) > 100.0
         summary = json.loads((tmp_path / "ga_pulse.json").read_text())
         history = summary["fitness_history"]
         assert all(b >= a for a, b in zip(history, history[1:]))
@@ -721,10 +731,19 @@ class TestBadNumbers:
             (["optimize", "--pcr", "1e-4", "--omega", "inf"], "omega must be finite, got inf"),
             (["optimize", "--pcr", "1e-4", "--omega", "1e-320"],
              "period must be finite, got inf"),
+            (["simulate", "--ratio", "10", "--periods", "inf"], "--periods must be finite, got inf"),
+            (["simulate", "--ratio", "10", "--periods", "0"], "--periods must be > 0, got 0.0"),
+            (["simulate", "--ratio", "10", "--periods=-1"], "--periods must be > 0, got -1.0"),
+            (["simulate", "--ratio", "10", "--start", "inf"], "--start must be finite, got inf"),
+            (["optimize", "--pcr", "1e-4", "--horizon", "inf"], "horizon must be finite, got inf"),
+            (["optimize", "--pcr", "1e-4", "--seed=-1"], "seed must be >= 0, got -1"),
+            (["design", "--ts", "1e-200", "--pcr", "0.5"], "the intensity is not a finite double"),
         ],
         ids=["ratio-zero", "ratio-negative", "ratio-nan", "ratio-inf", "sweep-zero",
              "sweep-nan", "sweep-inf", "wavelength-inf", "simulate-period-inf",
-             "optimize-omega-inf", "optimize-period-inf"],
+             "optimize-omega-inf", "optimize-period-inf", "periods-inf", "periods-zero",
+             "periods-negative", "start-inf", "horizon-inf", "seed-negative",
+             "intensity-inf"],
     )
     def test_bad_number_is_refused_by_name_before_integration(
             self, tmp_path, monkeypatch, capsys, args, message):
@@ -791,6 +810,23 @@ class TestImport:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_optimize_loads_no_numpy_random(self, tmp_path):
+        # The GA draws from the standard library's random; numpy.random and
+        # the hashing modules it imports cost about 5.6 MiB.
+        script = (
+            "import sys, numpy; eager = 'numpy.random' in sys.modules; "
+            "import twolevel.cli; code = twolevel.cli.main(sys.argv[1:]); "
+            "print(code, eager, 'numpy.random' in sys.modules)"
+        )
+        args = ["optimize", "--pcr", "1e-4", "--population", "4", "--generations", "1"]
+        result = subprocess.run([sys.executable, "-c", script, *args], cwd=tmp_path,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        code, eager, loaded = result.stdout.splitlines()[-1].split()
+        if eager == "True":
+            pytest.skip("this numpy imports numpy.random with numpy itself")
+        assert (code, loaded) == ("0", "False")
 
     def test_every_traced_binding_exists(self):
         # The profiler wraps these names where the CLI's modules look them

@@ -102,6 +102,11 @@ class TestConversions:
     def test_intensity_round_trip(self):
         assert intensity_to_field(field_to_intensity(0.031)) == pytest.approx(0.031, rel=1e-12)
 
+    def test_overflowing_intensity_is_refused(self):
+        assert math.isfinite(field_to_intensity(7e145))
+        with pytest.raises(ValueError, match="the intensity is not a finite double"):
+            field_to_intensity(8e145)
+
     def test_wavelength_omega_product(self):
         omega = wavelength_to_omega(5e-3)
         assert (5e-3 / BOHR_RADIUS_M) * omega == pytest.approx(
