@@ -9,62 +9,45 @@ design rule it implies, truncated-series leakage bounds, exact higher
 derivatives of the transfer probability for pulse flattening, a small genetic
 pulse-shape optimizer, and the hydrogen 2s-2p numbers that make the model
 concrete.
+
+The names below are loaded on first use (PEP 562), so ``import twolevel``
+loads no numpy: :mod:`twolevel.cli` sets numpy's BLAS thread count before
+numpy loads.
 """
+import importlib
 
 __version__ = "0.1.0"
 
-from .core import (
-    AmplitudeState,
-    Cosine,
-    GaussianApprox,
-    HarmonicSum,
-    PulseSpec,
-    Trajectory,
-    TwoLevelAtom,
-    action,
-    pulse_from_dict,
-    pulse_value,
-)
-from .analytic import (
-    DesignRequest,
-    degenerate_amplitudes,
-    delta_pulse_populations,
-    design_frequency,
-    detuning_sensitivity,
-    leakage_at_peak,
-    leakage_estimate,
-    p2_derivatives,
-    populations_from_action,
-    quartic_peak_approx,
-    transfer_populations,
-)
-from .integrator import (
-    IntegrationConfig,
-    IntegrationError,
-    integrate,
-    max_population_deviation,
-    populated_window,
-    populated_windows,
-    step_halving_error,
-)
-from .pulses import (
-    OptimizationResult,
-    OptimizerConfig,
-    ShapingObjective,
-    flatness_order,
-    normalize_for_transfer,
-    run_optimizer,
-    second_derivative_nulled_pulse,
-)
-from .hydrogen import (
-    FieldRegime,
-    ValidityReport,
-    dipole_2s2p,
-    field_for_transfer,
-    hydrogen_atom,
-    lamb_shift,
-    next_level_gap,
-    validity_report,
-)
+# The public names of each submodule.
+_EXPORTS = {
+    "core": ("AmplitudeState", "Cosine", "GaussianApprox", "HarmonicSum", "PulseSpec",
+             "Trajectory", "TwoLevelAtom", "action", "pulse_from_dict", "pulse_value"),
+    "analytic": ("DesignRequest", "degenerate_amplitudes", "delta_pulse_populations",
+                 "design_frequency", "detuning_sensitivity", "leakage_at_peak",
+                 "leakage_estimate", "p2_derivatives", "populations_from_action",
+                 "quartic_peak_approx", "transfer_populations"),
+    "integrator": ("IntegrationConfig", "IntegrationError", "integrate",
+                   "max_population_deviation", "populated_window", "populated_windows",
+                   "step_halving_error"),
+    "pulses": ("OptimizationResult", "OptimizerConfig", "ShapingObjective", "flatness_order",
+               "normalize_for_transfer", "run_optimizer", "second_derivative_nulled_pulse"),
+    "hydrogen": ("FieldRegime", "ValidityReport", "dipole_2s2p", "field_for_transfer",
+                 "hydrogen_atom", "lamb_shift", "next_level_gap", "validity_report"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_EXPORTS, *_MODULE_OF])
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _MODULE_OF:
+        value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

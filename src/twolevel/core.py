@@ -97,9 +97,10 @@ class TwoLevelAtom:
 #
 # Two families: HarmonicSum, whose one-term member Cosine(chi, omega) builds,
 # and GaussianApprox.  Each provides value(t), action(t), derivative(t, order),
-# the scales period and action_scale, scaled(s) and to_dict(), and
+# the scales period and action_scale, scaled(s) and to_dict(),
 # derivative_bound(t, order): the magnitude sum of the terms derivative adds,
-# its rounding scale.
+# its rounding scale, and repeat_period: the time after which V21 repeats
+# itself, or None for a pulse that never does.
 
 def _check_order(order) -> int:
     """A derivative order as an int; ValueError unless it is an integer >= 0."""
@@ -185,6 +186,10 @@ class HarmonicSum:
     @property
     def period(self) -> float:
         return 2.0 * math.pi / self.omega
+
+    @property
+    def repeat_period(self) -> float:
+        return self.period
 
     def derivative_bound(self, t: float, order: int) -> float:
         order = _check_order(order)
@@ -278,6 +283,10 @@ class GaussianApprox:
     @property
     def period(self) -> float:
         return self.width
+
+    @property
+    def repeat_period(self) -> None:
+        return None
 
     @property
     def action_scale(self) -> float:

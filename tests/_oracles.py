@@ -26,7 +26,6 @@ import random
 import warnings
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from twolevel.analytic import populations_from_action
 from twolevel.core import GaussianApprox, HarmonicSum, PulseSpec, Trajectory, pulse_value
@@ -47,6 +46,9 @@ from twolevel.pulses import (
 
 def action_by_quadrature(pulse, t: float) -> float:
     """Adaptive quadrature of V21 from 0 to t."""
+    # Imported here, so that modules run without scipy can use the other oracles.
+    from scipy.integrate import IntegrationWarning, quad
+
     kwargs = dict(epsabs=1e-13, epsrel=1e-12, limit=400)
     if isinstance(pulse, GaussianApprox):
         lo, hi = sorted((0.0, float(t)))

@@ -12,6 +12,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -153,6 +154,22 @@ class TestSimulate:
         assert (tmp_path / "sweep_ratio100.csv").exists()
         manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
         assert len(manifest["outputs"]) == 2
+
+    def test_sweep_holds_one_trajectory_at_a_time(self, tmp_path, monkeypatch):
+        # A 25-period trajectory is 25001 rows of a time and two amplitudes,
+        # 1.0 MB.  Holding all four until the last write peaked at 6.3 MB.
+        monkeypatch.setattr(twolevel.cli.os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.chdir(tmp_path)
+        args = ["simulate", "--sweep", "10,50,100,300", "--periods", "25", "--analytic",
+                "--out", "s.csv"]
+        tracemalloc.start()
+        try:
+            assert twolevel.cli.main(args) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.0e6
 
     def test_sweep_repeats_its_bytes_and_warns_nothing(self, tmp_path):
         # Python 3.12+ would warn about forking with a thread running.
@@ -734,6 +751,8 @@ class TestBadNumbers:
             (["simulate", "--ratio", "10", "--periods", "inf"], "--periods must be finite, got inf"),
             (["simulate", "--ratio", "10", "--periods", "0"], "--periods must be > 0, got 0.0"),
             (["simulate", "--ratio", "10", "--periods=-1"], "--periods must be > 0, got -1.0"),
+            (["simulate", "--ratio", "10", "--periods", "1e305"],
+             "the end time of --periods 1e+305 is not a finite double"),
             (["simulate", "--ratio", "10", "--start", "inf"], "--start must be finite, got inf"),
             (["optimize", "--pcr", "1e-4", "--horizon", "inf"], "horizon must be finite, got inf"),
             (["optimize", "--pcr", "1e-4", "--seed=-1"], "seed must be >= 0, got -1"),
@@ -742,7 +761,7 @@ class TestBadNumbers:
         ids=["ratio-zero", "ratio-negative", "ratio-nan", "ratio-inf", "sweep-zero",
              "sweep-nan", "sweep-inf", "wavelength-inf", "simulate-period-inf",
              "optimize-omega-inf", "optimize-period-inf", "periods-inf", "periods-zero",
-             "periods-negative", "start-inf", "horizon-inf", "seed-negative",
+             "periods-negative", "periods-end-inf", "start-inf", "horizon-inf", "seed-negative",
              "intensity-inf"],
     )
     def test_bad_number_is_refused_by_name_before_integration(
@@ -791,7 +810,48 @@ class TestDemos:
         assert result.stderr == ""
 
 
+#: Every public name of the package, which ``from twolevel import *`` gives.
+PUBLIC_NAMES = [
+    "AmplitudeState", "Cosine", "DesignRequest", "FieldRegime", "GaussianApprox", "HarmonicSum",
+    "IntegrationConfig", "IntegrationError", "OptimizationResult", "OptimizerConfig",
+    "PulseSpec", "ShapingObjective", "Trajectory", "TwoLevelAtom", "ValidityReport", "action",
+    "analytic", "core", "degenerate_amplitudes", "delta_pulse_populations", "design_frequency",
+    "detuning_sensitivity", "dipole_2s2p", "field_for_transfer", "flatness_order", "hydrogen",
+    "hydrogen_atom", "integrate", "integrator", "lamb_shift", "leakage_at_peak",
+    "leakage_estimate", "max_population_deviation", "next_level_gap", "normalize_for_transfer",
+    "p2_derivatives", "populated_window", "populated_windows", "populations_from_action",
+    "pulse_from_dict", "pulse_value", "pulses", "quartic_peak_approx", "run_optimizer",
+    "second_derivative_nulled_pulse", "step_halving_error", "transfer_populations",
+    "validity_report",
+]
+
+
+def run_python(code, env=None):
+    """``python -c code`` in a fresh interpreter; its stripped stdout."""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=60, env=env)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
 class TestImport:
+    def test_package_import_loads_no_numpy(self):
+        assert run_python("import sys, twolevel; print('numpy' in sys.modules)") == "False"
+
+    @pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")])
+    def test_cli_loads_numpy_with_one_blas_thread_unless_told(self, given, expected):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if given is not None:
+            env["OPENBLAS_NUM_THREADS"] = given
+        code = ("import os, sys; import twolevel.cli; "
+                "print('numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'])")
+        assert run_python(code, env) == f"True {expected}"
+
+    def test_star_import_gives_every_public_name(self):
+        names = {}
+        exec("from twolevel import *", names)
+        assert sorted(name for name in names if name != "__builtins__") == PUBLIC_NAMES
+
     @pytest.mark.skipif(shutil.which("twolevel") is None,
                         reason="the package's console script is not installed")
     def test_console_script_runs_the_cli(self, tmp_path):
@@ -805,11 +865,7 @@ class TestImport:
             "import sys, twolevel.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]"
+        assert run_python(code) == "[]"
 
     def test_optimize_loads_no_numpy_random(self, tmp_path):
         # The GA draws from the standard library's random; numpy.random and

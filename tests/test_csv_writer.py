@@ -187,6 +187,21 @@ def test_writer_memory_is_bounded_per_row(tmp_path, pulse_name):
     assert peak / rows <= 100
 
 
+@pytest.mark.parametrize("pulse_name", ["cosine", "gaussian"])
+def test_writer_memory_does_not_grow_with_rows(tmp_path, pulse_name):
+    """Every column is computed 512 rows at a time: ten times the rows, no more memory."""
+    peaks = []
+    for rows in (10_000, 100_000):
+        traj = _trajectory(PULSES[pulse_name], rows)
+        tracemalloc.start()
+        try:
+            _write_trajectory_csv(tmp_path / "big.csv", traj, PULSES[pulse_name])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 64 * 1024
+
+
 SWEEP_RATIOS = ("10", "20", "50", "100", "150")
 
 

@@ -3,7 +3,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# The package __init__ imports names only to re-export them.
+# The package __init__ computes its __all__ from the names it loads on first use.
 REEXPORTS = ROOT / "src" / "twolevel" / "__init__.py"
 
 

@@ -307,7 +307,10 @@ class TestKernelMatchesScalarLoop:
     """The step-matrix kernel against the one-step-at-a-time RK4 oracle.
 
     Step counts straddle the block padding (16, 17) and the 4096-step chunk
-    edges; RK4 arithmetic in another order agrees to rounding.
+    edges; RK4 arithmetic in another order agrees to rounding.  The cosine's
+    grids of more than 1000 steps span more than one period and take the
+    one-period path; tests/test_periodic.py steps through the chunk edges on
+    a grid that misses the period.
     """
 
     H = 2 * math.pi / 1000
