@@ -9,7 +9,8 @@ problems, 3 integration failure.
 The specs check their own input and command code raises ``ValueError`` for
 the rest; specs, grids and output paths are all checked before the first
 integration, and nothing raises ``ValueError`` after the first file write.
-Every trajectory is integrated and its norm checked before that write too.
+Outputs are staged and moved into place only after every write succeeded, so
+a failed run leaves the directory as it was.
 :func:`main` alone maps a ``ValueError`` to a usage error (exit 2), an
 ``IntegrationError`` to exit 3, and an ``OSError`` from a write to a
 one-line error with exit 2.
@@ -69,10 +70,12 @@ from .pulses import OptimizerConfig, ShapingObjective, run_optimizer
 # 0.5 MB is in use, and with the BLAS setting above `design` peaked 0.24 MiB
 # lower.
 import argparse
+import contextlib
 import json
 import math
+import shutil
 import sys
-import warnings
+import tempfile
 from pathlib import Path
 
 TRAJECTORY_HEADER = "t,P1,P2,re_a1,im_a1,re_a2,im_a2"
@@ -85,7 +88,7 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_manifest(manifest_path: Path, args: argparse.Namespace, outputs: list[str]) -> Path:
+def _write_manifest(manifest_path: Path, args: argparse.Namespace, outputs: list[str]) -> None:
     params = {
         k: v for k, v in sorted(vars(args).items())
         if k != "func" and not k.startswith("_")
@@ -98,7 +101,24 @@ def _write_manifest(manifest_path: Path, args: argparse.Namespace, outputs: list
         "outputs": outputs,
     }
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return manifest_path
+
+
+@contextlib.contextmanager
+def _staged(paths: list[Path]):
+    """Yield a hidden directory beside ``paths`` in which to write each of them.
+
+    Each output is written there under its own name.  When the block ends
+    without error every file is moved over its path with ``os.replace``, in
+    the order given, so the manifest goes last; on any exception none is,
+    and the directory is removed either way.
+    """
+    stage = Path(tempfile.mkdtemp(prefix=".twolevel-", dir=paths[0].parent))
+    try:
+        yield stage
+        for path in paths:
+            os.replace(stage / path.name, path)
+    finally:
+        shutil.rmtree(stage)
 
 
 def _write_trajectory_csv(path: Path, traj: Trajectory, analytic_pulse: PulseSpec | None) -> None:
@@ -128,64 +148,6 @@ def _write_trajectory_csv(path: Path, traj: Trajectory, analytic_pulse: PulseSpe
             if analytic_pulse is not None:
                 columns += populations_from_action(analytic_pulse, part.times, traj.times[0])
             fh.write(format_block(np.stack(columns, axis=1)))
-
-
-def _write_trajectories(atom: TwoLevelAtom,
-                        jobs: list[tuple[Path, PulseSpec, IntegrationConfig]],
-                        analytic: bool) -> None:
-    """Integrate and write each ``(path, pulse, grid)`` job, one process per CPU.
-
-    Each job is integrated right before its file is written, so a process
-    holds one trajectory at a time; with ``analytic`` the file gets the
-    pulse's degenerate-limit columns.  Formatting 17-digit text takes most
-    of a job and runs in one thread, so the jobs are split over
-    ``W = min(len(jobs), available CPUs)`` processes: job ``i`` goes to
-    worker ``i % W``, this process is worker 0 and the other ``W - 1`` are
-    forked children.  With one CPU, or where the platform cannot tell which
-    CPUs are available, ``W = 1`` and nothing forks.  Every child is reaped,
-    also when this process's own share raised.  OSError names the files of
-    a child that failed.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(jobs), cpus)
-
-    def write(path, pulse, cfg):
-        _write_trajectory_csv(path, integrate(atom, pulse, cfg), pulse if analytic else None)
-
-    # A child inherits unflushed output and would write it a second time.
-    sys.stdout.flush()
-    sys.stderr.flush()
-    children = {}
-    try:
-        for worker in range(1, workers):
-            with warnings.catch_warnings():
-                # Python 3.12+ warns if a thread is running, as OpenBLAS's
-                # are when the caller sets OPENBLAS_NUM_THREADS above 1.  The
-                # children never call BLAS, so those threads cannot hang them.
-                warnings.filterwarnings("ignore", category=DeprecationWarning,
-                                        message=r".*use of fork\(\) may lead to deadlocks")
-                pid = os.fork()
-            if pid == 0:
-                # A child never returns into its caller's code (a test
-                # runner, a tracer that dumps its spans): it ends in os._exit.
-                status = 1
-                try:
-                    for path, pulse, cfg in jobs[worker::workers]:
-                        write(path, pulse, cfg)
-                    status = 0
-                except Exception as exc:
-                    print(f"cannot write {path}: {exc}", file=sys.stderr)
-                finally:
-                    sys.stderr.flush()
-                    os._exit(status)
-            children[pid] = worker
-        for path, pulse, cfg in jobs[::workers]:
-            write(path, pulse, cfg)
-    finally:
-        failed = [worker for pid, worker in children.items() if os.waitpid(pid, 0)[1] != 0]
-    if failed:
-        paths = ", ".join(str(path) for worker in failed for path, _, _ in jobs[worker::workers])
-        raise OSError(f"a worker process could not write all of {paths}")
 
 
 def _out_path(out: str) -> Path:
@@ -265,26 +227,29 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 raise ValueError(f"--error-estimate: {exc}") from None
         jobs = [(out_path, pulse, cfg)]
+    outputs = [path for path, _, _ in jobs]
     manifest_path = out_path.with_suffix(".manifest.json")
-    _check_outputs([path for path, _, _ in jobs] + [manifest_path])
+    _check_outputs(outputs + [manifest_path])
 
+    with _staged(outputs + [manifest_path]) as stage:
+        if args.sweep is not None:
+            # Each file is written before the next job is integrated, so one
+            # trajectory is held at a time.
+            for path, pulse, cfg in jobs:
+                _write_trajectory_csv(stage / path.name, integrate(atom, pulse, cfg),
+                                      pulse if args.analytic else None)
+        else:
+            traj = integrate(atom, pulse, cfg)
+            if args.error_estimate:
+                estimate = step_halving_error(atom, pulse, cfg, coarse=traj)
+            _write_trajectory_csv(stage / out_path.name, traj, pulse if args.analytic else None)
+        _write_manifest(stage / manifest_path.name, args, [str(path) for path in outputs])
     if args.sweep is not None:
-        # Every integration finishes, and is checked, before the first file
-        # is written.  None is kept: each writer integrates its jobs again.
-        for _, pulse, cfg in jobs:
-            integrate(atom, pulse, cfg)
-        _write_trajectories(atom, jobs, args.analytic)
-        manifest = _write_manifest(manifest_path, args, [str(path) for path, _, _ in jobs])
-        print(f"wrote {len(jobs)} trajectories and {manifest}")
+        print(f"wrote {len(jobs)} trajectories and {manifest_path}")
         return 0
-    traj = integrate(atom, pulse, cfg)
-    if args.error_estimate:
-        estimate = step_halving_error(atom, pulse, cfg, coarse=traj)
-    _write_trajectory_csv(out_path, traj, pulse if args.analytic else None)
-    manifest = _write_manifest(manifest_path, args, [str(out_path)])
     if args.error_estimate:
         print(f"step-halving error estimate = {_fmt(estimate)}")
-    print(f"wrote {out_path} ({len(traj)} rows) and {manifest}")
+    print(f"wrote {out_path} ({len(traj)} rows) and {manifest_path}")
     return 0
 
 
@@ -371,7 +336,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     pulse_path = prefix.with_name(prefix.name + "_pulse.json")
     history_path = prefix.with_name(prefix.name + "_history.csv")
     manifest_path = prefix.with_suffix(".manifest.json")
-    _check_outputs([pulse_path, history_path, manifest_path])
+    outputs = [pulse_path, history_path, manifest_path]
+    _check_outputs(outputs)
 
     result = run_optimizer(objective, config)
     summary = {
@@ -393,14 +359,15 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             "horizon": objective.horizon,
         },
     }
-    pulse_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     history_lines = ["generation,best_T_s"]
     history_lines += [f"{i},{_fmt(v)}" for i, v in enumerate(result.history)]
-    history_path.write_text("\n".join(history_lines) + "\n")
-    manifest = _write_manifest(manifest_path, args, [str(pulse_path), str(history_path)])
+    with _staged(outputs) as stage:
+        (stage / pulse_path.name).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        (stage / history_path.name).write_text("\n".join(history_lines) + "\n")
+        _write_manifest(stage / manifest_path.name, args, [str(pulse_path), str(history_path)])
     print(f"best T_s = {_fmt(result.best_window)} a.u.")
     print(f"measured T_s (RK4) = {_fmt(result.measured_window)} a.u.")
-    print(f"wrote {pulse_path}, {history_path} and {manifest}")
+    print(f"wrote {pulse_path}, {history_path} and {manifest_path}")
     return 0
 
 

@@ -158,8 +158,6 @@ class TestSimulate:
     def test_sweep_holds_one_trajectory_at_a_time(self, tmp_path, monkeypatch):
         # A 25-period trajectory is 25001 rows of a time and two amplitudes,
         # 1.0 MB.  Holding all four until the last write peaked at 6.3 MB.
-        monkeypatch.setattr(twolevel.cli.os, "sched_getaffinity", lambda pid: {0},
-                            raising=False)
         monkeypatch.chdir(tmp_path)
         args = ["simulate", "--sweep", "10,50,100,300", "--periods", "25", "--analytic",
                 "--out", "s.csv"]
@@ -172,7 +170,6 @@ class TestSimulate:
         assert peak < 3.0e6
 
     def test_sweep_repeats_its_bytes_and_warns_nothing(self, tmp_path):
-        # Python 3.12+ would warn about forking with a thread running.
         env = dict(os.environ, PYTHONWARNINGS="always::DeprecationWarning")
         for run in ("first", "again"):
             (tmp_path / run).mkdir()
@@ -183,23 +180,6 @@ class TestSimulate:
         first, again = tmp_path / "first", tmp_path / "again"
         for name in ("s_ratio10.csv", "s_ratio100.csv", "s.manifest.json"):
             assert (first / name).read_bytes() == (again / name).read_bytes()
-
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
-                        reason="the platform cannot pin a process to one CPU")
-    def test_sweep_on_one_cpu_gives_the_same_bytes(self, tmp_path):
-        # On one CPU the sweep has one writer process, so nothing forks.
-        def one_cpu():
-            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-
-        for run, preexec_fn in (("cpus", None), ("one", one_cpu)):
-            (tmp_path / run).mkdir()
-            result = run_cli(["simulate", "--sweep", "10,20,50,100", "--analytic",
-                              "--out", "s.csv"], tmp_path / run, preexec_fn=preexec_fn)
-            assert result.returncode == 0, result.stderr
-        cpus, one = tmp_path / "cpus", tmp_path / "one"
-        for ratio in (10, 20, 50, 100):
-            name = f"s_ratio{ratio}.csv"
-            assert (cpus / name).read_bytes() == (one / name).read_bytes()
 
     def test_cosine_pulse_file_gives_its_harmonic_sum_bytes(self, tmp_path, monkeypatch):
         (tmp_path / "cos.json").write_text(
@@ -409,14 +389,21 @@ class TestSimulate:
         assert [p.name for p in tmp_path.iterdir()] == ["blowup.json"]
 
     def test_failed_write_is_one_line_error(self, tmp_path, monkeypatch, capsys):
+        written = []
+
         def no_space(path, traj, analytic_pulse):
+            written.append(path)
             raise OSError(f"no space left for {path}")
 
         monkeypatch.setattr(twolevel.cli, "_write_trajectory_csv", no_space)
         assert twolevel.cli.main(["simulate", "--ratio", "10",
                                   "--out", str(tmp_path / "x.csv")]) == 2
+        # The writer is given x.csv in the hidden staging directory beside it.
+        [staged] = written
+        assert staged.name == "x.csv" and staged.parent.parent == tmp_path
+        assert staged.parent.name.startswith(".twolevel-")
         err = capsys.readouterr().err
-        assert err == f"twolevel simulate: error: no space left for {tmp_path / 'x.csv'}\n"
+        assert err == f"twolevel simulate: error: no space left for {staged}\n"
 
     def test_error_estimate_reported(self, tmp_path):
         result = run_cli(
@@ -687,6 +674,69 @@ class TestOptimize:
         values = [float(r["best_T_s"]) for r in rows]
         assert len(values) == 4
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+def assert_failed_write_changes_nothing(directory, monkeypatch, capsys, args, outputs,
+                                        failing):
+    """Run ``args`` in ``directory``, which holds old copies of ``outputs``, with
+    every write of the file called ``failing`` raising OSError once its bytes
+    are written.  The run must exit 2 with one error line and leave the
+    directory byte for byte as it was."""
+    for name in outputs:
+        (directory / name).write_text(f"old {name}\n")
+    before = {path.name: path.read_bytes() for path in directory.iterdir()}
+    write_csv, write_text = twolevel.cli._write_trajectory_csv, Path.write_text
+
+    def csv_then_fail(path, traj, analytic_pulse):
+        write_csv(path, traj, analytic_pulse)
+        if path.name == failing:
+            raise OSError(f"no space left for {path}")
+
+    def text_then_fail(path, data, *rest, **kwargs):
+        written = write_text(path, data, *rest, **kwargs)
+        if path.name == failing:
+            raise OSError(f"no space left for {path}")
+        return written
+
+    monkeypatch.setattr(twolevel.cli, "_write_trajectory_csv", csv_then_fail)
+    monkeypatch.setattr(Path, "write_text", text_then_fail)
+    monkeypatch.chdir(directory)
+    assert twolevel.cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"twolevel {args[0]}: error: no space left for ")
+    assert err.endswith(f"{failing}\n") and err.count("\n") == 1
+    assert {path.name: path.read_bytes() for path in directory.iterdir()} == before
+    assert not list(directory.glob(".twolevel-*"))
+
+
+SWEEP_OUTPUTS = ["s_ratio10.csv", "s_ratio20.csv", "s_ratio50.csv", "s.manifest.json"]
+SINGLE_OUTPUTS = ["x.csv", "x.manifest.json"]
+OPTIMIZE_OUTPUTS = ["o_pulse.json", "o_history.csv", "o.manifest.json"]
+
+
+class TestFailedWrite:
+    """A write that fails on any output, the manifest too, changes no file."""
+
+    @pytest.mark.parametrize("failing", SWEEP_OUTPUTS)
+    def test_failed_sweep_write_changes_nothing(self, tmp_path, monkeypatch, capsys, failing):
+        args = ["simulate", "--sweep", "10,20,50", "--omega21", "0.3", "--out", "s.csv"]
+        assert_failed_write_changes_nothing(tmp_path, monkeypatch, capsys, args,
+                                            SWEEP_OUTPUTS, failing)
+
+    @pytest.mark.parametrize("failing", SINGLE_OUTPUTS)
+    def test_failed_single_run_write_changes_nothing(self, tmp_path, monkeypatch, capsys,
+                                                     failing):
+        args = ["simulate", "--ratio", "10", "--analytic", "--out", "x.csv"]
+        assert_failed_write_changes_nothing(tmp_path, monkeypatch, capsys, args,
+                                            SINGLE_OUTPUTS, failing)
+
+    @pytest.mark.parametrize("failing", OPTIMIZE_OUTPUTS)
+    def test_failed_optimize_write_changes_nothing(self, tmp_path, monkeypatch, capsys,
+                                                   failing):
+        args = ["optimize", "--pcr", "1e-3", "--omega21", "0", "--population", "4",
+                "--generations", "1", "--out", "o"]
+        assert_failed_write_changes_nothing(tmp_path, monkeypatch, capsys, args,
+                                            OPTIMIZE_OUTPUTS, failing)
 
 
 class TestOptionRules:

@@ -205,33 +205,30 @@ def test_writer_memory_does_not_grow_with_rows(tmp_path, pulse_name):
 SWEEP_RATIOS = ("10", "20", "50", "100", "150")
 
 
-def _sweep_in_parent(workdir):
-    """``simulate --sweep`` in this process, from ``workdir``.
-
-    A forked writer that returns into this function instead of exiting leaves
-    a marker file and exits 99, so the test sees it whatever the writer did.
-    """
-    parent = os.getpid()
-    cwd = os.getcwd()
-    os.chdir(workdir)
-    try:
+def _sweep_in(workdir, monkeypatch):
+    """``simulate --sweep`` in this process, from ``workdir``."""
+    with monkeypatch.context() as in_workdir:
+        in_workdir.chdir(workdir)
         return cli.main(["simulate", "--sweep", ",".join(SWEEP_RATIOS), "--omega21", "0.3",
                          "--analytic", "--out", "s.csv"])
-    finally:
-        os.chdir(cwd)
-        if os.getpid() != parent:
-            (workdir / f"returned-{os.getpid()}").touch()
-            os._exit(99)
 
 
 def _no_fork():
-    raise AssertionError("forked with one worker")
+    raise AssertionError("the sweep forked")
 
 
-# Five files over two or three workers is an uneven split; None stands for a
-# platform without os.sched_getaffinity.
+# The files must not depend on how many CPUs the process may run on; None
+# stands for a platform without os.sched_getaffinity.
 @pytest.mark.parametrize("cpus", [None, 1, 2, 3])
 def test_sweep_files_match_across_worker_counts(tmp_path, monkeypatch, capsys, cpus):
+    monkeypatch.setattr(os, "fork", _no_fork)
+    one_cpu = tmp_path / "one_cpu"
+    one_cpu.mkdir()
+    with monkeypatch.context() as one_cpu_patch:
+        one_cpu_patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _sweep_in(one_cpu, monkeypatch) == 0
+    capsys.readouterr()
+
     traced = []
 
     def integrate_and_keep(atom, pulse, config):
@@ -239,52 +236,20 @@ def test_sweep_files_match_across_worker_counts(tmp_path, monkeypatch, capsys, c
         return traced[-1][1]
 
     monkeypatch.setattr(cli, "integrate", integrate_and_keep)
-    serial = tmp_path / "serial"
-    serial.mkdir()
-    with monkeypatch.context() as serial_patch:
-        serial_patch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
-        serial_patch.setattr(cli.os, "fork", _no_fork)
-        assert _sweep_in_parent(serial) == 0
-    capsys.readouterr()
-
-    forked = tmp_path / "forked"
-    forked.mkdir()
     if cpus is None:
-        monkeypatch.delattr(cli.os, "sched_getaffinity")
-        monkeypatch.setattr(cli.os, "fork", _no_fork)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
-        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    assert _sweep_in_parent(forked) == 0
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+    sweep = tmp_path / "sweep"
+    sweep.mkdir()
+    assert _sweep_in(sweep, monkeypatch) == 0
     assert capsys.readouterr().out.count("wrote 5 trajectories") == 1
 
     names = [f"s_ratio{ratio}.csv" for ratio in SWEEP_RATIOS]
-    assert sorted(p.name for p in forked.iterdir()) == sorted(names + ["s.manifest.json"])
-    assert (forked / "s.manifest.json").read_bytes() == (serial / "s.manifest.json").read_bytes()
+    assert sorted(p.name for p in sweep.iterdir()) == sorted(names + ["s.manifest.json"])
+    assert (sweep / "s.manifest.json").read_bytes() == (one_cpu / "s.manifest.json").read_bytes()
+    assert len(traced) == len(SWEEP_RATIOS)
     for name, (pulse, traj) in zip(names, traced):
-        assert (forked / name).read_bytes() == (serial / name).read_bytes()
-        _assert_matches_oracle(forked / name, tmp_path / f"ref_{name}", traj, pulse)
-
-
-# Write i goes to worker i % cpus: s_ratio20.csv belongs to worker 1 of 2,
-# s_ratio50.csv to worker 2 of 3, both forked children, and s_ratio10.csv to
-# worker 0, this process.
-@pytest.mark.parametrize("cpus, failing", [(2, "s_ratio20.csv"), (3, "s_ratio50.csv"),
-                                           (3, "s_ratio10.csv")])
-def test_failed_write_raises_after_reaping_every_child(tmp_path, monkeypatch, capsys, cpus,
-                                                       failing):
-    write = cli._write_trajectory_csv
-
-    def write_or_fail(path, traj, analytic_pulse):
-        if path.name == failing:
-            raise OSError(f"no space left for {path}")
-        write(path, traj, analytic_pulse)
-
-    monkeypatch.setattr(cli, "_write_trajectory_csv", write_or_fail)
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    # The writer's OSError reaches main, which reports it as a usage error.
-    assert _sweep_in_parent(tmp_path) == 2
-    assert failing in capsys.readouterr().err
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert not list(tmp_path.glob("returned-*"))
-    assert not (tmp_path / "s.manifest.json").exists()
+        assert (sweep / name).read_bytes() == (one_cpu / name).read_bytes()
+        _assert_matches_oracle(sweep / name, tmp_path / f"ref_{name}", traj, pulse)
