@@ -15,16 +15,19 @@ import math
 import numpy as np
 
 from twolevel import (
+    TRANSFER_ACTION,
     Cosine,
     IntegrationConfig,
     TwoLevelAtom,
     integrate,
+    transfer_cosine,
+    transfer_peak,
     transfer_populations,
 )
 
 omega = 1.0
 atom = TwoLevelAtom(omega21=0.0)
-pulse = Cosine(chi=0.5 * math.pi * omega, omega=omega)
+pulse = transfer_cosine(omega)
 
 traj = integrate(atom, pulse, IntegrationConfig.per_period(0.0, 2 * pulse.period, pulse.period))
 _, p2_exact = transfer_populations(omega, traj.times)
@@ -35,13 +38,13 @@ print(f"  max |P2_rk4 - P2_exact|: {np.max(np.abs(traj.p2 - p2_exact)):.2e}")
 print(f"  norm drift             : {np.max(traj.norm_defect()):.2e}")
 
 # The probability peaks sit at quarter-period offsets: t = pi/2w + k pi/w.
-peaks = [math.pi / (2 * omega) + k * math.pi / omega for k in range(4)]
+peaks = [transfer_peak(omega) + k * math.pi / omega for k in range(4)]
 for t_peak in peaks:
     i = int(np.argmin(np.abs(traj.times - t_peak)))
     print(f"  P2({traj.times[i]:6.3f}) = {traj.p2[i]:.12f}")
 
 # A sub-pi/2 ratio never completes the transfer: the action amplitude caps P2.
-weak = Cosine(chi=0.8 * 0.5 * math.pi * omega, omega=omega)
+weak = Cosine(chi=0.8 * TRANSFER_ACTION * omega, omega=omega)
 weak_traj = integrate(atom, weak, IntegrationConfig.per_period(0.0, 2 * weak.period, weak.period))
 print(f"  chi/omega = 0.8*(pi/2): max P2 = {np.max(weak_traj.p2):.6f}"
       f"  (cap sin^2(0.8 pi/2) = {math.sin(0.8 * math.pi / 2) ** 2:.6f})")

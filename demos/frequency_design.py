@@ -13,12 +13,9 @@ would need.
 
 Run:  python demos/frequency_design.py
 """
-import math
-
 import numpy as np
 
 from twolevel import (
-    Cosine,
     DesignRequest,
     IntegrationConfig,
     TwoLevelAtom,
@@ -26,6 +23,8 @@ from twolevel import (
     field_for_transfer,
     integrate,
     populated_window,
+    transfer_cosine,
+    transfer_peak,
     validity_report,
 )
 
@@ -36,13 +35,13 @@ print(f"designed omega = {omega:.6e} a.u.")
 
 # Verify on the exact dynamics in the degenerate limit.
 atom = TwoLevelAtom(omega21=0.0)
-pulse = Cosine(chi=0.5 * math.pi * omega, omega=omega)
+pulse = transfer_cosine(omega)
 traj = integrate(atom, pulse, IntegrationConfig.per_period(0.0, pulse.period, pulse.period))
 measured = populated_window(traj, request.p_cr)
 print(f"measured window = {measured:.2f} a.u. "
       f"({100 * measured / request.t_s:.1f}% of requested)")
 
-t0 = math.pi / (2 * omega)
+t0 = transfer_peak(omega)
 inside = (traj.times >= t0 - request.t_s / 2) & (traj.times <= t0 + request.t_s / 2)
 print(f"max leakage inside the requested window = {np.max(1 - traj.p2[inside]):.2e}")
 

@@ -12,17 +12,18 @@ Run:  python demos/leakage_vs_ratio.py
 import math
 
 from twolevel import (
-    Cosine,
     IntegrationConfig,
     TwoLevelAtom,
     integrate,
     leakage_at_peak,
     max_population_deviation,
+    transfer_cosine,
+    transfer_peak,
     transfer_populations,
 )
 
 omega = 1.0
-t0 = math.pi / (2 * omega)
+t0 = transfer_peak(omega)
 window = (t0 - math.pi / 2, t0 + math.pi / 2)
 
 print("deviation from the degenerate-limit curve near the first peak")
@@ -30,7 +31,7 @@ print(f"{'omega/omega21':>14} {'measured':>12} {'series bound':>14}")
 results = {}
 for ratio in (1.0, 10.0, 100.0):
     atom = TwoLevelAtom(omega21=omega / ratio)
-    pulse = Cosine(chi=0.5 * math.pi * omega, omega=omega)
+    pulse = transfer_cosine(omega)
     traj = integrate(atom, pulse, IntegrationConfig.per_period(0.0, pulse.period, pulse.period))
     dev = max_population_deviation(
         traj, lambda t: transfer_populations(omega, t), window

@@ -16,7 +16,6 @@ Run:  python demos/pulse_flattening.py
 import math
 
 from twolevel import (
-    Cosine,
     IntegrationConfig,
     OptimizerConfig,
     ShapingObjective,
@@ -26,11 +25,13 @@ from twolevel import (
     populated_window,
     run_optimizer,
     second_derivative_nulled_pulse,
+    transfer_cosine,
+    transfer_peak,
 )
 
 omega, p_cr = 1.0, 1e-4
 atom = TwoLevelAtom(omega21=0.0)
-t_peak = math.pi / (2 * omega)
+t_peak = transfer_peak(omega)
 period = 2 * math.pi / omega
 grid = IntegrationConfig.per_period(0.0, period, period)
 
@@ -39,7 +40,7 @@ def window_of(pulse) -> float:
     return populated_window(integrate(atom, pulse, grid), p_cr)
 
 
-cosine = Cosine(chi=0.5 * math.pi * omega, omega=omega)
+cosine = transfer_cosine(omega)
 nulled = second_derivative_nulled_pulse(omega)
 nulled_label = "2-harmonic, dV nulled"
 

@@ -2,13 +2,13 @@
 
 A drive whose action integral reaches an odd multiple of pi/2 transfers the
 population of a (nearly) degenerate two-level pair completely; for a cosine
-drive that means chi/omega = pi/2.  This package combines exact fixed-step
-integration of the coupled amplitude equations with the closed-form
-degenerate-limit solution, the quartic flat-top expansion and the frequency
-design rule it implies, truncated-series leakage bounds, exact higher
-derivatives of the transfer probability for pulse flattening, a small genetic
-pulse-shape optimizer, and the hydrogen 2s-2p numbers that make the model
-concrete.
+drive that means chi/omega = pi/2 (``transfer_cosine``).  This package
+combines exact fixed-step integration of the coupled amplitude equations with
+the closed-form degenerate-limit solution, the quartic flat-top expansion and
+the frequency design rule it implies, the series leakage bound at the peak,
+exact higher derivatives of the transfer probability for pulse flattening, a
+small genetic pulse-shape optimizer, and the hydrogen 2s-2p numbers that make
+the model concrete.
 
 The names below are loaded on first use (PEP 562), so ``import twolevel``
 loads no numpy: :mod:`twolevel.cli` sets numpy's BLAS thread count before
@@ -22,10 +22,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "core": ("AmplitudeState", "Cosine", "GaussianApprox", "HarmonicSum", "PulseSpec",
              "Trajectory", "TwoLevelAtom", "action", "pulse_from_dict", "pulse_value"),
-    "analytic": ("DesignRequest", "degenerate_amplitudes", "delta_pulse_populations",
+    "analytic": ("DesignRequest", "TRANSFER_ACTION", "degenerate_amplitudes",
                  "design_frequency", "detuning_sensitivity", "leakage_at_peak",
-                 "leakage_estimate", "p2_derivatives", "populations_from_action",
-                 "quartic_peak_approx", "transfer_populations"),
+                 "p2_derivatives", "populations_from_action", "quartic_peak_approx",
+                 "transfer_cosine", "transfer_peak", "transfer_populations"),
     "integrator": ("IntegrationConfig", "IntegrationError", "integrate",
                    "max_population_deviation", "populated_window", "populated_windows",
                    "step_halving_error"),

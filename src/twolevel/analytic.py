@@ -5,10 +5,11 @@ amplitude equations, which is legitimate when the splitting omega21 is small
 against the drive frequency.  In that limit the amplitudes depend on time only
 through the action integral A(t) of the coupling, P2 = sin^2 A, and a cosine
 drive with chi/omega = pi/2 transfers the population completely twice per
-field period.  The quartic expansion of the probability peak, the frequency
-design rule derived from it, the truncated-series leakage bounds for finite
-omega21, and the exact derivatives of P2 of every order used for pulse
-flattening (one Taylor-coefficient recurrence) all live here as pure functions.
+field period; :data:`TRANSFER_ACTION`, :func:`transfer_cosine` and
+:func:`transfer_peak` own that rule.  The quartic expansion of the peak, the
+frequency design rule derived from it, the series leakage bound at the peak
+and the exact derivatives of P2 of every order used for pulse flattening (one
+Taylor-coefficient recurrence) are pure functions here.
 
 For finite omega21, :func:`first_order_from_action` adds the first-order
 interaction-picture term on a time grid, for one pulse or many at once
@@ -24,22 +25,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AmplitudeState, PulseSpec, _check_order, _check_positive, _finite, action
+from .core import (AmplitudeState, Cosine, PulseSpec, _check_finite, _check_order,
+                   _check_positive, _finite, action)
 
 __all__ = [
+    "TRANSFER_ACTION",
+    "transfer_cosine",
+    "transfer_peak",
     "DesignRequest",
     "degenerate_amplitudes",
     "transfer_populations",
     "quartic_peak_approx",
     "design_frequency",
-    "leakage_estimate",
     "leakage_at_peak",
     "populations_from_action",
     "first_order_from_action",
     "p2_derivatives",
-    "delta_pulse_populations",
     "detuning_sensitivity",
 ]
+
+#: The |action| at which P2 = sin^2 A first reaches 1: complete transfer.
+TRANSFER_ACTION = 0.5 * math.pi
+
+
+def transfer_cosine(omega: float) -> PulseSpec:
+    """The complete-transfer cosine: chi = TRANSFER_ACTION * omega, omega finite and > 0."""
+    omega = _check_positive("omega", omega)
+    return Cosine(chi=TRANSFER_ACTION * omega, omega=omega)
+
+
+def transfer_peak(omega: float) -> float:
+    """P2's first peak under :func:`transfer_cosine`: the quarter period, pi/(2 omega)."""
+    omega = _check_positive("omega", omega)
+    return 0.25 * (2.0 * math.pi / omega)
 
 
 @dataclass(frozen=True)
@@ -65,7 +83,9 @@ def degenerate_amplitudes(chi: float, omega: float, t: float) -> AmplitudeState:
     a1 = cos[(chi/omega) sin(omega t)], a2 = i sin[(chi/omega) sin(omega t)];
     the pair is unit-norm by the Pythagorean identity.
     """
+    chi = _check_finite("chi", chi)
     omega = _check_positive("omega", omega)
+    t = _check_finite("t", t)
     y = (chi / omega) * math.sin(omega * t)
     return AmplitudeState(complex(math.cos(y)), 1j * math.sin(y))
 
@@ -78,7 +98,7 @@ def transfer_populations(omega: float, t):
     array ``t``.
     """
     omega = _check_positive("omega", omega)
-    y = 0.5 * math.pi * np.sin(omega * np.asarray(t, dtype=float))
+    y = TRANSFER_ACTION * np.sin(omega * np.asarray(t, dtype=float))
     p2 = np.sin(y) ** 2
     p1 = np.cos(y) ** 2
     if np.ndim(t) == 0:
@@ -113,28 +133,18 @@ def design_frequency(request: DesignRequest) -> float:
                    "the designed frequency")
 
 
-def leakage_estimate(omega21: float, chi: float, t: float) -> float:
-    """Truncated-series leakage (1/4) omega21^2 chi^2 t^4 at elapsed time t.
-
-    First correction to the degenerate-limit populations from a finite level
-    splitting; grows like t^4 from the common initial condition.  ValueError
-    where it overflows a double.
-    """
-    return _finite(lambda: 0.25 * omega21**2 * chi**2 * t**4, "the series leakage bound")
-
-
 def leakage_at_peak(omega21: float, omega: float) -> float:
     """Series bound (1/4)(pi/2)^6 (omega21/omega)^2 on leakage at the first peak.
 
-    Obtained from :func:`leakage_estimate` at t = pi/(2 omega) with the
-    complete-transfer amplitude chi = (pi/2) omega.  This is an
-    order-of-magnitude bound, not a sharp prediction: integrated dynamics stay
-    well below it (the sharp comparison is done numerically in
-    :mod:`twolevel.integrator`).  ValueError where it overflows a double,
-    as it does for a drive far below the splitting.
+    It is the truncated series (1/4) omega21^2 chi^2 t^4 of the leakage at
+    t = pi/(2 omega) and chi = (pi/2) omega.  This is an order-of-magnitude
+    bound, not a sharp prediction: integrated dynamics stay well below it (the
+    sharp comparison is done numerically in :mod:`twolevel.integrator`).
+    ValueError where it overflows a double, as it does for a drive far below
+    the splitting.
     """
     omega = _check_positive("omega", omega)
-    return _finite(lambda: 0.25 * (0.5 * math.pi) ** 6 * (omega21 / omega) ** 2,
+    return _finite(lambda: 0.25 * TRANSFER_ACTION ** 6 * (omega21 / omega) ** 2,
                    "the series leakage bound")
 
 
@@ -269,17 +279,6 @@ def p2_derivatives(pulse: PulseSpec, t: float, n: int) -> np.ndarray:
     return derivs
 
 
-def delta_pulse_populations(t: float, t0: float) -> tuple[float, float]:
-    """Populations under an instantaneous half-cycle kick at ``t0``.
-
-    P1 = 1 - step(t - t0), P2 = step(t - t0); the step takes the value 1 at
-    t = t0 (fixed convention for determinism at the measure-zero instant).
-    """
-    if t >= t0:
-        return 0.0, 1.0
-    return 1.0, 0.0
-
-
 def detuning_sensitivity(epsilon: float) -> float:
     """Peak-time P2 when the drive ratio chi/omega misses pi/2 by ``epsilon``.
 
@@ -287,6 +286,7 @@ def detuning_sensitivity(epsilon: float) -> float:
     sin^2(pi/2 + epsilon) = cos^2(epsilon) = 1 - epsilon^2 + O(epsilon^4),
     which quantifies sensitivity to fluctuations of the drive strength.
     """
-    if abs(epsilon) >= 0.5 * math.pi:
+    epsilon = _check_finite("epsilon", epsilon)
+    if abs(epsilon) >= TRANSFER_ACTION:
         raise ValueError(f"|epsilon| must be < pi/2, got {epsilon}")
     return math.cos(epsilon) ** 2

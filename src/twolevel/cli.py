@@ -31,6 +31,8 @@ from .analytic import (
     DesignRequest,
     design_frequency,
     populations_from_action,
+    transfer_cosine,
+    transfer_peak,
 )
 from .core import (
     Cosine,
@@ -72,7 +74,6 @@ from .pulses import OptimizerConfig, ShapingObjective, run_optimizer
 import argparse
 import contextlib
 import json
-import math
 import shutil
 import sys
 import tempfile
@@ -182,14 +183,21 @@ def _atom(args: argparse.Namespace) -> TwoLevelAtom:
 
 # --- simulate ----------------------------------------------------------------
 
-def _transfer_cosine(option: str, ratio: float, omega21: float) -> PulseSpec:
+def _transfer_cosine(given: str, omega: float) -> PulseSpec:
+    """``transfer_cosine(omega)``; ValueError naming the options ``given`` if it fails."""
+    try:
+        return transfer_cosine(omega)
+    except ValueError:
+        raise ValueError(f"the drive of {given} is out of the range of doubles") from None
+
+
+def _ratio_cosine(option: str, ratio: float, omega21: float) -> PulseSpec:
     """The complete-transfer cosine at omega = ratio * omega21, the ratio
     given by ``option``; ValueError naming it unless both are > 0."""
     ratio = _check_positive(option, ratio)
     if not omega21 > 0.0:
         raise ValueError(f"{option} needs a positive omega21")
-    omega = ratio * omega21
-    return Cosine(chi=0.5 * math.pi * omega, omega=omega)
+    return _transfer_cosine(f"{option} {ratio:g} at omega21 = {omega21:g} a.u.", ratio * omega21)
 
 
 def _resolve_pulse(args: argparse.Namespace, omega21: float) -> PulseSpec:
@@ -204,11 +212,11 @@ def _resolve_pulse(args: argparse.Namespace, omega21: float) -> PulseSpec:
             omega=_energy_in_au(args.omega, args.ev),
         )
     if args.ratio is not None:
-        return _transfer_cosine("--ratio", args.ratio, omega21)
+        return _ratio_cosine("--ratio", args.ratio, omega21)
     if args.wavelength is not None:
         unit = 1e-6 if args.um else 1e-2 if args.cm else 1.0
-        omega = wavelength_to_omega(args.wavelength * unit)
-        return Cosine(chi=0.5 * math.pi * omega, omega=omega)
+        return _transfer_cosine(f"--wavelength {args.wavelength:g}",
+                                wavelength_to_omega(args.wavelength * unit))
     raise ValueError("give a pulse: --pulse-json, --chi/--omega, --ratio, or --wavelength")
 
 
@@ -267,7 +275,7 @@ def _sweep_jobs(args: argparse.Namespace, omega21: float,
         path = out_path.with_name(f"{out_path.stem}_ratio{ratio:g}{out_path.suffix}")
         if any(path == other for other, _, _ in jobs):
             raise ValueError(f"--sweep ratios {args.sweep!r} give the output {path} twice")
-        pulse = _transfer_cosine("--sweep ratio", ratio, omega21)
+        pulse = _ratio_cosine("--sweep ratio", ratio, omega21)
         jobs.append((path, pulse, _grid_config(args, pulse)))
     return jobs
 
@@ -288,9 +296,8 @@ def _grid_config(args: argparse.Namespace, pulse: PulseSpec) -> IntegrationConfi
 def cmd_design(args: argparse.Namespace) -> int:
     request = DesignRequest(t_s=args.ts, p_cr=args.pcr)
     omega = design_frequency(request)
-    pulse = Cosine(chi=0.5 * math.pi * omega, omega=omega)
-    period = pulse.period
-    cfg = IntegrationConfig.per_period(0.0, period, period, args.steps_per_period)
+    pulse = transfer_cosine(omega)
+    cfg = IntegrationConfig.per_period(0.0, pulse.period, pulse.period, args.steps_per_period)
     regime = field_for_transfer(omega)
     report = validity_report(omega)
     print(f"omega      = {_fmt(omega)} a.u. ({_fmt(hartree_to_ev(omega))} eV)")
@@ -302,7 +309,7 @@ def cmd_design(args: argparse.Namespace) -> int:
     if args.verify:
         atom = hydrogen_atom()
         traj = integrate(atom, pulse, cfg)
-        i_peak = int(np.argmin(np.abs(traj.times - 0.25 * period)))
+        i_peak = int(np.argmin(np.abs(traj.times - transfer_peak(omega))))
         measured_leak = min(max(float(1.0 - traj.p2[i_peak]), 0.0), 1.0)
         try:
             measured_ts = populated_window(traj, request.p_cr)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analytic import leakage_at_peak
+from .analytic import TRANSFER_ACTION, leakage_at_peak
 from .core import TwoLevelAtom, _check_positive, _finite
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "wavelength_to_omega",
     "omega_to_wavelength",
     "field_to_intensity",
-    "intensity_to_field",
     "lamb_shift",
     "next_level_gap",
     "z_matrix_element",
@@ -89,12 +88,6 @@ def field_to_intensity(e0: float) -> float:
     """Peak intensity in W/cm^2 for a field amplitude in atomic units;
     ValueError where it overflows a double, above about 7e145 a.u."""
     return _finite(lambda: e0 * e0 * INTENSITY_AU_W_CM2, "the intensity")
-
-
-def intensity_to_field(intensity_w_cm2: float) -> float:
-    if intensity_w_cm2 < 0.0:
-        raise ValueError("intensity must be >= 0")
-    return math.sqrt(intensity_w_cm2 / INTENSITY_AU_W_CM2)
 
 
 def lamb_shift() -> float:
@@ -171,7 +164,7 @@ def field_for_transfer(omega: float) -> FieldRegime:
     Intensity uses the peak-field convention.
     """
     omega = _check_positive("omega", omega)
-    e0 = 0.5 * math.pi * omega / abs(dipole_2s2p())
+    e0 = TRANSFER_ACTION * omega / abs(dipole_2s2p())
     return FieldRegime(
         omega=omega,
         wavelength_m=omega_to_wavelength(omega),

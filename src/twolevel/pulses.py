@@ -33,7 +33,8 @@ from .core import (
     action,
     odd_harmonic_action,
 )
-from .analytic import _cos_derivatives, first_order_from_action, p2_derivatives
+from .analytic import (TRANSFER_ACTION, _cos_derivatives, first_order_from_action,
+                       p2_derivatives, transfer_peak)
 from .integrator import (
     MAX_STEPS,
     IntegrationConfig,
@@ -57,8 +58,6 @@ __all__ = [
     "ranks_on_model",
     "run_optimizer",
 ]
-
-HALF_PI = 0.5 * math.pi
 
 #: A derivative of P2 vanishes below ROUNDING_MARGIN * eps * M_n (eps = 2^-52,
 #: M_n the magnitudes its recurrence rounds).  Rounding residues measured at
@@ -165,7 +164,7 @@ def normalize_for_transfer(pulse: PulseSpec, t_peak: float) -> PulseSpec:
     a = abs(float(action(pulse, t_peak)))
     if not math.isfinite(a) or a <= 1e-12 * pulse.action_scale:
         raise ValueError(f"pulse has zero action at t_peak={t_peak}; cannot normalize")
-    return pulse.scaled(HALF_PI / a)
+    return pulse.scaled(TRANSFER_ACTION / a)
 
 
 def flatness_order(pulse: PulseSpec, t_peak: float, n_max: int = 8) -> int:
@@ -197,7 +196,7 @@ def second_derivative_nulled_pulse(omega: float) -> HarmonicSum:
     Its first surviving P2 derivative is of order eight.
     """
     raw = HarmonicSum(omega=omega, coefficients=((1, 1.0), (3, 1.0 / 3.0)))
-    return normalize_for_transfer(raw, HALF_PI / raw.omega)
+    return normalize_for_transfer(raw, transfer_peak(raw.omega))
 
 
 def ranks_on_model(objective: ShapingObjective) -> bool:
@@ -233,7 +232,7 @@ def _normalized_rows(genomes: np.ndarray, harmonics: tuple[int, ...], omega: flo
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         a = np.abs(odd_harmonic_action(omega, harmonics, genomes.T, t_peak))
         action_scale = _row_sums(np.abs(genomes) / np.array([k * omega for k in harmonics]))
-        rows = genomes * (HALF_PI / a)[:, None]
+        rows = genomes * (TRANSFER_ACTION / a)[:, None]
     usable = (np.isfinite(genomes).all(axis=1) & np.isfinite(a)
               & ~(a <= 1e-12 * action_scale) & np.isfinite(rows).all(axis=1))
     return usable, rows
@@ -334,7 +333,7 @@ def run_optimizer(objective: ShapingObjective, config: OptimizerConfig) -> Optim
     rng = random.Random(config.seed)
     harmonics = tuple(2 * i + 1 for i in range(config.n_harmonics))
     omega = objective.omega
-    t_peak = HALF_PI / omega
+    t_peak = transfer_peak(omega)
     period = 2.0 * math.pi / omega
     # Every candidate has the base period, so all share one grid.
     grid = IntegrationConfig.per_period(0.0, objective.horizon * period, period)

@@ -37,7 +37,6 @@ from twolevel.integrator import (
     populated_windows,
 )
 from twolevel.pulses import (
-    HALF_PI,
     OptimizationResult,
     normalize_for_transfer,
     ranks_on_model,
@@ -383,7 +382,7 @@ def run_optimizer_reference(objective, config) -> OptimizationResult:
     """
     rng = random.Random(config.seed)
     harmonics = tuple(2 * i + 1 for i in range(config.n_harmonics))
-    t_peak = HALF_PI / objective.omega
+    t_peak = 0.5 * math.pi / objective.omega
     period = 2.0 * math.pi / objective.omega
     grid = IntegrationConfig.per_period(0.0, objective.horizon * period, period)
     omega21 = objective.atom.omega21

@@ -794,6 +794,15 @@ class TestBadNumbers:
             (["simulate", "--sweep", "10,nan"], "--sweep ratio must be finite, got nan"),
             (["simulate", "--sweep", "10,inf"], "--sweep ratio must be finite, got inf"),
             (["simulate", "--wavelength", "1e400"], "wavelength must be finite, got inf"),
+            (["simulate", "--ratio", "1e308", "--omega21", "10"],
+             "the drive of --ratio 1e+308 at omega21 = 10 a.u. is out of the range of doubles"),
+            (["simulate", "--omega21", "1e300", "--ratio", "1e10"],
+             "the drive of --ratio 1e+10 at omega21 = 1e+300 a.u. is out of the range of doubles"),
+            (["simulate", "--sweep", "10,1e308", "--omega21", "10"],
+             "the drive of --sweep ratio 1e+308 at omega21 = 10 a.u. is out of the range of "
+             "doubles"),
+            (["simulate", "--wavelength", "1e300"],
+             "the drive of --wavelength 1e+300 is out of the range of doubles"),
             (["simulate", "--chi", "1", "--omega", "1e-320"], "period must be finite, got inf"),
             (["optimize", "--pcr", "1e-4", "--omega", "inf"], "omega must be finite, got inf"),
             (["optimize", "--pcr", "1e-4", "--omega", "1e-320"],
@@ -809,10 +818,11 @@ class TestBadNumbers:
             (["design", "--ts", "1e-200", "--pcr", "0.5"], "the intensity is not a finite double"),
         ],
         ids=["ratio-zero", "ratio-negative", "ratio-nan", "ratio-inf", "sweep-zero",
-             "sweep-nan", "sweep-inf", "wavelength-inf", "simulate-period-inf",
-             "optimize-omega-inf", "optimize-period-inf", "periods-inf", "periods-zero",
-             "periods-negative", "periods-end-inf", "start-inf", "horizon-inf", "seed-negative",
-             "intensity-inf"],
+             "sweep-nan", "sweep-inf", "wavelength-inf", "ratio-drive-inf",
+             "omega21-drive-inf", "sweep-drive-inf", "wavelength-drive-zero",
+             "simulate-period-inf", "optimize-omega-inf", "optimize-period-inf", "periods-inf",
+             "periods-zero", "periods-negative", "periods-end-inf", "start-inf", "horizon-inf",
+             "seed-negative", "intensity-inf"],
     )
     def test_bad_number_is_refused_by_name_before_integration(
             self, tmp_path, monkeypatch, capsys, args, message):
@@ -864,15 +874,15 @@ class TestDemos:
 PUBLIC_NAMES = [
     "AmplitudeState", "Cosine", "DesignRequest", "FieldRegime", "GaussianApprox", "HarmonicSum",
     "IntegrationConfig", "IntegrationError", "OptimizationResult", "OptimizerConfig",
-    "PulseSpec", "ShapingObjective", "Trajectory", "TwoLevelAtom", "ValidityReport", "action",
-    "analytic", "core", "degenerate_amplitudes", "delta_pulse_populations", "design_frequency",
+    "PulseSpec", "ShapingObjective", "TRANSFER_ACTION", "Trajectory", "TwoLevelAtom",
+    "ValidityReport", "action", "analytic", "core", "degenerate_amplitudes", "design_frequency",
     "detuning_sensitivity", "dipole_2s2p", "field_for_transfer", "flatness_order", "hydrogen",
     "hydrogen_atom", "integrate", "integrator", "lamb_shift", "leakage_at_peak",
-    "leakage_estimate", "max_population_deviation", "next_level_gap", "normalize_for_transfer",
+    "max_population_deviation", "next_level_gap", "normalize_for_transfer",
     "p2_derivatives", "populated_window", "populated_windows", "populations_from_action",
     "pulse_from_dict", "pulse_value", "pulses", "quartic_peak_approx", "run_optimizer",
-    "second_derivative_nulled_pulse", "step_halving_error", "transfer_populations",
-    "validity_report",
+    "second_derivative_nulled_pulse", "step_halving_error", "transfer_cosine", "transfer_peak",
+    "transfer_populations", "validity_report",
 ]
 
 

@@ -22,7 +22,10 @@ from twolevel.core import (
 from twolevel.analytic import (
     DesignRequest,
     degenerate_amplitudes,
+    detuning_sensitivity,
     leakage_at_peak,
+    transfer_cosine,
+    transfer_peak,
     transfer_populations,
 )
 from twolevel.hydrogen import (
@@ -45,6 +48,8 @@ POSITIVE_SITES = {
     "DesignRequest.t_s": (lambda v: DesignRequest(t_s=v, p_cr=1e-4), "t_s"),
     "degenerate_amplitudes": (lambda v: degenerate_amplitudes(1.0, v, 1.0), "omega"),
     "transfer_populations": (lambda v: transfer_populations(v, 0.5), "omega"),
+    "transfer_cosine": (transfer_cosine, "omega"),
+    "transfer_peak": (transfer_peak, "omega"),
     "leakage_at_peak": (lambda v: leakage_at_peak(1e-7, v), "omega"),
     "wavelength_to_omega": (wavelength_to_omega, "wavelength"),
     "omega_to_wavelength": (omega_to_wavelength, "omega"),
@@ -67,6 +72,24 @@ POSITIVE_SITES = {
 def test_positive_rule_refuses_by_name(site, value):
     call, name = POSITIVE_SITES[site]
     with pytest.raises(ValueError, match=rf"^{name} must be (> 0|finite|a finite number), got "):
+        call(value)
+
+
+#: Library sites of the finite rule whose value may have either sign.
+FINITE_SITES = {
+    "Cosine.chi": (lambda v: Cosine(chi=v, omega=1.0), "chi"),
+    "degenerate_amplitudes.chi": (lambda v: degenerate_amplitudes(v, 1.0, 1.0), "chi"),
+    "degenerate_amplitudes.t": (lambda v: degenerate_amplitudes(1.0, 1.0, v), "t"),
+    "detuning_sensitivity": (detuning_sensitivity, "epsilon"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "x"],
+                         ids=["nan", "inf", "-inf", "text"])
+@pytest.mark.parametrize("site", sorted(FINITE_SITES))
+def test_finite_rule_refuses_by_name(site, value):
+    call, name = FINITE_SITES[site]
+    with pytest.raises(ValueError, match=rf"^{name} must be (finite|a finite number), got "):
         call(value)
 
 

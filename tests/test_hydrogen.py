@@ -18,7 +18,6 @@ from twolevel.hydrogen import (
     field_to_intensity,
     hartree_to_ev,
     hydrogen_atom,
-    intensity_to_field,
     lamb_shift,
     next_level_gap,
     omega_to_wavelength,
@@ -98,9 +97,6 @@ class TestConversions:
 
     def test_wavelength_round_trip(self):
         assert omega_to_wavelength(wavelength_to_omega(3e-6)) == pytest.approx(3e-6, rel=1e-12)
-
-    def test_intensity_round_trip(self):
-        assert intensity_to_field(field_to_intensity(0.031)) == pytest.approx(0.031, rel=1e-12)
 
     def test_overflowing_intensity_is_refused(self):
         assert math.isfinite(field_to_intensity(7e145))

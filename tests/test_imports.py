@@ -46,3 +46,40 @@ def test_every_imported_name_is_read():
 def test_scan_sees_an_unread_import():
     tree = ast.parse("import math\nfrom os import path, sep\n__all__ = ['sep']\n")
     assert unread_imports(tree) == ["math (line 1)", "path (line 2)"]
+
+
+#: Spellings of the transfer rule chi = (pi/2) omega and its peak pi/(2 omega).
+RULE_SPELLINGS = ("0.5 * math.pi", "math.pi / (2 *", "HALF_PI")
+#: The one line of each file allowed to hold one: the rule's owner, and the
+#: derivative phase of a cosine, which is not the rule.
+RULE_EXCEPTIONS = {
+    "src/twolevel/analytic.py": "TRANSFER_ACTION = 0.5 * math.pi",
+    "src/twolevel/core.py": "0.5 * math.pi * order",
+}
+
+
+def rule_spellings(name: str, text: str) -> list[str]:
+    """The lines of the file ``name`` that spell the transfer rule out."""
+    allowed = RULE_EXCEPTIONS.get(name)
+    return [f"{name}:{number}: {line.strip()}"
+            for number, line in enumerate(text.splitlines(), start=1)
+            if any(spelling in line for spelling in RULE_SPELLINGS)
+            and not (allowed and allowed in line)]
+
+
+def test_only_the_owner_spells_the_transfer_rule():
+    sources = [path for folder in ("src/twolevel", "demos")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert len(sources) > 10
+    found = []
+    for path in sources:
+        found += rule_spellings(path.relative_to(ROOT).as_posix(), path.read_text())
+    assert found == []
+
+
+def test_rule_scan_sees_a_spelling():
+    text = "t0 = math.pi / (2 * omega)\nphase = 0.5 * math.pi * order\n"
+    assert rule_spellings("demos/x.py", text) == [
+        "demos/x.py:1: t0 = math.pi / (2 * omega)", "demos/x.py:2: phase = 0.5 * math.pi * order"]
+    assert rule_spellings("src/twolevel/core.py", text) == [
+        "src/twolevel/core.py:1: t0 = math.pi / (2 * omega)"]
