@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (AmplitudeState, Cosine, PulseSpec, _check_finite, _check_order,
+from .core import (AmplitudeState, Cosine, PulseSpec, _check_finite, _check_integer,
                    _check_positive, _finite, action)
 
 __all__ = [
@@ -73,7 +73,8 @@ class DesignRequest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "t_s", _check_positive("t_s", self.t_s))
-        if not (0.0 < self.p_cr < 1.0):
+        object.__setattr__(self, "p_cr", _check_finite("p_cr", self.p_cr))
+        if not 0.0 < self.p_cr < 1.0:
             raise ValueError(f"p_cr must lie in (0, 1), got {self.p_cr}")
 
 
@@ -81,12 +82,14 @@ def degenerate_amplitudes(chi: float, omega: float, t: float) -> AmplitudeState:
     """Exact degenerate-limit amplitudes for the cosine drive.
 
     a1 = cos[(chi/omega) sin(omega t)], a2 = i sin[(chi/omega) sin(omega t)];
-    the pair is unit-norm by the Pythagorean identity.
+    the pair is unit-norm by the Pythagorean identity.  ValueError where
+    chi/omega or omega t overflows a double.
     """
     chi = _check_finite("chi", chi)
     omega = _check_positive("omega", omega)
     t = _check_finite("t", t)
-    y = (chi / omega) * math.sin(omega * t)
+    ratio = _finite(lambda: chi / omega, "chi/omega")
+    y = ratio * math.sin(_finite(lambda: omega * t, "omega t"))
     return AmplitudeState(complex(math.cos(y)), 1j * math.sin(y))
 
 
@@ -127,10 +130,11 @@ def design_frequency(request: DesignRequest) -> float:
     t_s/2 gives omega * (t_s/2) = (16 p_cr / pi^2)^(1/4), i.e.
     omega = (4/sqrt(pi)) * p_cr^(1/4) / t_s.  By construction
     quartic_peak_approx(omega, t_s/2) == 1 - p_cr.  ValueError where it
-    overflows a double, as it does for a window of a few subnormal a.u.
+    overflows a double (t_s = 1e-320) or underflows to 0 (t_s = 1e300, p_cr = 1e-300).
     """
-    return _finite(lambda: 4.0 * request.p_cr**0.25 / (math.sqrt(math.pi) * request.t_s),
-                   "the designed frequency")
+    return _check_positive("the designed frequency", _finite(
+        lambda: 4.0 * request.p_cr**0.25 / (math.sqrt(math.pi) * request.t_s),
+        "the designed frequency"))
 
 
 def leakage_at_peak(omega21: float, omega: float) -> float:
@@ -267,9 +271,7 @@ def p2_derivatives(pulse: PulseSpec, t: float, n: int) -> np.ndarray:
     from A(t) and V21^(0..n-1)(t) in O(n^2) operations.  An order above 170
     (171! overflows a double) or a derivative that overflows raises ValueError.
     """
-    n = _check_order(n)
-    if n > 170:
-        raise ValueError(f"derivative order must be <= 170 (171! overflows a double), got {n}")
+    n = _check_integer("derivative order", n, 0, 170)
     a = float(action(pulse, t))
     v = [pulse.derivative(t, r) for r in range(n)]
     cos_b = _cos_derivatives(v, math.sin(2.0 * a), math.cos(2.0 * a), -1.0)

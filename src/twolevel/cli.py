@@ -45,7 +45,6 @@ from .core import (
     pulse_from_dict,
 )
 from .hydrogen import (
-    VALIDITY_MARGIN,
     dipole_2s2p,
     ev_to_hartree,
     field_for_transfer,
@@ -53,6 +52,7 @@ from .hydrogen import (
     hydrogen_atom,
     lamb_shift,
     next_level_gap,
+    valid_window,
     validity_report,
     wavelength_to_omega,
     z_matrix_element,
@@ -186,9 +186,11 @@ def _atom(args: argparse.Namespace) -> TwoLevelAtom:
 def _transfer_cosine(given: str, omega: float) -> PulseSpec:
     """``transfer_cosine(omega)``; ValueError naming the options ``given`` if it fails."""
     try:
-        return transfer_cosine(omega)
+        pulse = transfer_cosine(omega)
+        _check_positive("period", pulse.period)
     except ValueError:
         raise ValueError(f"the drive of {given} is out of the range of doubles") from None
+    return pulse
 
 
 def _ratio_cosine(option: str, ratio: float, omega21: float) -> PulseSpec:
@@ -389,8 +391,8 @@ def cmd_info(args: argparse.Namespace) -> int:
     print(f"  gap to next level (3p)  = {_fmt(gap)} a.u. = {_fmt(hartree_to_ev(gap))} eV")
     print(f"  dipole <2s|z|2p0>       = {_fmt(dipole)} a.u. (|d| = {abs(dipole):.6f})")
     print(f"  <2s|z|2s> (selection)   = {_fmt(z_matrix_element('2s', '2s'))} a.u.")
-    print(f"  valid drive window      = [{_fmt(VALIDITY_MARGIN * shift)}, "
-          f"{_fmt(gap / VALIDITY_MARGIN)}] a.u.")
+    lo, hi = valid_window()
+    print(f"  valid drive window      = [{_fmt(lo)}, {_fmt(hi)}] a.u.")
     for label, wavelength in (("3 um", 3e-6), ("3 cm", 3e-2)):
         regime = field_for_transfer(wavelength_to_omega(wavelength))
         print(f"  at {label}: E0 = {_fmt(regime.e0)} a.u., "

@@ -57,14 +57,17 @@ def _check_positive(name: str, value: float) -> float:
     return number
 
 
-def _check_index(k) -> int:
-    """A harmonic index as an int; ValueError unless it is a positive odd integer."""
-    number = _check_finite("harmonic index", k)
-    if isinstance(k, bool) or not number.is_integer():
-        raise ValueError(f"harmonic index must be an integer, got {k!r}")
-    k = int(k) if isinstance(k, int) else int(number)
-    if k < 1 or k % 2 == 0:
-        raise ValueError(f"harmonic index must be a positive odd integer, got {k}")
+def _check_integer(name: str, value, lo: int, hi: int | None = None) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is an
+    integer, not a bool, in ``lo..hi`` (``hi`` None: no upper bound)."""
+    number = _check_finite(name, value)
+    if isinstance(value, bool) or not number.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    k = int(value) if isinstance(value, (int, np.integer)) else int(number)
+    if k < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {k}")
+    if hi is not None and k > hi:
+        raise ValueError(f"{name} must be <= {hi}, got {k}")
     return k
 
 
@@ -88,9 +91,9 @@ class TwoLevelAtom:
     omega21: float
 
     def __post_init__(self) -> None:
-        omega21 = _check_finite("omega21", self.omega21)
-        if omega21 < 0.0:
-            raise ValueError(f"omega21 must be >= 0, got {omega21}")
+        object.__setattr__(self, "omega21", _check_finite("omega21", self.omega21))
+        if self.omega21 < 0.0:
+            raise ValueError(f"omega21 must be >= 0, got {self.omega21}")
 
 
 # --- pulse families -----------------------------------------------------------
@@ -102,21 +105,9 @@ class TwoLevelAtom:
 # its rounding scale, and repeat_period: the time after which V21 repeats
 # itself, or None for a pulse that never does.
 
-def _check_order(order) -> int:
-    """A derivative order as an int; ValueError unless it is an integer >= 0."""
-    number = _check_finite("derivative order", order)
-    if isinstance(order, bool) or not number.is_integer():
-        raise ValueError(f"derivative order must be an integer, got {order!r}")
-    order = int(number)
-    if order < 0:
-        raise ValueError(f"derivative order must be >= 0, got {order}")
-    return order
-
-
 def _finite(compute, what: str) -> float:
-    """``compute()``, a derivative, its bound, a series bound or the designed
-    frequency, named by ``what``; ValueError where it overflows a double (or
-    comes out nan)."""
+    """``compute()``, a derived quantity named by ``what``; ValueError where
+    it overflows a double (or comes out nan)."""
     try:
         value = compute()
     except (OverflowError, ZeroDivisionError):
@@ -160,7 +151,9 @@ class HarmonicSum:
         object.__setattr__(self, "omega", _check_positive("omega", self.omega))
         coeffs = []
         for k, c in self.coefficients:
-            k = _check_index(k)
+            k = _check_integer("harmonic index", k, 1)
+            if k % 2 == 0:
+                raise ValueError(f"harmonic index must be a positive odd integer, got {k}")
             coeffs.append((k, _check_finite(f"coefficient for k={k}", c)))
         if not coeffs:
             raise ValueError("HarmonicSum needs at least one (k, chi_k) pair")
@@ -172,7 +165,7 @@ class HarmonicSum:
         return -sum(c * np.cos(k * self.omega * t) for k, c in self.coefficients)
 
     def derivative(self, t: float, order: int) -> float:
-        order = _check_order(order)
+        order = _check_integer("derivative order", order, 0)
         w = self.omega
         return _finite(
             lambda: -sum(c * (k * w) ** order * math.cos(k * w * t + 0.5 * math.pi * order)
@@ -192,7 +185,7 @@ class HarmonicSum:
         return self.period
 
     def derivative_bound(self, t: float, order: int) -> float:
-        order = _check_order(order)
+        order = _check_integer("derivative order", order, 0)
         return _finite(
             lambda: sum(abs(c) * (k * self.omega) ** order for k, c in self.coefficients),
             f"the order-{order} derivative at t={t}")
@@ -260,7 +253,7 @@ class GaussianApprox:
         return self.area * np.exp(-0.5 * x * x) / (self.width * _SQRT_2PI)
 
     def derivative(self, t: float, order: int) -> float:
-        order = _check_order(order)
+        order = _check_integer("derivative order", order, 0)
         x = (t - self.center) / self.width
         gauss = math.exp(-0.5 * x * x) / _SQRT_2PI
         sign = -1.0 if order % 2 else 1.0
@@ -269,7 +262,7 @@ class GaussianApprox:
             f"the order-{order} derivative at t={t}")
 
     def derivative_bound(self, t: float, order: int) -> float:
-        order = _check_order(order)
+        order = _check_integer("derivative order", order, 0)
         x = (t - self.center) / self.width
         gauss = math.exp(-0.5 * x * x) / _SQRT_2PI
         return _finite(

@@ -37,6 +37,7 @@ __all__ = [
     "field_to_intensity",
     "lamb_shift",
     "next_level_gap",
+    "valid_window",
     "z_matrix_element",
     "dipole_2s2p",
     "hydrogen_atom",
@@ -98,6 +99,12 @@ def lamb_shift() -> float:
 def next_level_gap() -> float:
     """Energy gap from the 2s/2p pair to the next level (3p) in Hartree."""
     return ev_to_hartree(_GAP_2S3P_EV)
+
+
+def valid_window() -> tuple[float, float]:
+    """The "valid" drive frequencies (lo, hi): a decade (VALIDITY_MARGIN)
+    inside both edges of omega21 << omega << omega_2s3p."""
+    return VALIDITY_MARGIN * lamb_shift(), next_level_gap() / VALIDITY_MARGIN
 
 
 # --- orbitals and the dipole matrix element ---------------------------------
@@ -185,20 +192,18 @@ class ValidityReport:
 def validity_report(omega: float) -> ValidityReport:
     """Classify a drive frequency against omega21 << omega << omega_2s3p.
 
-    "valid" requires a margin of VALIDITY_MARGIN (a decade) on both sides
-    (omega >= 10 omega21 and omega <= omega_2s3p / 10); frequencies inside
-    the window but within that margin of an edge are "marginal", and
-    anything at or beyond an edge is "invalid".  The leakage bound is the
+    It is "valid" inside :func:`valid_window`, "marginal" elsewhere inside
+    the window, and "invalid" at or beyond an edge.  The leakage bound is the
     truncated-series peak estimate of the splitting alone; leakage to the
     other levels is not estimated.  ValueError where that bound overflows
     a double, for a drive far below the splitting.
     """
     omega = _check_positive("omega", omega)
     omega21 = lamb_shift()
-    gap = next_level_gap()
-    if VALIDITY_MARGIN * omega21 <= omega <= gap / VALIDITY_MARGIN:
+    lo, hi = valid_window()
+    if lo <= omega <= hi:
         verdict = "valid"
-    elif omega <= omega21 or omega >= gap:
+    elif omega <= omega21 or omega >= next_level_gap():
         verdict = "invalid"
     else:
         verdict = "marginal"

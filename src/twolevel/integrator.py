@@ -32,7 +32,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import AmplitudeState, PulseSpec, Trajectory, TwoLevelAtom, _check_positive, pulse_value
+from .core import (AmplitudeState, PulseSpec, Trajectory, TwoLevelAtom, _check_finite,
+                   _check_integer, _check_positive, pulse_value)
 
 __all__ = [
     "IntegrationError",
@@ -101,8 +102,8 @@ class IntegrationConfig:
     h: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
-            raise ValueError("t_start and t_end must be finite")
+        object.__setattr__(self, "t_start", _check_finite("t_start", self.t_start))
+        object.__setattr__(self, "t_end", _check_finite("t_end", self.t_end))
         if self.t_end <= self.t_start:
             raise ValueError(f"t_end must exceed t_start, got [{self.t_start}, {self.t_end}]")
         object.__setattr__(self, "step", _check_positive("step", self.step))
@@ -128,11 +129,10 @@ class IntegrationConfig:
                    steps_per_period: int = 1000) -> IntegrationConfig:
         """The grid of step ``period / steps_per_period``, with ``period`` the
         pulse's (field period for harmonic pulses, width for the Gaussian);
-        ValueError unless the period is finite and > 0, or below 100 steps
-        per period."""
+        ValueError unless the period is finite and > 0 and steps_per_period
+        an integer >= 100."""
         period = _check_positive("period", period)
-        if steps_per_period < 100:
-            raise ValueError(f"steps_per_period must be >= 100, got {steps_per_period}")
+        steps_per_period = _check_integer("steps_per_period", steps_per_period, 100)
         return cls(t_start, t_end, period / steps_per_period)
 
     def times(self) -> np.ndarray:
@@ -276,7 +276,7 @@ def _march(v: np.ndarray, w: float, h: float, x: np.ndarray, t_start: float) -> 
         matrices = _step_matrices(v[2 * lo:2 * hi + 1], w, h)
         for c in range(columns.shape[1]):
             columns[:, c, lo + 1:hi + 1] = _propagate(matrices, columns[:, c, lo].tolist())
-        _check_finite(x[..., lo + 1:hi + 1], lo + 1, t_start, h)
+        _check_states(x[..., lo + 1:hi + 1], lo + 1, t_start, h)
 
 
 def _fill_periods(u: np.ndarray, states: np.ndarray, t_start: float, h: float) -> None:
@@ -305,11 +305,11 @@ def _fill_periods(u: np.ndarray, states: np.ndarray, t_start: float, h: float) -
             cols = slice(j + 1, j + width + 1)
             chunk = (u[:, 0, None, cols] * s[:, 0] + u[:, 1, None, cols] * s[:, 1]).reshape(2, -1)
             chunk = chunk[:, :n - lo - j]
-            _check_finite(chunk, lo + j + 1, t_start, h)
+            _check_states(chunk, lo + j + 1, t_start, h)
             states[:, lo + j + 1:lo + j + 1 + chunk.shape[1]] = chunk
 
 
-def _check_finite(chunk: np.ndarray, first: int, t_start: float, h: float) -> None:
+def _check_states(chunk: np.ndarray, first: int, t_start: float, h: float) -> None:
     """IntegrationError unless every state of ``chunk`` is finite; its last
     axis runs over the grid times ``t_start + k h`` from ``k = first``."""
     finite = np.isfinite(chunk).reshape(-1, chunk.shape[-1]).all(axis=0)
@@ -441,6 +441,7 @@ def populated_windows(times: np.ndarray, p2: np.ndarray, p_cr: float) -> np.ndar
     threshold crossing; a run that touches an end of the grid ends there.
     A row that never reaches P2 >= 1 - p_cr has width 0.0.
     """
+    p_cr = _check_finite("p_cr", p_cr)
     if not 0.0 < p_cr <= 1.0:
         raise ValueError(f"p_cr must lie in (0, 1], got {p_cr}")
     threshold = 1.0 - p_cr

@@ -29,6 +29,7 @@ from .core import (
     PulseSpec,
     TwoLevelAtom,
     _check_finite,
+    _check_integer,
     _check_positive,
     action,
     odd_harmonic_action,
@@ -98,10 +99,12 @@ class ShapingObjective:
     horizon: float = 1.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "p_cr", _check_finite("p_cr", self.p_cr))
         if not 0.0 < self.p_cr < 1.0:
             raise ValueError(f"p_cr must lie in (0, 1), got {self.p_cr}")
         object.__setattr__(self, "omega", _check_positive("omega", self.omega))
-        if not _check_finite("horizon", self.horizon) >= 1.0:
+        object.__setattr__(self, "horizon", _check_finite("horizon", self.horizon))
+        if self.horizon < 1.0:
             raise ValueError(f"horizon must be >= 1 period, got {self.horizon}")
 
 
@@ -116,22 +119,12 @@ class OptimizerConfig:
     n_harmonics: int = 2
 
     def __post_init__(self) -> None:
-        if self.population_size < 4:
-            raise ValueError(f"population_size must be >= 4, got {self.population_size}")
-        if self.population_size > MAX_POPULATION:
-            raise ValueError(
-                f"population_size must be <= {MAX_POPULATION}, got {self.population_size}")
-        if self.generations < 1:
-            raise ValueError(f"generations must be >= 1, got {self.generations}")
-        if self.generations > MAX_GENERATIONS:
-            raise ValueError(f"generations must be <= {MAX_GENERATIONS}, got {self.generations}")
+        for name, lo, hi in (("population_size", 4, MAX_POPULATION),
+                             ("generations", 1, MAX_GENERATIONS), ("n_harmonics", 1, 8),
+                             ("seed", 0, None)):  # random.Random would seed -1 like 1.
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name), lo, hi))
         object.__setattr__(self, "mutation_scale",
                            _check_positive("mutation_scale", self.mutation_scale))
-        if not 1 <= self.n_harmonics <= 8:
-            raise ValueError(f"n_harmonics must lie in 1..8, got {self.n_harmonics}")
-        # random.Random would seed -1 like 1.
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -178,6 +171,7 @@ def flatness_order(pulse: PulseSpec, t_peak: float, n_max: int = 8) -> int:
     the plain cosine scores 4.
     """
     derivs = p2_derivatives(pulse, t_peak, n_max)
+    n_max = len(derivs) - 1  # the order as p2_derivatives checked it
     bounds = _cos_derivatives([pulse.derivative_bound(t_peak, r) for r in range(n_max)],
                               1.0, 1.0, 1.0)
     threshold = ROUNDING_MARGIN * np.finfo(float).eps * 0.5  # M_n = bounds[n]/2

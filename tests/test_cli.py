@@ -803,6 +803,11 @@ class TestBadNumbers:
              "doubles"),
             (["simulate", "--wavelength", "1e300"],
              "the drive of --wavelength 1e+300 is out of the range of doubles"),
+            (["simulate", "--ratio", "1e-300", "--omega21", "1e-10"],
+             "the drive of --ratio 1e-300 at omega21 = 1e-10 a.u. is out of the range of doubles"),
+            (["simulate", "--sweep", "1e-300", "--omega21", "1e-10"],
+             "the drive of --sweep ratio 1e-300 at omega21 = 1e-10 a.u. is out of the range of "
+             "doubles"),
             (["simulate", "--chi", "1", "--omega", "1e-320"], "period must be finite, got inf"),
             (["optimize", "--pcr", "1e-4", "--omega", "inf"], "omega must be finite, got inf"),
             (["optimize", "--pcr", "1e-4", "--omega", "1e-320"],
@@ -816,13 +821,16 @@ class TestBadNumbers:
             (["optimize", "--pcr", "1e-4", "--horizon", "inf"], "horizon must be finite, got inf"),
             (["optimize", "--pcr", "1e-4", "--seed=-1"], "seed must be >= 0, got -1"),
             (["design", "--ts", "1e-200", "--pcr", "0.5"], "the intensity is not a finite double"),
+            (["design", "--ts", "1e300", "--pcr", "1e-300"],
+             "the designed frequency must be > 0, got 0.0"),
         ],
         ids=["ratio-zero", "ratio-negative", "ratio-nan", "ratio-inf", "sweep-zero",
              "sweep-nan", "sweep-inf", "wavelength-inf", "ratio-drive-inf",
              "omega21-drive-inf", "sweep-drive-inf", "wavelength-drive-zero",
-             "simulate-period-inf", "optimize-omega-inf", "optimize-period-inf", "periods-inf",
-             "periods-zero", "periods-negative", "periods-end-inf", "start-inf", "horizon-inf",
-             "seed-negative", "intensity-inf"],
+             "ratio-period-inf", "sweep-period-inf", "simulate-period-inf",
+             "optimize-omega-inf", "optimize-period-inf", "periods-inf", "periods-zero",
+             "periods-negative", "periods-end-inf", "start-inf", "horizon-inf",
+             "seed-negative", "intensity-inf", "design-frequency-zero"],
     )
     def test_bad_number_is_refused_by_name_before_integration(
             self, tmp_path, monkeypatch, capsys, args, message):

@@ -24,6 +24,7 @@ from twolevel.analytic import (
     degenerate_amplitudes,
     detuning_sensitivity,
     leakage_at_peak,
+    p2_derivatives,
     transfer_cosine,
     transfer_peak,
     transfer_populations,
@@ -34,8 +35,14 @@ from twolevel.hydrogen import (
     validity_report,
     wavelength_to_omega,
 )
-from twolevel.integrator import IntegrationConfig
-from twolevel.pulses import OptimizerConfig, ShapingObjective, second_derivative_nulled_pulse
+from twolevel.integrator import IntegrationConfig, populated_windows
+from twolevel.pulses import (
+    MAX_GENERATIONS,
+    MAX_POPULATION,
+    OptimizerConfig,
+    ShapingObjective,
+    second_derivative_nulled_pulse,
+)
 
 from _oracles import action_by_quadrature, central_derivative
 
@@ -91,6 +98,77 @@ def test_finite_rule_refuses_by_name(site, value):
     call, name = FINITE_SITES[site]
     with pytest.raises(ValueError, match=rf"^{name} must be (finite|a finite number), got "):
         call(value)
+
+
+@pytest.mark.parametrize("args, quantity", [
+    ((1e308, 1e-10, 1.0), "chi/omega"),
+    ((1.0, 1e300, 1e300), "omega t"),
+    ((1.0, 1e-320, 1.0), "chi/omega"),
+], ids=["ratio-inf", "phase-inf", "subnormal-omega"])
+def test_degenerate_amplitudes_names_the_overflow(args, quantity):
+    with pytest.raises(ValueError, match=rf"^{quantity} is not a finite double$"):
+        degenerate_amplitudes(*args)
+
+
+#: Every library site of the whole-number rule: a call taking the value to
+#: check, the name its ValueError gives, and the bounds lo..hi (hi None: none).
+INTEGER_SITES = {
+    "HarmonicSum.index": (lambda v: HarmonicSum(1.0, ((v, 1.0),)), "harmonic index", 1, None),
+    "HarmonicSum.derivative": (lambda v: Cosine(chi=1.0, omega=1.0).derivative(0.3, v),
+                               "derivative order", 0, None),
+    "GaussianApprox.derivative_bound": (
+        lambda v: GaussianApprox(area=1.0, center=0.0, width=1.0).derivative_bound(0.3, v),
+        "derivative order", 0, None),
+    "p2_derivatives": (lambda v: p2_derivatives(Cosine(chi=1.0, omega=1.0), 0.3, v),
+                       "derivative order", 0, 170),
+    "OptimizerConfig.population_size": (lambda v: OptimizerConfig(population_size=v),
+                                        "population_size", 4, MAX_POPULATION),
+    "OptimizerConfig.generations": (lambda v: OptimizerConfig(generations=v),
+                                    "generations", 1, MAX_GENERATIONS),
+    "OptimizerConfig.n_harmonics": (lambda v: OptimizerConfig(n_harmonics=v),
+                                    "n_harmonics", 1, 8),
+    "OptimizerConfig.seed": (lambda v: OptimizerConfig(seed=v), "seed", 0, None),
+    "IntegrationConfig.per_period": (lambda v: IntegrationConfig.per_period(0.0, 1.0, 0.01, v),
+                                     "steps_per_period", 100, None),
+}
+
+
+def _integer_cases():
+    for site, (call, name, lo, hi) in sorted(INTEGER_SITES.items()):
+        cases = {"fraction": (2.5, "an integer, got 2.5"), "bool": (True, "an integer, got True"),
+                 "nan": (math.nan, "finite, got nan"), "text": ("x", "a finite number, got 'x'"),
+                 "below": (lo - 1, f">= {lo}, got {lo - 1}")}
+        if hi is not None:
+            cases["above"] = (hi + 1, f"<= {hi}, got {hi + 1}")
+        for label, (value, rest) in cases.items():
+            yield pytest.param(call, value, f"{name} must be {rest}", id=f"{site}-{label}")
+
+
+@pytest.mark.parametrize("call, value, message", _integer_cases())
+def test_integer_rule_refuses_by_name(call, value, message):
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == message
+
+
+def test_specs_store_the_checked_value():
+    atom = TwoLevelAtom(omega21="0.01")
+    objective = ShapingObjective(p_cr="1e-4", omega=np.float32(2), atom=atom, horizon="2")
+    request = DesignRequest(t_s=np.int64(50), p_cr=np.float32(0.5))
+    grid = IntegrationConfig("0", np.int64(1), 0.25)
+    config = OptimizerConfig(population_size=np.int64(8), generations="3", mutation_scale="0.1",
+                             seed=np.int64(3), n_harmonics=2.0)
+    assert [atom.omega21, objective.p_cr, objective.horizon, request.p_cr, grid.t_start,
+            grid.t_end, config.mutation_scale] == [0.01, 1e-4, 2.0, 0.5, 0.0, 1.0, 0.1]
+    assert all(type(value) is float for value in (
+        atom.omega21, objective.p_cr, objective.omega, objective.horizon, request.t_s,
+        request.p_cr, grid.t_start, grid.t_end, config.mutation_scale))
+    integers = (config.population_size, config.generations, config.seed, config.n_harmonics)
+    assert integers == (8, 3, 3, 2) and all(type(k) is int for k in integers)
+    assert IntegrationConfig.per_period(0.0, 1.0, 1.0, np.int64(100)) == IntegrationConfig(
+        0.0, 1.0, 0.01)
+    times, p2 = np.linspace(0.0, 1.0, 3), np.array([[0.0, 1.0, 0.0]])
+    assert populated_windows(times, p2, "0.5").tolist() == [0.5]
 
 
 class TestPulseValue:

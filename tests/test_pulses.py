@@ -122,6 +122,7 @@ class TestFlatnessOrder:
     def test_n_max_bounds(self):
         pulse = Cosine(chi=1.0, omega=1.0)
         assert flatness_order(pulse, 0.3, n_max=20) == 1
+        assert flatness_order(pulse, 0.3, n_max=20.0) == 1
         assert flatness_order(second_derivative_nulled_pulse(1.0), 0.5 * math.pi, n_max=20) == 8
         for n_max in (-1, 2.5, True, float("inf"), 171):
             with pytest.raises(ValueError):
@@ -183,6 +184,13 @@ class TestOptimizerConfigValidation:
         assert OptimizerConfig(seed=0).seed == 0
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             OptimizerConfig(seed=-1)
+
+    def test_numpy_seed_runs_like_its_int(self):
+        objective = ShapingObjective(p_cr=1e-3, omega=1.0, atom=DEGENERATE)
+        runs = [run_optimizer(objective, OptimizerConfig(population_size=4, generations=1,
+                                                         seed=seed, n_harmonics=n))
+                for seed, n in ((3, 2), (np.int64(3), np.int64(2)))]
+        assert runs[0] == runs[1]
 
     def test_objective_validation(self):
         with pytest.raises(ValueError):
