@@ -143,11 +143,10 @@ def _write_trajectory_csv(path: Path, traj: Trajectory, analytic_pulse: PulseSpe
         fh.write(header.encode() + b"\n")
         for start in range(0, len(traj), _CSV_CHUNK_ROWS):
             rows = slice(start, start + _CSV_CHUNK_ROWS)
-            part = Trajectory(times=traj.times[rows], a1=traj.a1[rows], a2=traj.a2[rows])
-            columns = [part.times, part.p1, part.p2,
-                       part.a1.real, part.a1.imag, part.a2.real, part.a2.imag]
+            times, a1, a2 = traj.times[rows], traj.a1[rows], traj.a2[rows]
+            columns = [times, np.abs(a1) ** 2, np.abs(a2) ** 2, a1.real, a1.imag, a2.real, a2.imag]
             if analytic_pulse is not None:
-                columns += populations_from_action(analytic_pulse, part.times, traj.times[0])
+                columns += populations_from_action(analytic_pulse, times, traj.times[0])
             fh.write(format_block(np.stack(columns, axis=1)))
 
 
@@ -344,7 +343,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     prefix = _out_path(args.out)
     pulse_path = prefix.with_name(prefix.name + "_pulse.json")
     history_path = prefix.with_name(prefix.name + "_history.csv")
-    manifest_path = prefix.with_suffix(".manifest.json")
+    manifest_path = prefix.with_name(prefix.name + ".manifest.json")
     outputs = [pulse_path, history_path, manifest_path]
     _check_outputs(outputs)
 

@@ -8,17 +8,17 @@ The equations integrated are
 with V21 evaluated from the pulse.  They are linear, da/dt = -iH(t)a, so one
 classic fourth-order Runge-Kutta step on a fixed grid is exactly a 2x2
 complex matrix, a_{k+1} = P_k a_k, built from V21 at the step's start,
-midpoint and end.  :func:`integrate` builds the step matrices with numpy and
-applies them as a blocked prefix product, a fixed number of steps at a time;
-fixed steps keep output grids exactly reproducible.  A pulse that repeats
-every p steps has the same step matrices in every period, so on a grid of
-more than one period, and while the roundings this repeats stay small,
-their running products U_1..U_p are formed once, and period k's states are
-U_j U_p^k a_0: stroboscopic propagation (Shirley, Phys. Rev. 138, B979
-(1965)).  No renormalization is ever applied during integration: norm
-drift is a diagnostic of integrator error, and correcting it would only
-mask that error.  A trajectory whose drift passes MAX_NORM_DEFECT is
-refused instead.
+midpoint and end.  :func:`integrate` evaluates V21, builds the step matrices
+with numpy and applies them as a blocked prefix product one chunk of steps
+at a time; fixed steps keep output grids exactly reproducible.  A pulse that
+repeats every p steps has the same step matrices in every period, so on a
+grid of more than one period, and while the roundings this repeats stay
+small, their running products U_1..U_p are formed once, and period k's
+states are U_j U_p^k a_0: stroboscopic propagation (Shirley, Phys. Rev.
+138, B979 (1965)).  No renormalization is ever applied during integration:
+norm drift is a diagnostic of integrator error, and correcting it would only
+mask that error.  A trajectory whose drift passes MAX_NORM_DEFECT is refused
+instead.
 
 :func:`populated_windows` measures the populated window of many P2 rows on
 one grid in one array pass, the GA's whole generation at once;
@@ -48,8 +48,8 @@ __all__ = [
 ]
 
 
-#: Largest grid :class:`IntegrationConfig` accepts; integrate peaks near 60
-#: bytes per step, and near 100 on a grid just over one period of a pulse
+#: Largest grid :class:`IntegrationConfig` accepts; integrate peaks near 56
+#: bytes per step, and near 101 on a grid just over one period of a pulse
 #: that repeats, where one period's running products take 64 bytes a step.
 MAX_STEPS = 10**7
 
@@ -156,31 +156,42 @@ def integrate(atom: TwoLevelAtom, pulse: PulseSpec, config: IntegrationConfig) -
 
     Returns a trajectory whose first state is exactly the supplied initial
     condition.  Raises :class:`IntegrationError` with the grid time of the
-    first non-finite state if the state overflows or turns NaN, and with
-    the grid time of the largest defect if |a1|^2 + |a2|^2 strays from 1 by
-    more than MAX_NORM_DEFECT anywhere.
+    first non-finite pulse value or state if the pulse or the state
+    overflows or turns NaN, and with the grid time of the largest defect if
+    |a1|^2 + |a2|^2 strays from 1 by more than MAX_NORM_DEFECT anywhere.
 
     When the pulse repeats every ``p`` steps of a grid of more than ``p``
     steps, and the roundings that reuse repeats stay small (see
-    :func:`_steps_per_period`), V21 is evaluated and the step
-    matrices built over the first period only, and every later period reuses
-    their running products (:func:`_fill_periods`).  Any other grid is
-    stepped through ``_CHUNK`` steps at a time.
+    :func:`_steps_per_period`), the identity is marched over the first
+    period alone, and state ``k p + j`` is ``U_j s_k`` from its running
+    products ``U_j``, with ``s_{k+1} = U_p s_k``.  Any other grid is one
+    march of the state.
     """
     n, h, t_start = config.n, config.h, config.t_start
     p = _steps_per_period(pulse, config)
-    initial = [config.initial.a1, config.initial.a2]
     # Overflow is reported as IntegrationError below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
+        if p is not None:  # u[:, :, j] = U_j, the first period's running products
+            u = np.empty((2, 2, p + 1), dtype=complex)
+            u[..., 0] = np.eye(2)
+            _march(pulse, config, atom.omega21, u)
+        # Made after the period's march, so its workspace and the states never
+        # peak together.
+        states = np.empty((2, n + 1), dtype=complex)
+        states[:, 0] = config.initial.a1, config.initial.a2
         if p is None:
-            v = _pulse_values(pulse, config, n)
-            states = _columns(initial, n)
-            _march(v, atom.omega21, h, states, t_start)
-            del v  # 16 bytes per step, no longer needed
+            _march(pulse, config, atom.omega21, states)
         else:
-            u = _period_products(atom, pulse, config, p)
-            states = _columns(initial, n)
-            _fill_periods(u, states, t_start, h)
+            t11, t12, t21, t22 = u[:, :, p].ravel().tolist()
+            # s_k is carried in Python complex arithmetic, period by period.
+            x1, x2 = states[:, 0].tolist()
+            for lo in range(0, n, p):
+                for j in range(0, min(p, n - lo), _CHUNK):
+                    hi = min(j + _CHUNK, p, n - lo)
+                    chunk = u[:, 0, j + 1:hi + 1] * x1 + u[:, 1, j + 1:hi + 1] * x2
+                    _check_states(chunk, lo + j + 1, t_start, h)
+                    states[:, lo + j + 1:lo + hi + 1] = chunk
+                x1, x2 = t11 * x1 + t12 * x2, t21 * x1 + t22 * x2
             del u  # 64 bytes per step of the period, no longer needed
         traj = Trajectory(times=config.times(), a1=states[0], a2=states[1])
         defect = traj.norm_defect()
@@ -231,82 +242,29 @@ def _steps_per_period(pulse: PulseSpec, config: IntegrationConfig) -> int | None
     return p
 
 
-def _pulse_values(pulse: PulseSpec, config: IntegrationConfig, m: int) -> np.ndarray:
-    """V21 at the first ``m`` grid steps' starts and midpoints, 2m + 1
-    values in one call; IntegrationError at the first that is not finite."""
-    v = np.asarray(pulse_value(pulse, config.t_start + 0.5 * config.h * np.arange(2 * m + 1)),
-                   dtype=float)
-    if not np.all(np.isfinite(v)):
-        t_bad = config.t_start + 0.5 * config.h * int(np.argmin(np.isfinite(v)))
-        raise IntegrationError(f"pulse is not finite at t={t_bad}", time=t_bad)
-    return v
-
-
-def _period_products(atom: TwoLevelAtom, pulse: PulseSpec, config: IntegrationConfig,
-                     p: int) -> np.ndarray:
-    """``u[:, :, j] = U_j``, the product of the first ``j`` step matrices of
-    the grid, for j = 0..p; V21 is evaluated on those p steps alone."""
-    v = _pulse_values(pulse, config, p)
-    u = _columns(np.eye(2), p)
-    _march(v, atom.omega21, config.h, u, config.t_start)
-    return u
-
-
-def _columns(first, m: int) -> np.ndarray:
-    """An array of ``m + 1`` complex columns along its last axis, the first
-    one ``first`` (a state, or the identity) and the rest unset."""
-    x = np.empty((*np.shape(first), m + 1), dtype=complex)
-    x[..., 0] = first
-    return x
-
-
-def _march(v: np.ndarray, w: float, h: float, x: np.ndarray, t_start: float) -> None:
-    """Fill ``x[..., 1:]`` by stepping ``x[..., 0]`` through the step matrices
-    of ``v``, ``_CHUNK`` steps at a time.
+def _march(pulse: PulseSpec, config: IntegrationConfig, w: float, x: np.ndarray) -> None:
+    """Fill ``x[..., 1:]`` by stepping ``x[..., 0]`` across the first ``m``
+    steps of the grid, ``_CHUNK`` steps at a time.
 
     ``x`` has shape (2, m + 1) for one state or (2, 2, m + 1) for both
-    columns of the identity, and ``v`` holds the 2m + 1 pulse values of its
-    m steps.  IntegrationError with the grid time of the first non-finite
-    column.
+    columns of the identity.  Each chunk's pulse values are evaluated right
+    before its step matrices.  IntegrationError with the grid time of the
+    first pulse value or column that is not finite.
     """
+    t_start, h = config.t_start, config.h
     columns = x.reshape(2, -1, x.shape[-1])
     m = x.shape[-1] - 1
     for lo in range(0, m, _CHUNK):
         hi = min(lo + _CHUNK, m)
-        matrices = _step_matrices(v[2 * lo:2 * hi + 1], w, h)
+        v = np.asarray(pulse_value(pulse, t_start + 0.5 * h * np.arange(2 * lo, 2 * hi + 1)),
+                       dtype=float)
+        if not np.all(np.isfinite(v)):
+            t_bad = t_start + 0.5 * h * (2 * lo + int(np.argmin(np.isfinite(v))))
+            raise IntegrationError(f"pulse is not finite at t={t_bad}", time=t_bad)
+        matrices = _step_matrices(v, w, h)
         for c in range(columns.shape[1]):
             columns[:, c, lo + 1:hi + 1] = _propagate(matrices, columns[:, c, lo].tolist())
         _check_states(x[..., lo + 1:hi + 1], lo + 1, t_start, h)
-
-
-def _fill_periods(u: np.ndarray, states: np.ndarray, t_start: float, h: float) -> None:
-    """Fill ``states[:, 1:]`` from ``states[:, 0]`` through one period's
-    running products ``u[:, :, j] = U_j``, j = 0..p.
-
-    State ``k p + j`` is ``U_j s_k``, with ``s_0 = states[:, 0]`` and
-    ``s_{k+1} = U_p s_k``; the last period may be partial.  Each broadcast
-    multiply fills at most ``max(p, _CHUNK)`` states: ``g`` whole periods
-    of a short period, a part of a long one.  IntegrationError with the grid
-    time of the first non-finite state.
-    """
-    p = u.shape[2] - 1
-    n = states.shape[1] - 1
-    g, width = max(1, _CHUNK // p), min(p, _CHUNK)
-    t11, t12, t21, t22 = u[:, :, p].ravel().tolist()
-    x1, x2 = states[:, 0].tolist()
-    for lo in range(0, n, g * p):
-        starts = []
-        for _ in range(g):
-            starts.append((x1, x2))
-            x1, x2 = t11 * x1 + t12 * x2, t21 * x1 + t22 * x2
-        s = np.array(starts)[:, :, None]
-        # The chunk's first state is lo + j + 1, reached from s_k in j + 1 steps.
-        for j in range(0, min(p, n - lo), width):
-            cols = slice(j + 1, j + width + 1)
-            chunk = (u[:, 0, None, cols] * s[:, 0] + u[:, 1, None, cols] * s[:, 1]).reshape(2, -1)
-            chunk = chunk[:, :n - lo - j]
-            _check_states(chunk, lo + j + 1, t_start, h)
-            states[:, lo + j + 1:lo + j + 1 + chunk.shape[1]] = chunk
 
 
 def _check_states(chunk: np.ndarray, first: int, t_start: float, h: float) -> None:

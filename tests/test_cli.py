@@ -675,6 +675,19 @@ class TestOptimize:
         assert len(values) == 4
         assert all(b >= a for a, b in zip(values, values[1:]))
 
+    def test_dotted_prefixes_keep_their_own_manifests(self, tmp_path, monkeypatch):
+        # "run.1" and "run.2" differ only after their last dot, which a
+        # replaced suffix would drop.
+        monkeypatch.chdir(tmp_path)
+        for prefix in ("run.1", "run.2"):
+            assert twolevel.cli.main(["optimize", "--pcr", "1e-3", "--omega21", "0",
+                                      "--population", "4", "--generations", "1",
+                                      "--out", prefix]) == 0
+        for prefix in ("run.1", "run.2"):
+            manifest = json.loads((tmp_path / f"{prefix}.manifest.json").read_text())
+            assert manifest["outputs"] == [f"{prefix}_pulse.json", f"{prefix}_history.csv"]
+        assert not (tmp_path / "run.manifest.json").exists()
+
 
 def assert_failed_write_changes_nothing(directory, monkeypatch, capsys, args, outputs,
                                         failing):

@@ -231,6 +231,20 @@ class TestIntegrate:
             rk4_reference(DEGENERATE, pulse, cfg)
         assert 0 <= k - round(oracle.value.time / h) <= 1
 
+    def test_nonfinite_pulse_in_later_chunk_reports_its_time(self, monkeypatch):
+        # The pulse turns NaN from t = 6, inside the second 4096-step chunk
+        # of this 10^4-step grid, whose pulse values are evaluated only when
+        # the march reaches it.
+        h = 1e-3
+        cfg = IntegrationConfig(0.0, 10.0, step=h)
+        pulse_value = twolevel.integrator.pulse_value
+        monkeypatch.setattr(twolevel.integrator, "pulse_value",
+                            lambda pulse, t: np.where(t < 6.0, pulse_value(pulse, t), np.nan))
+        with pytest.raises(IntegrationError, match="pulse is not finite") as excinfo:
+            integrate(DEGENERATE, GaussianApprox(area=1.0, center=5.0, width=1.0), cfg)
+        half_times = 0.5 * h * np.arange(2 * cfg.n + 1)
+        assert excinfo.value.time == half_times[np.argmax(half_times >= 6.0)]
+
     def test_blown_up_norm_signaled_at_largest_defect(self):
         # max|V| h of about 4.5 on the 1000-step grid: the states stay finite
         # while the norm grows past 1e200, most at the end of the period.
@@ -440,20 +454,30 @@ def test_measured_fourth_order_convergence(case):
     assert 0.5 * errors[0] <= estimate <= 2.0 * errors[0]
 
 
+# Two stepped grids of 2*10^5 steps: 200 periods of a cosine, too many to
+# reuse one, and a Gaussian, which never repeats.
 def test_kernel_memory_is_bounded_per_step():
-    """Peak traced allocation of a 2*10^5-step run stays at or below 120 B/step."""
+    """Peak traced allocation of a 2*10^5-step run stays at or below 60 B/step,
+    on 200 periods of a cosine, too many to reuse one, and on a Gaussian,
+    which never repeats: both grids are stepped through."""
     n = 200_000
-    pulse = normalized_cosine(1.0)
-    cfg = IntegrationConfig.per_period(0.0, n * 2 * math.pi / 1000, pulse.period,
-                                       steps_per_period=1000)
-    tracemalloc.start()
-    try:
-        traj = integrate(DEGENERATE, pulse, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(traj) == n + 1
-    assert peak / n <= 120
+    cosine = normalized_cosine(1.0)
+    for pulse, cfg in [
+        (cosine, IntegrationConfig.per_period(0.0, n * 2 * math.pi / 1000, cosine.period,
+                                              steps_per_period=1000)),
+        (GaussianApprox(area=math.pi / 2, center=5.0, width=0.3),
+         IntegrationConfig(0.0, 10.0, step=5e-5)),
+    ]:
+        assert cfg.n == n
+        assert twolevel.integrator._steps_per_period(pulse, cfg) is None
+        tracemalloc.start()
+        try:
+            traj = integrate(DEGENERATE, pulse, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == n + 1
+        assert peak / n <= 60
 
 
 class TestMaxPopulationDeviation:

@@ -1,11 +1,12 @@
-"""The one-period path of :func:`twolevel.integrator.integrate`.
+"""The one-period path and the march of :func:`twolevel.integrator.integrate`.
 
 A pulse that repeats every p steps of a grid of more than p steps is
-evaluated and stepped through over its first period only; every later
+evaluated and marched through over its first period only; every later
 period reuses that period's running products, as long as the roundings this
-repeats stay within a bound.  These tests hold that path and its bound
-against the one-step-at-a-time RK4 oracle, count the pulse values it asks
-for, and check where its errors are reported.  They import neither scipy nor
+repeats stay within a bound.  Any other grid is marched through whole.
+These tests hold both paths and the bound against the one-step-at-a-time
+RK4 oracle, count the pulse values each march asks for, one evaluation a
+chunk, and check where errors are reported.  They import neither scipy nor
 hypothesis, so they run on the runtime dependencies alone.
 """
 import math
@@ -15,7 +16,7 @@ import pytest
 
 import twolevel.integrator
 from twolevel.core import Cosine, GaussianApprox, HarmonicSum, TwoLevelAtom
-from twolevel.integrator import IntegrationConfig, IntegrationError, integrate
+from twolevel.integrator import _CHUNK, IntegrationConfig, IntegrationError, integrate
 
 from _oracles import rk4_reference
 
@@ -42,6 +43,12 @@ def points(monkeypatch):
     return sizes
 
 
+def evaluated(m: int) -> list[int]:
+    """The sizes of the pulse evaluations of a march over ``m`` steps: each
+    chunk's step starts and midpoints, and its end."""
+    return [2 * min(_CHUNK, m - lo) + 1 for lo in range(0, m, _CHUNK)]
+
+
 def max_amplitude_difference(a, b) -> float:
     return max(float(np.max(np.abs(a.a1 - b.a1))), float(np.max(np.abs(a.a2 - b.a2))))
 
@@ -57,7 +64,7 @@ def grid(pulse, periods: float, steps_per_period: int, start: float = START):
 def test_matches_loop_oracle(points, pulse, periods):
     cfg = grid(pulse, periods, 1000)
     traj = integrate(ATOM, pulse, cfg)
-    assert points == [2001]
+    assert points == evaluated(1000)
     ref = rk4_reference(ATOM, pulse, cfg)
     assert np.array_equal(traj.times, ref.times)
     assert max_amplitude_difference(traj, ref) <= 1e-12
@@ -83,7 +90,7 @@ def test_reuse_ends_at_its_drift_bound(points, pulse, p):
     for last, cfg in [(True, grid(pulse, periods, p)), (False, grid(pulse, periods + 1, p))]:
         points.clear()
         traj = integrate(ATOM, pulse, cfg)
-        assert points == [2 * p + 1 if last else 2 * cfg.n + 1]
+        assert points == evaluated(p if last else cfg.n)
         assert max_amplitude_difference(traj, rk4_reference(ATOM, pulse, cfg)) <= 1e-12
 
 
@@ -93,13 +100,13 @@ def test_reuse_ends_at_its_drift_bound(points, pulse, p):
 def test_thousand_periods_match_loop_oracle(points, pulse):
     cfg = grid(pulse, 1000, 100)
     traj = integrate(ATOM, pulse, cfg)
-    assert points == [2 * cfg.n + 1]
+    assert points == evaluated(cfg.n)
     assert max_amplitude_difference(traj, rk4_reference(ATOM, pulse, cfg)) <= 1e-12
 
 
-# The states are filled in chunks of whole periods, 4096 // p of them, or in
-# 4096-step parts of a longer period; these grids end on and next to those
-# edges.
+# The states are filled one period at a time, a period longer than 4096
+# steps in 4096-step parts, and such a period is marched through in 4096-step
+# chunks; these grids end on and next to those edges.
 @pytest.mark.parametrize("p, n", [(1000, 4000), (1000, 4001), (1000, 8001), (100, 4001),
                                   (4096, 8193), (5000, 5001), (5000, 9097), (5000, 12500)])
 def test_fill_edges_match_loop_oracle(points, p, n):
@@ -108,7 +115,7 @@ def test_fill_edges_match_loop_oracle(points, p, n):
     cfg = IntegrationConfig(START, START + n * h, step=h)
     assert cfg.n == n
     traj = integrate(ATOM, pulse, cfg)
-    assert points == [2 * p + 1]
+    assert points == evaluated(p)
     assert max_amplitude_difference(traj, rk4_reference(ATOM, pulse, cfg)) <= 1e-12
 
 
@@ -121,7 +128,7 @@ def test_unaligned_chunk_edges_match_loop_oracle(points, n):
     cfg = IntegrationConfig(START, START + n * h, step=h)
     assert cfg.n == n
     traj = integrate(ATOM, pulse, cfg)
-    assert points == [2 * n + 1]
+    assert points == evaluated(n)
     assert max_amplitude_difference(traj, rk4_reference(ATOM, pulse, cfg)) <= 1e-12
 
 
@@ -149,15 +156,13 @@ EVALUATED_STEPS = {
 
 @pytest.mark.parametrize("pulse, cfg, steps, reused", EVALUATED_STEPS.values(),
                          ids=EVALUATED_STEPS)
-def test_pulse_is_evaluated_over_one_period_only_where_it_repeats(monkeypatch, points, pulse,
-                                                                  cfg, steps, reused):
-    fills = []
-    fill_periods = twolevel.integrator._fill_periods
-    monkeypatch.setattr(twolevel.integrator, "_fill_periods",
-                        lambda *args: fills.append(fill_periods(*args)))
+def test_pulse_is_evaluated_over_one_period_only_where_it_repeats(points, pulse, cfg, steps,
+                                                                  reused):
     integrate(ATOM, pulse, cfg)
-    assert points == [2 * steps + 1]
-    assert len(fills) == reused
+    assert points == evaluated(steps)
+    # A march covers (size - 1) / 2 steps an evaluation; fewer than the grid's
+    # are one period reused.
+    assert (sum(size // 2 for size in points) < cfg.n) == reused
 
 
 # Ten odd harmonics of 25 (or 40) add up to peaks of |V| h near 16 (13)
