@@ -237,7 +237,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 raise ValueError(f"--error-estimate: {exc}") from None
         jobs = [(out_path, pulse, cfg)]
     outputs = [path for path, _, _ in jobs]
-    manifest_path = out_path.with_suffix(".manifest.json")
+    # Named after --out without a final .csv, so run.csv and run give
+    # run.manifest.json, run.1 and run.2 their own.
+    stem = out_path.stem if out_path.suffix == ".csv" else out_path.name
+    manifest_path = out_path.with_name(stem + ".manifest.json")
     _check_outputs(outputs + [manifest_path])
 
     with _staged(outputs + [manifest_path]) as stage:

@@ -100,10 +100,9 @@ class TwoLevelAtom:
 #
 # Two families: HarmonicSum, whose one-term member Cosine(chi, omega) builds,
 # and GaussianApprox.  Each provides value(t), action(t), derivative(t, order),
-# the scales period and action_scale, scaled(s) and to_dict(),
+# the scales period and action_scale, scaled(s), to_dict() and
 # derivative_bound(t, order): the magnitude sum of the terms derivative adds,
-# its rounding scale, and repeat_period: the time after which V21 repeats
-# itself, or None for a pulse that never does.
+# its rounding scale.
 
 def _finite(compute, what: str) -> float:
     """``compute()``, a derived quantity named by ``what``; ValueError where
@@ -179,10 +178,6 @@ class HarmonicSum:
     @property
     def period(self) -> float:
         return 2.0 * math.pi / self.omega
-
-    @property
-    def repeat_period(self) -> float:
-        return self.period
 
     def derivative_bound(self, t: float, order: int) -> float:
         order = _check_integer("derivative order", order, 0)
@@ -276,10 +271,6 @@ class GaussianApprox:
     @property
     def period(self) -> float:
         return self.width
-
-    @property
-    def repeat_period(self) -> None:
-        return None
 
     @property
     def action_scale(self) -> float:

@@ -133,6 +133,22 @@ class TestSimulate:
         assert manifest["command"][0] == "twolevel"
         assert manifest["parameters"]["ratio"] == 10.0
 
+    @pytest.mark.parametrize("pulse, outputs", [
+        (["--ratio", "10"], ["{out}"]),
+        (["--sweep", "10,20"], ["run_ratio10.{k}", "run_ratio20.{k}"]),
+    ], ids=["single", "sweep"])
+    def test_dotted_outs_keep_their_own_manifests(self, tmp_path, monkeypatch, pulse, outputs):
+        # "run.1" and "run.2" differ only after their last dot, which a
+        # replaced suffix would drop; only a final ".csv" is dropped.
+        monkeypatch.chdir(tmp_path)
+        for k in (1, 2):
+            assert twolevel.cli.main(["simulate", *pulse, "--periods", "1",
+                                      "--out", f"run.{k}"]) == 0
+        for k in (1, 2):
+            manifest = json.loads((tmp_path / f"run.{k}.manifest.json").read_text())
+            assert manifest["outputs"] == [name.format(out=f"run.{k}", k=k) for name in outputs]
+        assert not (tmp_path / "run.manifest.json").exists()
+
     def test_pulse_json_input(self, tmp_path):
         payload = {"type": "gaussian", "area": math.pi / 2, "center": 5.0, "width": 0.5}
         (tmp_path / "pulse.json").write_text(json.dumps(payload))

@@ -23,6 +23,7 @@ from twolevel.core import (
     TwoLevelAtom,
 )
 from twolevel.integrator import (
+    _CHUNK,
     MAX_STEPS,
     IntegrationConfig,
     IntegrationError,
@@ -213,8 +214,8 @@ class TestIntegrate:
         assert excinfo.value.time == cfg.t_start + cfg.h
 
     def test_overflow_in_later_chunk_reports_its_grid_time(self):
-        # A kick of area 1e6 overflows RK4 near t = 5.7, inside the second
-        # 4096-step chunk (steps 4097..8192) of this 10^4-step grid.
+        # A kick of area 1e6 overflows RK4 near t = 5.7, inside the third
+        # chunk (steps 2 _CHUNK + 1..3 _CHUNK) of this 10^4-step grid.
         h = 1e-3
         cfg = IntegrationConfig(0.0, 10.0, step=h)
         pulse = GaussianApprox(area=1e6, center=6.0, width=0.1)
@@ -224,7 +225,7 @@ class TestIntegrate:
                 integrate(DEGENERATE, pulse, cfg)
         k = round(excinfo.value.time / h)
         assert excinfo.value.time == k * h
-        assert 4097 <= k <= 8192
+        assert 2 * _CHUNK < k <= 3 * _CHUNK
         # The loop oracle overflows in an intermediate sum one step earlier
         # at most; both name the same kick.
         with pytest.raises(IntegrationError) as oracle:
@@ -232,9 +233,9 @@ class TestIntegrate:
         assert 0 <= k - round(oracle.value.time / h) <= 1
 
     def test_nonfinite_pulse_in_later_chunk_reports_its_time(self, monkeypatch):
-        # The pulse turns NaN from t = 6, inside the second 4096-step chunk
-        # of this 10^4-step grid, whose pulse values are evaluated only when
-        # the march reaches it.
+        # The pulse turns NaN from t = 6, inside the third chunk of this
+        # 10^4-step grid, whose pulse values are evaluated only when the march
+        # reaches it.
         h = 1e-3
         cfg = IntegrationConfig(0.0, 10.0, step=h)
         pulse_value = twolevel.integrator.pulse_value
@@ -320,18 +321,18 @@ def max_amplitude_difference(a, b) -> float:
 class TestKernelMatchesScalarLoop:
     """The step-matrix kernel against the one-step-at-a-time RK4 oracle.
 
-    Step counts straddle the block padding (16, 17) and the 4096-step chunk
-    edges; RK4 arithmetic in another order agrees to rounding.  The cosine's
-    grids of more than 1000 steps span more than one period and take the
-    one-period path; tests/test_periodic.py steps through the chunk edges on
-    a grid that misses the period.
+    Step counts straddle the block padding (16, 17) and the edges of the
+    march's chunks; RK4 arithmetic in another order agrees to rounding.
+    tests/test_periodic.py crosses the chunk edges on a grid that misses the
+    period too.
     """
 
     H = 2 * math.pi / 1000
 
     @pytest.mark.parametrize("omega21", [0.0, 0.01, 0.7])
     @pytest.mark.parametrize(
-        "n", [1, 2, 3, 15, 16, 17, 4095, 4096, 4097, 8193, 25000]
+        "n", [1, 2, 3, 15, 16, 17, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK - 1, 2 * _CHUNK,
+              2 * _CHUNK + 1, 4 * _CHUNK + 1, 25000]
     )
     def test_cosine(self, n, omega21):
         atom = TwoLevelAtom(omega21=omega21)
@@ -454,12 +455,9 @@ def test_measured_fourth_order_convergence(case):
     assert 0.5 * errors[0] <= estimate <= 2.0 * errors[0]
 
 
-# Two stepped grids of 2*10^5 steps: 200 periods of a cosine, too many to
-# reuse one, and a Gaussian, which never repeats.
 def test_kernel_memory_is_bounded_per_step():
     """Peak traced allocation of a 2*10^5-step run stays at or below 60 B/step,
-    on 200 periods of a cosine, too many to reuse one, and on a Gaussian,
-    which never repeats: both grids are stepped through."""
+    on 200 periods of a cosine and on a Gaussian."""
     n = 200_000
     cosine = normalized_cosine(1.0)
     for pulse, cfg in [
@@ -469,7 +467,6 @@ def test_kernel_memory_is_bounded_per_step():
          IntegrationConfig(0.0, 10.0, step=5e-5)),
     ]:
         assert cfg.n == n
-        assert twolevel.integrator._steps_per_period(pulse, cfg) is None
         tracemalloc.start()
         try:
             traj = integrate(DEGENERATE, pulse, cfg)

@@ -1,15 +1,15 @@
-"""The one-period path and the march of :func:`twolevel.integrator.integrate`.
+"""The march of :func:`twolevel.integrator.integrate`.
 
-A pulse that repeats every p steps of a grid of more than p steps is
-evaluated and marched through over its first period only; every later
-period reuses that period's running products, as long as the roundings this
-repeats stay within a bound.  Any other grid is marched through whole.
-These tests hold both paths and the bound against the one-step-at-a-time
-RK4 oracle, count the pulse values each march asks for, one evaluation a
-chunk, and check where errors are reported.  They import neither scipy nor
+Every grid is marched through whole, ``_CHUNK`` steps at a time, the pulse
+evaluated on each chunk right before its step matrices.  These tests hold
+the march against the one-step-at-a-time RK4 oracle on periodic and
+unaligned grids and across chunk edges, count the pulse values it asks for,
+one evaluation a chunk, check that its workspace is one chunk's, and check
+where errors are reported.  They import neither scipy nor
 hypothesis, so they run on the runtime dependencies alone.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,38 +64,16 @@ def grid(pulse, periods: float, steps_per_period: int, start: float = START):
 def test_matches_loop_oracle(points, pulse, periods):
     cfg = grid(pulse, periods, 1000)
     traj = integrate(ATOM, pulse, cfg)
-    assert points == evaluated(1000)
+    assert points == evaluated(cfg.n)
     ref = rk4_reference(ATOM, pulse, cfg)
     assert np.array_equal(traj.times, ref.times)
     assert max_amplitude_difference(traj, ref) <= 1e-12
 
 
-def reused(pulse, cfg) -> bool:
-    return twolevel.integrator._steps_per_period(pulse, cfg) is not None
-
-
 STRONG = Cosine(chi=20.0, omega=1.0)
 
 
-# Reusing one period repeats its roundings in every later period, so the
-# path is taken only up to an estimated drift (_MAX_REUSE_DRIFT).  On each
-# side of that edge the grid matches the loop oracle within 1e-12.
-@pytest.mark.parametrize("pulse, p", [(PULSES["cosine"], 100), (PULSES["harmonic-sum"], 100),
-                                      (STRONG, 1000)], ids=[*PULSES, "strong"])
-def test_reuse_ends_at_its_drift_bound(points, pulse, p):
-    periods = 1
-    while reused(pulse, grid(pulse, periods + 1, p)):
-        periods += 1
-    assert 2 <= periods < 200
-    for last, cfg in [(True, grid(pulse, periods, p)), (False, grid(pulse, periods + 1, p))]:
-        points.clear()
-        traj = integrate(ATOM, pulse, cfg)
-        assert points == evaluated(p if last else cfg.n)
-        assert max_amplitude_difference(traj, rk4_reference(ATOM, pulse, cfg)) <= 1e-12
-
-
-# At 1000 periods one period's roundings would have compounded to 2.4e-12
-# (cosine) and 2.6e-12 (harmonic sum); the grid is stepped through instead.
+# A thousand periods of 100 steps: the chunk edges fall inside periods.
 @pytest.mark.parametrize("pulse", PULSES.values(), ids=PULSES)
 def test_thousand_periods_match_loop_oracle(points, pulse):
     cfg = grid(pulse, 1000, 100)
@@ -104,24 +82,10 @@ def test_thousand_periods_match_loop_oracle(points, pulse):
     assert max_amplitude_difference(traj, rk4_reference(ATOM, pulse, cfg)) <= 1e-12
 
 
-# The states are filled one period at a time, a period longer than 4096
-# steps in 4096-step parts, and such a period is marched through in 4096-step
-# chunks; these grids end on and next to those edges.
-@pytest.mark.parametrize("p, n", [(1000, 4000), (1000, 4001), (1000, 8001), (100, 4001),
-                                  (4096, 8193), (5000, 5001), (5000, 9097), (5000, 12500)])
-def test_fill_edges_match_loop_oracle(points, p, n):
-    pulse = PULSES["harmonic-sum"]
-    h = pulse.period / p
-    cfg = IntegrationConfig(START, START + n * h, step=h)
-    assert cfg.n == n
-    traj = integrate(ATOM, pulse, cfg)
-    assert points == evaluated(p)
-    assert max_amplitude_difference(traj, rk4_reference(ATOM, pulse, cfg)) <= 1e-12
-
-
-# A step of period / 1000.5 misses the period, so the grid is stepped
-# through 4096 steps at a time; these grids end on and next to those edges.
-@pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
+# A step of period / 1000.5 misses the period; these grids end on and next
+# to the edges of the march's chunks.
+@pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK - 1, 2 * _CHUNK,
+                               2 * _CHUNK + 1, 4 * _CHUNK + 1])
 def test_unaligned_chunk_edges_match_loop_oracle(points, n):
     pulse = PULSES["cosine"]
     h = pulse.period / 1000.5
@@ -134,35 +98,49 @@ def test_unaligned_chunk_edges_match_loop_oracle(points, n):
 
 COSINE = PULSES["cosine"]
 GAUSSIAN = GaussianApprox(area=math.pi / 2, center=5.0, width=0.3)
-# Each pulse, its grid, the steps over which integrate evaluates it, and
-# whether it reuses one period.
+# Each pulse and its grid, every step of which integrate evaluates.
 EVALUATED_STEPS = {
-    "three-periods": (COSINE, grid(COSINE, 3, 1000), 1000, True),
-    "thousand-periods": (COSINE, grid(COSINE, 1000, 100), 100000, False),
+    "three-periods": (COSINE, grid(COSINE, 3, 1000)),
+    "thousand-periods": (COSINE, grid(COSINE, 1000, 100)),
     # Twenty periods of a drive of 20 Rabi cycles a period.
-    "strong": (STRONG, grid(STRONG, 20, 1000), 20000, False),
-    "one-period": (COSINE, grid(COSINE, 1, 1000), 1000, False),
+    "strong": (STRONG, grid(STRONG, 20, 1000)),
+    "one-period": (COSINE, grid(COSINE, 1, 1000)),
     # The GA's grid, on which the period is 999.9999999999999 steps.
     "one-period-of-omega-1": (Cosine(chi=0.5 * math.pi, omega=1.0),
-                              IntegrationConfig.per_period(0.0, 2 * math.pi, 2 * math.pi),
-                              1000, False),
+                              IntegrationConfig.per_period(0.0, 2 * math.pi, 2 * math.pi)),
     "unaligned-step": (COSINE, IntegrationConfig(0.0, 3 * COSINE.period,
-                                                 step=COSINE.period / 999.7), 2999, False),
-    "gaussian": (GAUSSIAN, IntegrationConfig(0.0, 10.0, step=1e-3), 10000, False),
+                                                 step=COSINE.period / 999.7)),
+    "gaussian": (GAUSSIAN, IntegrationConfig(0.0, 10.0, step=1e-3)),
     # The period is more steps than a double holds.
-    "subnormal-step": (COSINE, IntegrationConfig(0.0, 5e-323, step=1e-323), 5, False),
+    "subnormal-step": (COSINE, IntegrationConfig(0.0, 5e-323, step=1e-323)),
 }
 
 
-@pytest.mark.parametrize("pulse, cfg, steps, reused", EVALUATED_STEPS.values(),
-                         ids=EVALUATED_STEPS)
-def test_pulse_is_evaluated_over_one_period_only_where_it_repeats(points, pulse, cfg, steps,
-                                                                  reused):
+# The test keeps its name from when a pulse that repeats was evaluated over
+# one period only; every grid is now evaluated whole, one chunk at a time.
+@pytest.mark.parametrize("pulse, cfg", EVALUATED_STEPS.values(), ids=EVALUATED_STEPS)
+def test_pulse_is_evaluated_over_one_period_only_where_it_repeats(points, pulse, cfg):
     integrate(ATOM, pulse, cfg)
-    assert points == evaluated(steps)
-    # A march covers (size - 1) / 2 steps an evaluation; fewer than the grid's
-    # are one period reused.
-    assert (sum(size // 2 for size in points) < cfg.n) == reused
+    assert points == evaluated(cfg.n)
+
+
+# Beyond the trajectory it returns, integrate holds V21, the step matrices
+# and their prefix products for one chunk at a time, near 450 bytes a step of
+# the chunk, and then 16 bytes a step of the grid for its norm check.  On
+# these grids, 25 periods of a cosine and a 10^4-step Gaussian, the chunk's
+# share is the larger: 0.79 and 0.91 MB at 2048 steps a chunk.
+@pytest.mark.parametrize("pulse, cfg", [(COSINE, grid(COSINE, 25, 1000)),
+                                        (GAUSSIAN, IntegrationConfig(0.0, 10.0, step=1e-3))],
+                         ids=["cosine", "gaussian"])
+def test_march_workspace_is_one_chunk(pulse, cfg):
+    tracemalloc.start()
+    try:
+        traj = integrate(ATOM, pulse, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == cfg.n + 1
+    assert peak - (traj.times.nbytes + traj.a1.nbytes + traj.a2.nbytes) <= 1.25e6
 
 
 # Ten odd harmonics of 25 (or 40) add up to peaks of |V| h near 16 (13)
