@@ -225,17 +225,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_path = _out_path(args.out)
     # Every spec, grid and output path is checked before any integration.
     atom = _atom(args)
-    if args.sweep is not None:
-        jobs = _sweep_jobs(args, atom.omega21, out_path)
-    else:
-        pulse = _resolve_pulse(args, atom.omega21)
-        cfg = _grid_config(args, pulse)
-        if args.error_estimate:
-            try:
-                cfg.halved()
-            except ValueError as exc:
-                raise ValueError(f"--error-estimate: {exc}") from None
-        jobs = [(out_path, pulse, cfg)]
+    jobs = _jobs(args, atom.omega21, out_path)
     outputs = [path for path, _, _ in jobs]
     # Named after --out without a final .csv, so run.csv and run give
     # run.manifest.json, run.1 and run.2 their own.
@@ -244,30 +234,36 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _check_outputs(outputs + [manifest_path])
 
     with _staged(outputs + [manifest_path]) as stage:
-        if args.sweep is not None:
-            # Each file is written before the next job is integrated, so one
-            # trajectory is held at a time.
-            for path, pulse, cfg in jobs:
-                _write_trajectory_csv(stage / path.name, integrate(atom, pulse, cfg),
-                                      pulse if args.analytic else None)
-        else:
+        # Each file is written and its trajectory dropped before the next
+        # job is integrated, so one trajectory is held at a time.
+        for path, pulse, cfg in jobs:
             traj = integrate(atom, pulse, cfg)
             if args.error_estimate:
                 estimate = step_halving_error(atom, pulse, cfg, coarse=traj)
-            _write_trajectory_csv(stage / out_path.name, traj, pulse if args.analytic else None)
+            _write_trajectory_csv(stage / path.name, traj, pulse if args.analytic else None)
+            del traj
         _write_manifest(stage / manifest_path.name, args, [str(path) for path in outputs])
     if args.sweep is not None:
         print(f"wrote {len(jobs)} trajectories and {manifest_path}")
         return 0
     if args.error_estimate:
         print(f"step-halving error estimate = {_fmt(estimate)}")
-    print(f"wrote {out_path} ({len(traj)} rows) and {manifest_path}")
+    print(f"wrote {out_path} ({cfg.n + 1} rows) and {manifest_path}")
     return 0
 
 
-def _sweep_jobs(args: argparse.Namespace, omega21: float,
-                out_path: Path) -> list[tuple[Path, PulseSpec, IntegrationConfig]]:
-    """One (output path, transfer cosine, grid) job per --sweep ratio."""
+def _jobs(args: argparse.Namespace, omega21: float,
+          out_path: Path) -> list[tuple[Path, PulseSpec, IntegrationConfig]]:
+    """The (output path, pulse, grid) of the single run, or of each --sweep ratio."""
+    if args.sweep is None:
+        pulse = _resolve_pulse(args, omega21)
+        cfg = _grid_config(args, pulse)
+        if args.error_estimate:
+            try:
+                cfg.halved()
+            except ValueError as exc:
+                raise ValueError(f"--error-estimate: {exc}") from None
+        return [(out_path, pulse, cfg)]
     try:
         ratios = [float(r) for r in args.sweep.split(",") if r.strip()]
     except ValueError:

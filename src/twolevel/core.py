@@ -140,7 +140,8 @@ class HarmonicSum:
     V21(t) = -sum_k chi_k * cos(k * omega * t) over the listed (k, chi_k)
     pairs.  Restricting k to odd integers keeps every member's magnitude
     peaked at t = pi / (2 omega), the same instant as the plain cosine, which
-    is what makes the transfer normalization one-dimensional.
+    is what makes the transfer normalization one-dimensional.  Every
+    harmonic's frequency k * omega must be a finite double.
     """
 
     omega: float
@@ -149,10 +150,15 @@ class HarmonicSum:
     def __post_init__(self) -> None:
         object.__setattr__(self, "omega", _check_positive("omega", self.omega))
         coeffs = []
-        for k, c in self.coefficients:
+        for entry in self.coefficients:
+            try:
+                k, c = entry
+            except (TypeError, ValueError):
+                raise ValueError(f"harmonic {entry!r} is not a (k, chi_k) pair") from None
             k = _check_integer("harmonic index", k, 1)
             if k % 2 == 0:
                 raise ValueError(f"harmonic index must be a positive odd integer, got {k}")
+            _finite(lambda: k * self.omega, f"the frequency of harmonic {k}")
             coeffs.append((k, _check_finite(f"coefficient for k={k}", c)))
         if not coeffs:
             raise ValueError("HarmonicSum needs at least one (k, chi_k) pair")

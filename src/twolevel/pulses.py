@@ -7,19 +7,20 @@ for the flatness of the populated state are the odd coupling derivatives.
 Nulling them one by one raises the order of the first non-vanishing
 derivative of P2 above four and widens the flat top at a fixed leakage
 budget.  A small real-coded genetic algorithm searches the coefficient space.
-A generation is an array of genome rows: it is transfer-normalized in one
-array pass and windowed in one call, and only the source of the P2 rows it
-ranks on differs.  Where the level splitting is weak they are the
-first-order closed-form populations, computed for the whole generation in
-one array pass, and only the winner is integrated with RK4; otherwise every
-candidate is integrated with RK4, one at a time.  Only the winner is built
-as a pulse object.  The search is deterministic for a fixed seed.
+A generation is an array of genome rows: one function normalizes it for
+transfer in one array pass, makes its P2 rows and windows them in one call.
+Where the level splitting is weak the rows are the first-order closed-form
+populations, computed for the whole generation in one array pass, and only
+the winner is integrated with RK4; otherwise every candidate is integrated
+with RK4, one at a time.  Before the first generation the search builds its
+family's pulse once, so a harmonic whose frequency overflows is refused
+before any candidate is scored.  The search is deterministic for a fixed
+seed.
 """
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ from .core import (
     _check_finite,
     _check_integer,
     _check_positive,
+    _finite,
     action,
     odd_harmonic_action,
 )
@@ -232,29 +234,6 @@ def _normalized_rows(genomes: np.ndarray, harmonics: tuple[int, ...], omega: flo
     return usable, rows
 
 
-def _model_rows(rows: np.ndarray, harmonics: tuple[int, ...], omega: float, omega21: float,
-                times: np.ndarray) -> np.ndarray:
-    """First-order P2 of every coefficient row on ``times``, in one array pass;
-    a row is not finite where the model overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return first_order_from_action(
-            odd_harmonic_action(omega, harmonics, rows.T[:, :, None], times), omega21, times)[1]
-
-
-def _rk4_rows(atom: TwoLevelAtom, rows: np.ndarray, harmonics: tuple[int, ...], omega: float,
-              grid: IntegrationConfig) -> np.ndarray:
-    """RK4 P2 of every coefficient row on ``grid``, integrated one pulse at a
-    time; a row is NaN where :func:`integrate` raises
-    :class:`IntegrationError` (overflow, or a blown-up norm)."""
-    p2 = np.empty((len(rows), grid.n + 1))
-    for row, out in zip(rows.tolist(), p2):
-        try:
-            out[:] = integrate(atom, HarmonicSum(omega, tuple(zip(harmonics, row))), grid).p2
-        except IntegrationError:
-            out[:] = math.nan
-    return p2
-
-
 Fitness = tuple[float, float]
 
 
@@ -270,20 +249,33 @@ _UNUSABLE = _rank(0.0, math.inf)
 
 
 def _fitness(genomes: np.ndarray, harmonics: tuple[int, ...], objective: ShapingObjective,
-             t_peak: float, times: np.ndarray,
-             p2_rows: Callable[[np.ndarray], np.ndarray]) -> list[Fitness]:
+             t_peak: float, grid: IntegrationConfig, on_model: bool) -> list[Fitness]:
     """:func:`_rank` of every genome row's populated window and coefficient norm.
 
-    The window is that of its transfer-normalized pulse on ``times``, 0.0
-    where P2 never reaches 1 - p_cr, with ``p2_rows`` giving the P2 rows of
-    the normalized coefficient rows.  A genome that cannot be normalized,
-    or whose P2 row is not finite, is unusable.
+    The window is that of its transfer-normalized pulse on ``grid``, 0.0
+    where P2 never reaches 1 - p_cr, on the first-order model's P2 rows, in
+    one array pass, with ``on_model``, else on one RK4 integration per row.
+    A genome that cannot be normalized, whose P2 row is not finite, or whose
+    integration raises :class:`IntegrationError` is unusable.
     """
     usable, rows = _normalized_rows(genomes, harmonics, objective.omega, t_peak)
     fitness = [_UNUSABLE] * len(genomes)
     if usable.any():
         rows = rows[usable]
-        p2 = p2_rows(rows)
+        times = grid.times()
+        if on_model:
+            with np.errstate(over="ignore", invalid="ignore"):
+                p2 = first_order_from_action(
+                    odd_harmonic_action(objective.omega, harmonics, rows.T[:, :, None], times),
+                    objective.atom.omega21, times)[1]
+        else:
+            p2 = np.empty((len(rows), times.size))
+            for row, out in zip(rows.tolist(), p2):
+                pulse = HarmonicSum(objective.omega, tuple(zip(harmonics, row)))
+                try:
+                    out[:] = integrate(objective.atom, pulse, grid).p2
+                except IntegrationError:
+                    out[:] = math.nan
         finite = np.isfinite(p2).all(axis=1)
         if not finite.all():
             rows, p2 = rows[finite], p2[finite]
@@ -306,12 +298,13 @@ def run_optimizer(objective: ShapingObjective, config: OptimizerConfig) -> Optim
     moves only through shapes that reach complete transfer in the degenerate
     limit.  A generation is an array of genome rows, normalized in one array
     pass.  Fitness is the populated-window width on the RK4 grid, of one of
-    two P2 curves chosen once per run, measured for the whole generation in
-    one call.  Where :func:`ranks_on_model` holds they are the first-order
-    populations, computed for all new candidates of a generation in one
-    array pass, and only the final winner is integrated with RK4, to measure
-    its window; elsewhere they are the RK4 trajectories, integrated one
-    candidate at a time.  Only the winner is built as a pulse object.
+    two P2 curves chosen once per run by :func:`ranks_on_model` and made by
+    ``_fitness`` for the whole generation.  Where it holds they are the
+    first-order populations, computed for all new candidates of a generation
+    in one array pass, and only the final winner is integrated with RK4, to
+    measure its window; elsewhere they are the RK4 trajectories, integrated
+    one candidate at a time.  The family's pulse, every harmonic at
+    coefficient 1, is built once and gives the period of the shared grid.
     Tournament selection (size 2), blend crossover and Gaussian mutation;
     the single elite survivor makes the best fitness monotone non-decreasing
     across generations.  All random draws come from one sequentially
@@ -319,18 +312,24 @@ def run_optimizer(objective: ShapingObjective, config: OptimizerConfig) -> Optim
     drawn before any is scored, so a fixed seed reproduces the run bit for
     bit on a given Python version.
 
-    Raises ValueError before the first generation when its candidates'
-    grid steps together exceed MAX_STEPS, and when no candidate ever
-    reaches P2 >= 1 - p_cr, in the ranking measure or on the winner's RK4
-    trajectory.
+    Raises ValueError before the first generation when a harmonic's
+    frequency ``k * omega``, the period or the end time ``horizon * period``
+    is not a finite double, or when its candidates' grid steps together
+    exceed MAX_STEPS; and when no candidate ever reaches P2 >= 1 - p_cr, in
+    the ranking measure or on the winner's RK4 trajectory.
     """
     rng = random.Random(config.seed)
     harmonics = tuple(2 * i + 1 for i in range(config.n_harmonics))
     omega = objective.omega
+    # Every candidate has the base period, so all share one grid.  The
+    # family's pulse refuses a harmonic whose frequency overflows before any
+    # is scored, and an infinite period is named before the end time it scales.
+    family = HarmonicSum(omega, tuple((k, 1.0) for k in harmonics))
+    period = _check_positive("period", family.period)
+    t_end = _finite(lambda: objective.horizon * period,
+                    f"the end time of --horizon {objective.horizon:g}")
+    grid = IntegrationConfig.per_period(0.0, t_end, period)
     t_peak = transfer_peak(omega)
-    period = 2.0 * math.pi / omega
-    # Every candidate has the base period, so all share one grid.
-    grid = IntegrationConfig.per_period(0.0, objective.horizon * period, period)
     # A generation's P2 rows hold population x grid points.  Bounding its
     # steps by MAX_STEPS, one integration's limit, admits MAX_POPULATION
     # candidates on the default one-period grid of 1000 steps.
@@ -339,16 +338,10 @@ def run_optimizer(objective: ShapingObjective, config: OptimizerConfig) -> Optim
             f"a generation of {config.population_size} candidates (--population) on "
             f"{grid.n} steps each ({objective.horizon:g} periods, --horizon) needs "
             f"{config.population_size * grid.n:.3g} grid steps, more than the limit of {MAX_STEPS}")
-    times = grid.times()
     ranked_on_model = ranks_on_model(objective)
 
-    def p2_rows(rows: np.ndarray) -> np.ndarray:
-        if ranked_on_model:
-            return _model_rows(rows, harmonics, omega, objective.atom.omega21, times)
-        return _rk4_rows(objective.atom, rows, harmonics, omega, grid)
-
     def score(genomes: np.ndarray) -> list[Fitness]:
-        return _fitness(genomes, harmonics, objective, t_peak, times, p2_rows)
+        return _fitness(genomes, harmonics, objective, t_peak, grid, ranked_on_model)
 
     def best() -> int:
         return max(range(len(fitness)), key=fitness.__getitem__)

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -32,12 +33,14 @@ from twolevel.pulses import MAX_GENERATIONS, MAX_POPULATION, ShapingObjective, r
 CLI = [sys.executable, "-m", "twolevel.cli"]
 
 #: Pulse files that must be usage errors: an infinite harmonic index, an
-#: integer chi too large for a float, and indices that are not integers.
+#: integer chi too large for a float, indices that are not integers, and a
+#: harmonic whose frequency k * omega overflows.
 MALFORMED_PULSES = {
     "index-inf": '{"type": "harmonic_sum", "omega": 1, "coefficients": [[1e400, 1]]}',
     "chi-overflow": '{"type": "cosine", "chi": 1' + "0" * 400 + ', "omega": 1}',
     "index-fraction": '{"type": "harmonic_sum", "omega": 1, "coefficients": [[1.5, 1.57]]}',
     "index-bool": '{"type": "harmonic_sum", "omega": 1, "coefficients": [[true, 1.57]]}',
+    "harmonic-overflow": '{"type": "harmonic_sum", "omega": 1e308, "coefficients": [[3, 1]]}',
 }
 
 
@@ -184,6 +187,22 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         assert peak < 3.0e6
+
+    def test_sweep_drops_each_trajectory_before_the_next_integration(self, tmp_path,
+                                                                      monkeypatch):
+        # No earlier trajectory is alive when a job is integrated.
+        alive, integrate = [], twolevel.cli.integrate
+
+        def integrate_alone(*args):
+            assert [ref for ref in alive if ref() is not None] == []
+            traj = integrate(*args)
+            alive.append(weakref.ref(traj))
+            return traj
+
+        monkeypatch.setattr(twolevel.cli, "integrate", integrate_alone)
+        monkeypatch.chdir(tmp_path)
+        assert twolevel.cli.main(["simulate", "--sweep", "10,50,100", "--out", "s.csv"]) == 0
+        assert len(alive) == 3
 
     def test_sweep_repeats_its_bytes_and_warns_nothing(self, tmp_path):
         env = dict(os.environ, PYTHONWARNINGS="always::DeprecationWarning")
@@ -705,15 +724,9 @@ class TestOptimize:
         assert not (tmp_path / "run.manifest.json").exists()
 
 
-def assert_failed_write_changes_nothing(directory, monkeypatch, capsys, args, outputs,
-                                        failing):
-    """Run ``args`` in ``directory``, which holds old copies of ``outputs``, with
-    every write of the file called ``failing`` raising OSError once its bytes
-    are written.  The run must exit 2 with one error line and leave the
-    directory byte for byte as it was."""
-    for name in outputs:
-        (directory / name).write_text(f"old {name}\n")
-    before = {path.name: path.read_bytes() for path in directory.iterdir()}
+def fail_writes_of(monkeypatch, failing):
+    """Make every write of the file called ``failing`` raise OSError once its
+    bytes are written: the trajectory CSVs and every text output."""
     write_csv, write_text = twolevel.cli._write_trajectory_csv, Path.write_text
 
     def csv_then_fail(path, traj, analytic_pulse):
@@ -729,6 +742,18 @@ def assert_failed_write_changes_nothing(directory, monkeypatch, capsys, args, ou
 
     monkeypatch.setattr(twolevel.cli, "_write_trajectory_csv", csv_then_fail)
     monkeypatch.setattr(Path, "write_text", text_then_fail)
+
+
+def assert_failed_write_changes_nothing(directory, monkeypatch, capsys, args, outputs,
+                                        failing):
+    """Run ``args`` in ``directory``, which holds old copies of ``outputs``, with
+    every write of the file called ``failing`` raising OSError once its bytes
+    are written.  The run must exit 2 with one error line and leave the
+    directory byte for byte as it was."""
+    for name in outputs:
+        (directory / name).write_text(f"old {name}\n")
+    before = {path.name: path.read_bytes() for path in directory.iterdir()}
+    fail_writes_of(monkeypatch, failing)
     monkeypatch.chdir(directory)
     assert twolevel.cli.main(args) == 2
     err = capsys.readouterr().err
@@ -848,6 +873,10 @@ class TestBadNumbers:
              "the end time of --periods 1e+305 is not a finite double"),
             (["simulate", "--ratio", "10", "--start", "inf"], "--start must be finite, got inf"),
             (["optimize", "--pcr", "1e-4", "--horizon", "inf"], "horizon must be finite, got inf"),
+            (["optimize", "--pcr", "1e-4", "--horizon", "1e308"],
+             "the end time of --horizon 1e+308 is not a finite double"),
+            (["optimize", "--pcr", "1e-4", "--omega", "7e307", "--n-harmonics", "3"],
+             "the frequency of harmonic 3 is not a finite double"),
             (["optimize", "--pcr", "1e-4", "--seed=-1"], "seed must be >= 0, got -1"),
             (["design", "--ts", "1e-200", "--pcr", "0.5"], "the intensity is not a finite double"),
             (["design", "--ts", "1e300", "--pcr", "1e-300"],
@@ -859,7 +888,8 @@ class TestBadNumbers:
              "ratio-period-inf", "sweep-period-inf", "simulate-period-inf",
              "optimize-omega-inf", "optimize-period-inf", "periods-inf", "periods-zero",
              "periods-negative", "periods-end-inf", "start-inf", "horizon-inf",
-             "seed-negative", "intensity-inf", "design-frequency-zero"],
+             "horizon-end-inf", "optimize-harmonic-inf", "seed-negative", "intensity-inf",
+             "design-frequency-zero"],
     )
     def test_bad_number_is_refused_by_name_before_integration(
             self, tmp_path, monkeypatch, capsys, args, message):

@@ -19,6 +19,11 @@ found it.
 Then, for each option, Hypothesis draws a valid run without it that exits
 0, and sets the option at a valid value: the run must exit 2 naming the
 option, or change its stdout or an output file.
+
+Last, Hypothesis draws a run that would exit 0 in a directory holding old
+copies of its outputs, and makes its k-th integration or its k-th staged
+write fail: the run must exit with one error line and leave every old file
+as it was.
 """
 import contextlib
 import functools
@@ -35,10 +40,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import twolevel.cli
+import twolevel.pulses
 from twolevel.cli import OPTION_RULES
+from twolevel.integrator import IntegrationError
 from twolevel.pulses import MAX_GENERATIONS, MAX_POPULATION
 
-from test_cli import MALFORMED_PULSES, REQUIRED
+from test_cli import MALFORMED_PULSES, REQUIRED, fail_writes_of
 
 #: Edge values for every numeric option: most are rejected, a few (0 or a
 #: negative start, splitting, chi or seed, and large or tiny finite values
@@ -255,3 +262,68 @@ def test_every_option_set_is_read_or_refused(command, option, data):
     if second.code == 2 and re.search(re.escape(option) + r"(?![\w-])", second.err):
         return
     assert (second.out, second.files) != (first.out, first.files)
+
+
+@st.composite
+def runs_that_exit_0(draw):
+    """A run that exits 0: its arguments, its outputs in the order they are
+    written, and the number of integrations it asks ``integrate`` for."""
+    kind = draw(st.sampled_from(["single", "sweep", "optimize"]))
+    if kind == "single":
+        flags = draw(st.lists(st.sampled_from(["--analytic", "--error-estimate"]), unique=True))
+        ratio = draw(st.sampled_from(["10", "100"]))
+        return ["simulate", "--ratio", ratio, *flags, "--out", "x.csv"], \
+            ["x.csv", "x.manifest.json"], 1
+    if kind == "sweep":
+        ratios = draw(st.lists(st.sampled_from(["10", "20", "50", "100"]), min_size=1,
+                               max_size=4, unique=True))
+        return ["simulate", "--sweep", ",".join(ratios), "--omega21", "0.3", "--out", "s.csv"], \
+            [f"s_ratio{r}.csv" for r in ratios] + ["s.manifest.json"], len(ratios)
+    # Ranked on the model, so only the winner is integrated.
+    return ["optimize", "--pcr", "1e-3", "--omega21", "0", "--population", "4",
+            "--generations", "1", "--out", "o"], \
+        ["o_pulse.json", "o_history.csv", "o.manifest.json"], 1
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_failed_run_leaves_old_outputs_as_they_were(data):
+    """The k-th integration raises IntegrationError, or the k-th staged write
+    raises OSError: the run exits 3 (2 where the GA refuses its winner, or a
+    write fails) with one error line, every old output keeps its bytes, and
+    no staging directory remains."""
+    argv, outputs, integrations = data.draw(runs_that_exit_0(), label="run")
+    write = data.draw(st.booleans(), label="failing write")
+    k = data.draw(st.integers(1, len(outputs) if write else integrations), label="k")
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        root = Path(tmp)
+        for name in outputs:
+            (root / name).write_text(f"old {name}\n")
+        before = {path.name: path.read_bytes() for path in root.iterdir()}
+        if write:
+            fail_writes_of(patch, outputs[k - 1])
+        else:
+            calls, integrate_as_before = [], twolevel.cli.integrate
+
+            def integrate(*args, **kwargs):
+                calls.append(1)
+                if len(calls) == k:
+                    raise IntegrationError(f"integration {k} failed", time=0.0)
+                return integrate_as_before(*args, **kwargs)
+
+            for module in (twolevel.cli, twolevel.pulses):
+                patch.setattr(module, "integrate", integrate)
+        patch.chdir(root)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = twolevel.cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        staged = list(root.glob(".twolevel-*"))
+        after = {path.name: path.read_bytes() for path in root.iterdir() if path.is_file()}
+    failed = [line for line in err.getvalue().splitlines()
+              if "error:" in line or line.startswith("integration failed:")]
+    assert code == (3 if argv[0] == "simulate" and not write else 2)
+    assert len(failed) == 1
+    assert after == before and staged == []

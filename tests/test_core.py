@@ -469,9 +469,18 @@ class TestWireFormat:
             ({"type": "gaussian", "area": None, "center": 0, "width": 1},
              "area must be a finite number"),
             ({"type": "harmonic_sum", "omega": 1, "coefficients": 5}, "malformed"),
+            ({"type": "harmonic_sum", "omega": 1, "coefficients": [[1]]},
+             r"^harmonic \[1\] is not a \(k, chi_k\) pair$"),
+            ({"type": "harmonic_sum", "omega": 1, "coefficients": [[1, 2, 3]]},
+             r"^harmonic \[1, 2, 3\] is not a \(k, chi_k\) pair$"),
+            ({"type": "harmonic_sum", "omega": 1, "coefficients": [5]},
+             r"^harmonic 5 is not a \(k, chi_k\) pair$"),
+            ({"type": "harmonic_sum", "omega": 1e308, "coefficients": [[3, 1]]},
+             "^the frequency of harmonic 3 is not a finite double$"),
         ],
         ids=["index-inf", "chi-overflow", "index-fraction", "index-bool", "area-null",
-             "coefficients-scalar"],
+             "coefficients-scalar", "entry-single", "entry-triple", "entry-scalar",
+             "frequency-overflow"],
     )
     def test_malformed_field_is_value_error(self, data, message):
         with pytest.raises(ValueError, match=message):

@@ -1,4 +1,5 @@
 """Transfer normalization, flatness scoring, and the genetic optimizer."""
+import contextlib
 import math
 import tracemalloc
 import warnings
@@ -24,6 +25,7 @@ from twolevel.integrator import (
     IntegrationError,
     integrate,
     populated_window,
+    populated_windows,
 )
 from twolevel.pulses import (
     MAX_GENERATIONS,
@@ -347,9 +349,8 @@ class TestOptimizer:
         assert excinfo.value.time == 2 * math.pi
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            [fitness] = pulses._fitness(
-                genome[None], (1, 3), objective, math.pi / 2, grid.times(),
-                lambda rows: pulses._rk4_rows(atom, rows, (1, 3), 1.0, grid))
+            [fitness] = pulses._fitness(genome[None], (1, 3), objective, math.pi / 2, grid,
+                                        on_model=False)
         assert fitness == (0.0, -math.inf)
 
     def test_nonfinite_model_scores_zero_without_warnings(self, monkeypatch):
@@ -436,15 +437,36 @@ class TestGenerationInOneArrayPass:
         harmonics = tuple(range(1, 2 * n_harmonics, 2))
         rows = np.array(chi)[:, :n_harmonics]
         batch = [HarmonicSum(omega, tuple(zip(harmonics, row))) for row in rows.tolist()]
-        times = IntegrationConfig.per_period(0.0, 2 * math.pi / omega, batch[0].period).times()
+        grid = IntegrationConfig.per_period(0.0, 2 * math.pi / omega, batch[0].period)
+        times = grid.times()
         model_p1, model_p2 = first_order_from_action(
             odd_harmonic_action(omega, harmonics, rows.T[:, :, None], times), omega21, times)
-        p2_rows = pulses._model_rows(rows, harmonics, omega, omega21, times)
-        for pulse, row_p1, row_p2, p2_row in zip(batch, model_p1, model_p2, p2_rows, strict=True):
+        for pulse, row_p1, row_p2 in zip(batch, model_p1, model_p2, strict=True):
             alone_p1, alone_p2 = first_order_from_action(action(pulse, times), omega21, times)
             p1, p2 = first_order_reference(pulse, omega21, times)
             assert row_p1.tobytes() == alone_p1.tobytes() == p1.tobytes()
-            assert row_p2.tobytes() == p2_row.tobytes() == alone_p2.tobytes() == p2.tobytes()
+            assert row_p2.tobytes() == alone_p2.tobytes() == p2.tobytes()
+        # The P2 rows that _fitness ranks on the model are those of each
+        # normalized pulse alone.
+        t_peak = math.pi / (2 * omega)
+        normalized = []
+        for pulse in batch:
+            with contextlib.suppress(ValueError):
+                normalized.append(normalize_for_transfer(pulse, t_peak))
+        ranked = []
+
+        def windows(times, p2, p_cr):
+            ranked.extend(p2)
+            return populated_windows(times, p2, p_cr)
+
+        objective = ShapingObjective(p_cr=1e-4, omega=omega, atom=TwoLevelAtom(omega21=omega21))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pulses, "populated_windows", windows)
+            pulses._fitness(rows, harmonics, objective, t_peak, grid, on_model=True)
+        for pulse, p2_row in zip(normalized, ranked, strict=True):
+            alone_p2 = first_order_from_action(action(pulse, times), omega21, times)[1]
+            p2 = first_order_reference(pulse, omega21, times)[1]
+            assert p2_row.tobytes() == alone_p2.tobytes() == p2.tobytes()
 
     @staticmethod
     def assert_normalized_like_each_pulse_alone(genomes, harmonics, omega):
@@ -514,19 +536,19 @@ class TestGenerationInOneArrayPass:
         # holds at most five (15, 1001) float64 arrays at once, fewer at
         # omega21 = 0; the rest is a fraction of one (ufunc buffers, the
         # windows, the winner's pulse).
-        objective = ShapingObjective(p_cr=1e-4, omega=1.0, atom=DEGENERATE)
-        times = IntegrationConfig.per_period(0.0, 2 * math.pi, 2 * math.pi).times()
+        grid = IntegrationConfig.per_period(0.0, 2 * math.pi, 2 * math.pi)
+        times = grid.times()
         rng = np.random.default_rng(5)
         genomes = np.array([np.array([1.0, 0.0, 0.0]) + 0.2 * rng.standard_normal(3)
                             for _ in range(15)])
 
         for omega21 in (0.0, 1e-3):
-            def p2_rows(rows):
-                return pulses._model_rows(rows, (1, 3, 5), 1.0, omega21, times)
+            objective = ShapingObjective(p_cr=1e-4, omega=1.0,
+                                         atom=TwoLevelAtom(omega21=omega21))
 
             def score():
-                return pulses._fitness(genomes, (1, 3, 5), objective, math.pi / 2, times,
-                                       p2_rows)
+                return pulses._fitness(genomes, (1, 3, 5), objective, math.pi / 2, grid,
+                                       on_model=True)
 
             expected = score()
             tracemalloc.start()
