@@ -185,11 +185,9 @@ def _atom(args: argparse.Namespace) -> TwoLevelAtom:
 def _transfer_cosine(given: str, omega: float) -> PulseSpec:
     """``transfer_cosine(omega)``; ValueError naming the options ``given`` if it fails."""
     try:
-        pulse = transfer_cosine(omega)
-        _check_positive("period", pulse.period)
+        return transfer_cosine(omega)
     except ValueError:
         raise ValueError(f"the drive of {given} is out of the range of doubles") from None
-    return pulse
 
 
 def _ratio_cosine(option: str, ratio: float, omega21: float) -> PulseSpec:
@@ -284,11 +282,11 @@ def _grid_config(args: argparse.Namespace, pulse: PulseSpec) -> IntegrationConfi
     """The --start/--periods/--step grid; ValueError if invalid or over MAX_STEPS."""
     start = _check_finite("--start", args.start)
     periods = _check_positive("--periods", args.periods)
-    period = _check_positive("period", pulse.period)
-    t_end = _finite(lambda: start + periods * period, f"the end time of --periods {periods:g}")
+    t_end = _finite(lambda: start + periods * pulse.period,
+                    f"the end time of --periods {periods:g}")
     if args.step is not None:
         return IntegrationConfig(start, t_end, args.step)
-    return IntegrationConfig.per_period(start, t_end, period, args.steps_per_period)
+    return IntegrationConfig.per_period(start, t_end, pulse.period, args.steps_per_period)
 
 
 # --- design ------------------------------------------------------------------

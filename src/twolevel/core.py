@@ -140,8 +140,10 @@ class HarmonicSum:
     V21(t) = -sum_k chi_k * cos(k * omega * t) over the listed (k, chi_k)
     pairs.  Restricting k to odd integers keeps every member's magnitude
     peaked at t = pi / (2 omega), the same instant as the plain cosine, which
-    is what makes the transfer normalization one-dimensional.  Every
-    harmonic's frequency k * omega must be a finite double.
+    is what makes the transfer normalization one-dimensional.  The period
+    2 pi / omega and every harmonic's frequency k * omega must be finite
+    doubles.  ``action_scale`` adds its terms with ``np.sum``, in the order
+    in which ``.sum(axis=1)`` adds each row of an array of such terms.
     """
 
     omega: float
@@ -149,6 +151,7 @@ class HarmonicSum:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "omega", _check_positive("omega", self.omega))
+        _check_positive("period", self.period)
         coeffs = []
         for entry in self.coefficients:
             try:
@@ -193,7 +196,7 @@ class HarmonicSum:
 
     @property
     def action_scale(self) -> float:
-        return sum(abs(c) / (k * self.omega) for k, c in self.coefficients)
+        return float(np.sum([abs(c) / (k * self.omega) for k, c in self.coefficients]))
 
     def scaled(self, s: float) -> HarmonicSum:
         return HarmonicSum(self.omega, tuple((k, c * s) for k, c in self.coefficients))
@@ -376,19 +379,39 @@ class Trajectory:
 # (--pulse-json).
 
 def pulse_from_dict(data: dict) -> PulseSpec:
-    """Inverse of ``pulse.to_dict()``; raises ValueError on malformed input."""
+    """Inverse of ``pulse.to_dict()``; raises ValueError on malformed input.
+
+    Unlike the constructors, it refuses a string or true/false where a
+    number belongs, and ``coefficients`` that is not a list of [k, chi_k] lists.
+    """
     try:
         tag = data["type"]
     except (TypeError, KeyError):
         raise ValueError("pulse dict must carry a 'type' tag") from None
+
+    def number(name: str, value, kind: str = "a number"):
+        if isinstance(value, (str, bool)):
+            raise ValueError(f"malformed {tag!r} pulse dict: {name} must be {kind}, got {value!r}")
+        return value
+
     try:
         if tag == "cosine":
-            return Cosine(chi=data["chi"], omega=data["omega"])
+            return Cosine(chi=number("chi", data["chi"]), omega=number("omega", data["omega"]))
         if tag == "harmonic_sum":
-            return HarmonicSum(omega=data["omega"], coefficients=data["coefficients"])
+            omega, coefficients = number("omega", data["omega"]), data["coefficients"]
+            # A string or an object would unpack as a (k, chi_k) pair.
+            if not isinstance(coefficients, list) or any(
+                    isinstance(entry, (str, dict)) for entry in coefficients):
+                raise ValueError(f"malformed {tag!r} pulse dict: coefficients must be a list "
+                                 f"of [k, chi_k] lists, got {coefficients!r}")
+            pairs = [[number("harmonic index", entry[0], "an integer"),
+                      number(f"coefficient for k={entry[0]}", entry[1])]
+                     if isinstance(entry, list) and len(entry) == 2 else entry
+                     for entry in coefficients]
+            return HarmonicSum(omega=omega, coefficients=pairs)
         if tag == "gaussian":
-            return GaussianApprox(area=data["area"], center=data["center"], width=data["width"])
+            return GaussianApprox(**{name: number(name, data[name])
+                                     for name in ("area", "center", "width")})
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed {tag!r} pulse dict: {exc}") from None
     raise ValueError(f"unknown pulse type {tag!r}")
-

@@ -157,7 +157,6 @@ def hydrogen_atom() -> TwoLevelAtom:
 class FieldRegime:
     """Field parameters realizing complete transfer at a given frequency."""
 
-    omega: float
     wavelength_m: float
     e0: float
     intensity_w_cm2: float
@@ -173,7 +172,6 @@ def field_for_transfer(omega: float) -> FieldRegime:
     omega = _check_positive("omega", omega)
     e0 = TRANSFER_ACTION * omega / abs(dipole_2s2p())
     return FieldRegime(
-        omega=omega,
         wavelength_m=omega_to_wavelength(omega),
         e0=e0,
         intensity_w_cm2=field_to_intensity(e0),

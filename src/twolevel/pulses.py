@@ -13,9 +13,9 @@ Where the level splitting is weak the rows are the first-order closed-form
 populations, computed for the whole generation in one array pass, and only
 the winner is integrated with RK4; otherwise every candidate is integrated
 with RK4, one at a time.  Before the first generation the search builds its
-family's pulse once, so a harmonic whose frequency overflows is refused
-before any candidate is scored.  The search is deterministic for a fixed
-seed.
+family's pulse once, so a period or a harmonic frequency that overflows
+is refused before any candidate is scored.  The search is deterministic
+for a fixed seed.
 """
 from __future__ import annotations
 
@@ -206,28 +206,23 @@ def ranks_on_model(objective: ShapingObjective) -> bool:
             and MODEL_RANKING_MIN_BUDGET * eps * eps <= objective.p_cr)
 
 
-def _row_sums(rows: np.ndarray) -> np.ndarray:
-    """Python's ``sum`` of every row, left to right from 0: bit for bit the
-    sum a pulse's own scalar code takes, on every Python version (3.12
-    compensates float sums, numpy does not)."""
-    return np.array([sum(row) for row in rows.tolist()])
-
-
 def _normalized_rows(genomes: np.ndarray, harmonics: tuple[int, ...], omega: float,
                      t_peak: float) -> tuple[np.ndarray, np.ndarray]:
     """:func:`normalize_for_transfer` of every genome row in one array pass.
 
     Returns the mask of the usable rows and the coefficient rows.  The
     arithmetic is that of ``normalize_for_transfer(HarmonicSum(omega,
-    zip(harmonics, genome)), t_peak)``, so a usable row holds that pulse's
-    coefficients bit for bit.  A row is unusable where that call raises
-    ValueError: a gene or scaled coefficient is not finite, or the action at
-    ``t_peak`` overflows or vanishes against the action scale.
+    zip(harmonics, genome)), t_peak)``, and ``.sum(axis=1)`` adds a row's
+    action-scale terms in the order in which ``np.sum`` adds the pulse's, so
+    a usable row holds that pulse's coefficients bit for bit.  A row is
+    unusable where that call raises ValueError: a gene or scaled coefficient
+    is not finite, or the action at ``t_peak`` overflows or vanishes against
+    the action scale.
     """
     # A huge finite genome overflows its action; a vanishing action divides by zero.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         a = np.abs(odd_harmonic_action(omega, harmonics, genomes.T, t_peak))
-        action_scale = _row_sums(np.abs(genomes) / np.array([k * omega for k in harmonics]))
+        action_scale = (np.abs(genomes) / np.array([k * omega for k in harmonics])).sum(axis=1)
         rows = genomes * (TRANSFER_ACTION / a)[:, None]
     usable = (np.isfinite(genomes).all(axis=1) & np.isfinite(a)
               & ~(a <= 1e-12 * action_scale) & np.isfinite(rows).all(axis=1))
@@ -284,7 +279,7 @@ def _fitness(genomes: np.ndarray, harmonics: tuple[int, ...], objective: Shaping
         # A coefficient past 1e154 (omega near 1e250, say) has an infinite norm,
         # and such rows tie on it.
         with np.errstate(over="ignore"):
-            norms = np.sqrt(_row_sums(rows * rows))
+            norms = np.sqrt((rows * rows).sum(axis=1))
         for i, width, norm in zip(np.flatnonzero(usable).tolist(), widths.tolist(),
                                   norms.tolist()):
             fitness[i] = _rank(width, norm)
@@ -322,10 +317,9 @@ def run_optimizer(objective: ShapingObjective, config: OptimizerConfig) -> Optim
     harmonics = tuple(2 * i + 1 for i in range(config.n_harmonics))
     omega = objective.omega
     # Every candidate has the base period, so all share one grid.  The
-    # family's pulse refuses a harmonic whose frequency overflows before any
-    # is scored, and an infinite period is named before the end time it scales.
-    family = HarmonicSum(omega, tuple((k, 1.0) for k in harmonics))
-    period = _check_positive("period", family.period)
+    # family's pulse refuses an infinite period, before the end time it
+    # scales, and a harmonic whose frequency overflows, before any is scored.
+    period = HarmonicSum(omega, tuple((k, 1.0) for k in harmonics)).period
     t_end = _finite(lambda: objective.horizon * period,
                     f"the end time of --horizon {objective.horizon:g}")
     grid = IntegrationConfig.per_period(0.0, t_end, period)

@@ -33,14 +33,19 @@ from twolevel.pulses import MAX_GENERATIONS, MAX_POPULATION, ShapingObjective, r
 CLI = [sys.executable, "-m", "twolevel.cli"]
 
 #: Pulse files that must be usage errors: an infinite harmonic index, an
-#: integer chi too large for a float, indices that are not integers, and a
-#: harmonic whose frequency k * omega overflows.
+#: integer chi too large for a float, indices that are not integers, a
+#: harmonic whose frequency k * omega overflows, numbers given as text or
+#: as a boolean, and coefficients that are not a list of [k, chi_k] lists.
 MALFORMED_PULSES = {
     "index-inf": '{"type": "harmonic_sum", "omega": 1, "coefficients": [[1e400, 1]]}',
     "chi-overflow": '{"type": "cosine", "chi": 1' + "0" * 400 + ', "omega": 1}',
     "index-fraction": '{"type": "harmonic_sum", "omega": 1, "coefficients": [[1.5, 1.57]]}',
     "index-bool": '{"type": "harmonic_sum", "omega": 1, "coefficients": [[true, 1.57]]}',
     "harmonic-overflow": '{"type": "harmonic_sum", "omega": 1e308, "coefficients": [[3, 1]]}',
+    "chi-text": '{"type": "cosine", "chi": "1.5", "omega": "1"}',
+    "coefficients-text": '{"type": "harmonic_sum", "omega": 1, "coefficients": ["13"]}',
+    "area-bool": '{"type": "gaussian", "area": true, "center": 0, "width": 1}',
+    "coefficients-scalar": '{"type": "harmonic_sum", "omega": 1, "coefficients": 5}',
 }
 
 
@@ -259,6 +264,16 @@ class TestSimulate:
         assert "error:" in result.stderr
         assert "Traceback" not in result.stderr
         assert sorted(tmp_path.iterdir()) == inputs
+
+    def test_pulse_with_infinite_period_is_refused_as_it_loads(self, tmp_path, monkeypatch,
+                                                               capsys):
+        (tmp_path / "p.json").write_text('{"type": "cosine", "chi": 1, "omega": 1e-320}')
+        code = exit_code_without_integration(["simulate", "--pulse-json", "p.json"],
+                                             tmp_path, monkeypatch)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "twolevel simulate: error: cannot load pulse JSON: period must be finite, got inf")
+        assert [p.name for p in tmp_path.iterdir()] == ["p.json"]
 
     @pytest.mark.parametrize(
         "args, out",
@@ -517,6 +532,18 @@ class TestDesign:
         assert "Traceback" not in result.stderr
         assert [line for line in result.stderr.splitlines() if "error:" in line] == [
             "twolevel design: error: the designed frequency is not a finite double"]
+
+    def test_verify_reports_a_peak_below_the_threshold(self, tmp_path):
+        # The Lamb shift is not small against this drive: P2 peaks near 0.96.
+        result = run_cli(["design", "--ts", "3e5", "--pcr", "1e-6", "--verify"], tmp_path)
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert lines[-2] == "verdict: marginal"
+        prefix = "verify: peak never reaches threshold: max P2 = "
+        assert lines[-1].startswith(prefix) and lines[-1].endswith(" < 0.999999")
+        assert float(lines[-1][len(prefix):].split()[0]) == pytest.approx(0.95908047, abs=1e-8)
+        assert not any(line.startswith("measured") for line in lines)
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_arguments_exit_two(self, tmp_path):
         assert run_cli(["design", "--ts", "-5", "--pcr", "1e-4"], tmp_path).returncode == 2
@@ -847,6 +874,8 @@ class TestBadNumbers:
             (["simulate", "--sweep", "10,0"], "--sweep ratio must be > 0, got 0.0"),
             (["simulate", "--sweep", "10,nan"], "--sweep ratio must be finite, got nan"),
             (["simulate", "--sweep", "10,inf"], "--sweep ratio must be finite, got inf"),
+            (["simulate", "--sweep", ","], "--sweep needs at least one ratio"),
+            (["simulate", "--sweep", "a"], "--sweep expects a comma-separated list of ratios"),
             (["simulate", "--wavelength", "1e400"], "wavelength must be finite, got inf"),
             (["simulate", "--ratio", "1e308", "--omega21", "10"],
              "the drive of --ratio 1e+308 at omega21 = 10 a.u. is out of the range of doubles"),
@@ -883,7 +912,7 @@ class TestBadNumbers:
              "the designed frequency must be > 0, got 0.0"),
         ],
         ids=["ratio-zero", "ratio-negative", "ratio-nan", "ratio-inf", "sweep-zero",
-             "sweep-nan", "sweep-inf", "wavelength-inf", "ratio-drive-inf",
+             "sweep-nan", "sweep-inf", "sweep-empty", "sweep-text", "wavelength-inf", "ratio-drive-inf",
              "omega21-drive-inf", "sweep-drive-inf", "wavelength-drive-zero",
              "ratio-period-inf", "sweep-period-inf", "simulate-period-inf",
              "optimize-omega-inf", "optimize-period-inf", "periods-inf", "periods-zero",

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twolevel.core import (
@@ -98,6 +98,11 @@ def test_finite_rule_refuses_by_name(site, value):
     call, name = FINITE_SITES[site]
     with pytest.raises(ValueError, match=rf"^{name} must be (finite|a finite number), got "):
         call(value)
+
+
+def test_harmonic_sum_refuses_an_infinite_period():
+    with pytest.raises(ValueError, match=r"^period must be finite, got inf$"):
+        HarmonicSum(omega=1e-320, coefficients=((1, 1.0),))
 
 
 @pytest.mark.parametrize("args, quantity", [
@@ -197,10 +202,18 @@ class TestPulseValue:
     @settings(max_examples=200, deadline=None)
     @given(chi=st.floats(allow_nan=False, allow_infinity=False),
            omega=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    @example(chi=1.5, omega=5e-324)
     def test_cosine_is_one_term_harmonic_sum(self, chi, omega):
-        pulse = HarmonicSum(omega, ((1, chi),))
-        assert Cosine(chi, omega) == pulse
-        assert pulse_from_dict({"type": "cosine", "chi": chi, "omega": omega}) == pulse
+        builds = (lambda: HarmonicSum(omega, ((1, chi),)), lambda: Cosine(chi, omega),
+                  lambda: pulse_from_dict({"type": "cosine", "chi": chi, "omega": omega}))
+        if math.isinf(2 * math.pi / omega):
+            for build in builds:
+                with pytest.raises(ValueError, match=r"^period must be finite, got inf$"):
+                    build()
+            return
+        pulse, cosine, loaded = (build() for build in builds)
+        assert cosine == pulse
+        assert loaded == pulse
 
     def test_gaussian_peak_value(self):
         g = GaussianApprox(area=2.0, center=1.0, width=0.5)
@@ -468,7 +481,9 @@ class TestWireFormat:
              "harmonic index must be an integer"),
             ({"type": "gaussian", "area": None, "center": 0, "width": 1},
              "area must be a finite number"),
-            ({"type": "harmonic_sum", "omega": 1, "coefficients": 5}, "malformed"),
+            ({"type": "harmonic_sum", "omega": 1, "coefficients": 5},
+             r"^malformed 'harmonic_sum' pulse dict: coefficients must be a list of "
+             r"\[k, chi_k\] lists, got 5$"),
             ({"type": "harmonic_sum", "omega": 1, "coefficients": [[1]]},
              r"^harmonic \[1\] is not a \(k, chi_k\) pair$"),
             ({"type": "harmonic_sum", "omega": 1, "coefficients": [[1, 2, 3]]},
@@ -477,10 +492,17 @@ class TestWireFormat:
              r"^harmonic 5 is not a \(k, chi_k\) pair$"),
             ({"type": "harmonic_sum", "omega": 1e308, "coefficients": [[3, 1]]},
              "^the frequency of harmonic 3 is not a finite double$"),
+            ({"type": "cosine", "chi": "1.5", "omega": "1"},
+             r"^malformed 'cosine' pulse dict: chi must be a number, got '1\.5'$"),
+            ({"type": "harmonic_sum", "omega": 1, "coefficients": ["13"]},
+             r"^malformed 'harmonic_sum' pulse dict: coefficients must be a list of "
+             r"\[k, chi_k\] lists, got \['13'\]$"),
+            ({"type": "gaussian", "area": True, "center": 0, "width": 1},
+             r"^malformed 'gaussian' pulse dict: area must be a number, got True$"),
         ],
         ids=["index-inf", "chi-overflow", "index-fraction", "index-bool", "area-null",
              "coefficients-scalar", "entry-single", "entry-triple", "entry-scalar",
-             "frequency-overflow"],
+             "frequency-overflow", "chi-text", "coefficients-text", "area-bool"],
     )
     def test_malformed_field_is_value_error(self, data, message):
         with pytest.raises(ValueError, match=message):
